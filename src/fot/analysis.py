@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DataError, FormatError, UsageError
 from .memstore import MemoryIndex
-from .model import AttentionRecord, Transformer, exposure_records
+from .model import AttentionRecord, InferCache, Transformer, exposure_records
 from .pipeline import CrossbatchPipeline, DSchedule, SegmentSchedule, make_eval_exposure_plan
 from .tasks import DictTaskConfig, gen_dict_lookup
 
@@ -186,7 +186,7 @@ def perplexity_eval(model: Transformer, docs, mode: str = "single_doc", *,
         nll_sum, n_tok = 0.0, 0
         for s in range(0, tokens.shape[0], t):
             window = tokens[s:s + t]
-            out = model.forward_infer(window, memory, k, doc_id=doc_id, start_position=s)
+            out = model.forward_infer(window, memory, k)
             tail = min(s + window.shape[0] + 1, tokens.shape[0])
             targets = tokens[s + 1:tail]
             if targets.shape[0]:
@@ -266,12 +266,10 @@ def dict_eval_accuracy(model: Transformer, task: DictTaskConfig, total_len: int,
         if use_memory:
             memory = MemoryIndex(cfg.memory_layers, cfg.n_heads, cfg.head_dim)
             for s in range(0, q_start, t):
-                out = model.forward_infer(doc.tokens[s:s + t], memory, k,
-                                          doc_id=di, start_position=s)
+                out = model.forward_infer(doc.tokens[s:s + t], memory, k)
                 for li, (kk, vv) in out.new_kv.items():
                     memory.append_block(li, kk, vv, di, np.arange(s, s + t))
-            final = model.forward_infer(doc.tokens[q_start:], memory, k,
-                                        doc_id=di, start_position=q_start)
+            final = model.forward_infer(doc.tokens[q_start:], memory, k)
             logits = final.logits
         else:
             logits = model.forward_long(doc.tokens, chunk=long_chunk)[q_start:]
@@ -311,6 +309,8 @@ def greedy_continuation(model: Transformer, prompt: np.ndarray, n_tokens: int,
 
     Complete prompt windows are ingested into a fresh memory; generation
     extends the final window and rolls it into memory whenever it fills.
+    Decoding is incremental: the working window's per-layer keys and values
+    stay in an ``InferCache``, so each new token runs one row.
     """
     cfg = model.cfg
     t = cfg.local_ctx_len
@@ -318,31 +318,26 @@ def greedy_continuation(model: Transformer, prompt: np.ndarray, n_tokens: int,
     memory = MemoryIndex(cfg.memory_layers, cfg.n_heads, cfg.head_dim) \
         if cfg.memory_layers else None
 
-    def ingest(window_tokens: np.ndarray, start: int, out=None) -> None:
-        if memory is None:
-            return
-        if out is None:
-            out = model.forward_infer(window_tokens, memory, k, start_position=start)
-        for li, (kk, vv) in out.new_kv.items():
-            memory.append_block(li, kk, vv, 0, np.arange(start, start + len(window_tokens)))
+    def ingest(kv: dict[int, tuple[np.ndarray, np.ndarray]], start: int) -> None:
+        for li, (kk, vv) in kv.items():
+            memory.append_block(li, kk, vv, 0, np.arange(start, start + kk.shape[1]))
 
     n_ingest = (prompt.shape[0] - 1) // t  # keep a nonempty working window
     for w in range(n_ingest):
-        ingest(prompt[w * t:(w + 1) * t], w * t)
+        if memory is not None:
+            ingest(model.forward_infer(prompt[w * t:(w + 1) * t], memory, k).new_kv, w * t)
     s = n_ingest * t
-    window = list(prompt[s:])
+    cache = InferCache(memory)
+    new = prompt[s:]
     generated: list[int] = []
     for _ in range(n_tokens):
-        out = model.forward_infer(np.asarray(window, dtype=np.int64), memory, k,
-                                  start_position=s)
-        nxt = int(out.logits[len(window) - 1].argmax())
-        generated.append(nxt)
-        if len(window) == t:
-            ingest(np.asarray(window, dtype=np.int64), s, out=out)
+        if len(cache) == t:
+            ingest(cache.memory_kv(), s)
             s += t
-            window = [nxt]
-        else:
-            window.append(nxt)
+            cache = InferCache(memory)
+        out = model.forward_infer(new, memory, k, cache=cache)
+        generated.append(int(out.logits[-1].argmax()))
+        new = np.asarray(generated[-1:], dtype=np.int64)
     return np.asarray(generated, dtype=np.int64)
 
 

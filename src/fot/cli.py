@@ -1,6 +1,7 @@
 """Command-line entry points: train, eval, sweep, gen-data, inspect.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
+Exit codes: 0 success, 2 config, usage, format or shape error, 3 data error,
+4 numeric failure, 5 capacity exceeded.
 FOT_NUM_WORKERS caps sweep parallelism.
 """
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import analysis, tasks
 from .config import TrainConfig, apply_overrides, config_hash, emit_config, get_preset, parse_config
-from .errors import ConfigError, DataError, FormatError, FotError, NumericError, UsageError
+from .errors import CapacityError, ConfigError, DataError, FotError, NumericError
 from .model import Transformer, load_checkpoint, param_count
 from .tasks import DictTaskConfig, PasskeyTaskConfig
 from .training import train
@@ -286,19 +287,19 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# (error class, exit code, message prefix); the first class that matches wins
+EXIT_CODES = ((DataError, 3, "data error"), (NumericError, 4, "numeric failure"),
+              (CapacityError, 5, "capacity exceeded"), (FotError, 2, "config error"))
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, UsageError, FormatError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except DataError as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return 3
-    except NumericError as e:
-        print(f"numeric failure: {e}", file=sys.stderr)
-        return 4
+    except FotError as e:
+        code, label = next((c, lab) for cls, c, lab in EXIT_CODES if isinstance(e, cls))
+        print(f"{label}: {e}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Exception taxonomy shared across the package.
 
-Exit-code mapping lives in the CLI: ConfigError -> 2, DataError -> 3,
-NumericError -> 4.
+Exit-code mapping lives in the CLI: ConfigError, UsageError, FormatError and
+ShapeError -> 2, DataError -> 3, NumericError -> 4, CapacityError -> 5.
 """
 
 

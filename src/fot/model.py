@@ -15,6 +15,7 @@ in "none" mode the memory layers use no positional encoding at all.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import struct
 from dataclasses import dataclass, field
@@ -214,6 +215,57 @@ class InferForward:
     records: list[AttentionRecord]
 
 
+class InferCache:
+    """The rows of one working window that ``forward_infer`` has already run.
+
+    Per layer it holds the local attention keys (rotary applied where the
+    layer uses it) and the values; per memory layer also the pre-rotary keys
+    that go to memory. The cached rows retrieved from memory at the size it
+    had when the cache was created, so the cache is valid only while memory
+    keeps that size.
+    """
+
+    def __init__(self, memory: MemoryIndex | None):
+        self.memory_size = _memory_size(memory)
+        self.n = 0
+        # layer -> [1, H, rows, Dh]; rows >= n, only the first n are valid
+        self.keys: dict[int, np.ndarray] = {}
+        self.values: dict[int, np.ndarray] = {}
+        self.memory_keys: dict[int, np.ndarray] = {}
+
+    def __len__(self) -> int:
+        return self.n
+
+    def _put(self, store: dict[int, np.ndarray], li: int, new: np.ndarray,
+             capacity: int) -> np.ndarray:
+        """Write ``new`` [1, H, t, Dh] after the cached rows; return all rows.
+
+        The first rows are kept as given, so a cache used for one call (every
+        cache-less forward_infer) copies nothing; the first extension moves
+        them into a buffer of ``capacity`` rows.
+        """
+        buf = store.get(li)
+        if buf is None:
+            store[li] = new
+            return new
+        hi = self.n + new.shape[2]
+        if buf.shape[2] < hi:
+            grown = np.empty(new.shape[:2] + (capacity, new.shape[3]), new.dtype)
+            grown[:, :, :self.n] = buf
+            buf = store[li] = grown
+        buf[:, :, self.n:hi] = new
+        return buf[:, :, :hi]
+
+    def memory_kv(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """Pre-rotary (K, V) [H, n, Dh] of each memory layer, for append_block."""
+        return {li: (k[0, :, :self.n], self.values[li][0, :, :self.n])
+                for li, k in self.memory_keys.items()}
+
+
+def _memory_size(memory: MemoryIndex | None) -> int:
+    return memory.size() if memory is not None else 0
+
+
 @dataclass
 class _Extras:
     """Per-memory-layer planned context tensors for the current rows."""
@@ -351,15 +403,28 @@ class Transformer:
             return True
         return self.cfg.mem_positional_mode == "as_first"
 
-    def _plain_layer(self, x: Tensor, li: int, positions: np.ndarray,
-                     collect_kv: bool) -> tuple[Tensor, tuple[Tensor, Tensor] | None]:
+    def _local_kv(self, li: int, k: Tensor, v: Tensor, cache: InferCache | None,
+                  ) -> tuple[Tensor, Tensor, np.ndarray]:
+        """Local keys and values of every row so far, and the new rows'
+        causal mask: the [new, all] slice when ``cache`` holds earlier rows."""
+        if cache is None:
+            return k, v, self._causal_add(k.shape[2])
+        t_max = self.cfg.local_ctx_len
+        n0, n_all = len(cache), len(cache) + k.shape[2]
+        return (Tensor(cache._put(cache.keys, li, k.data, t_max)),
+                Tensor(cache._put(cache.values, li, v.data, t_max)),
+                self._causal_add(t_max)[:, :, n0:n_all, :n_all])
+
+    def _plain_layer(self, x: Tensor, li: int, positions: np.ndarray, collect_kv: bool,
+                     cache: InferCache | None = None,
+                     ) -> tuple[Tensor, tuple[Tensor, Tensor] | None]:
         q, k, v = self._attn_inputs(x, li)
         kv = (k, v) if collect_kv else None
         if self._layer_rotary(li):
             q = N.rotary_encode(q, positions, self.cfg.rotary_base)
             k = N.rotary_encode(k, positions, self.cfg.rotary_base)
-        out, _, _ = merged_softmax_attention(self._scaled_q(q, li), (k, v), None,
-                                             self._causal_add(x.shape[1]))
+        k, v, causal = self._local_kv(li, k, v, cache)
+        out, _, _ = merged_softmax_attention(self._scaled_q(q, li), (k, v), None, causal)
         x = self._attn_out(out, x, li)
         return self._ff_block(x, li), kv
 
@@ -528,7 +593,7 @@ class Transformer:
                     referenced.append(key)
 
         tape: N.Tape | None = None
-        ctx: N.Tape | _NullCtx = _NullCtx()
+        ctx: N.Tape | contextlib.nullcontext = contextlib.nullcontext()
         if with_tape:
             tape = N.active_tape()
             if tape is None:
@@ -551,38 +616,51 @@ class Transformer:
     # -- inference forward -----------------------------------------------------
 
     def forward_infer(self, tokens: np.ndarray, memory: MemoryIndex | None, k: int,
-                      *, doc_id: int = 0, start_position: int = 0,
+                      *, cache: InferCache | None = None,
                       collect_records: bool = False) -> InferForward:
-        """One local window with exact top-k retrieval from ``memory``.
+        """Rows of one local window with exact top-k retrieval from ``memory``.
 
-        Returns the window's logits, the layer-wise (key, value) pairs so the
-        caller can append them to memory afterwards, and attention records.
+        Without ``cache``, ``tokens`` are a whole window. With one, they are
+        the rows at window positions len(cache) onwards: they attend to the
+        cached rows, retrieval runs for their queries only, and ``cache`` is
+        extended in place. Returns the new rows' logits, their layer-wise
+        pre-rotary (key, value) pairs so the caller can append them to memory
+        afterwards, and attention records.
         """
         cfg = self.cfg
         if k < 0:
             raise UsageError("k must be >= 0")
         tokens = np.asarray(tokens, dtype=np.int64)
-        if tokens.ndim != 1 or tokens.shape[0] > cfg.local_ctx_len:
-            raise UsageError(f"forward_infer takes one window of <= {cfg.local_ctx_len} tokens")
         if memory is not None and cfg.memory_layers and (
                 memory.n_heads != cfg.n_heads or memory.head_dim != cfg.head_dim):
             raise ShapeError("memory index geometry does not match the model")
+        if cache is None:
+            cache = InferCache(memory)
+        elif cache.memory_size != _memory_size(memory):
+            raise UsageError(f"memory holds {_memory_size(memory)} entries, the cache was "
+                             f"made at {cache.memory_size}; start a new cache")
+        n0 = len(cache)
+        if tokens.ndim != 1 or n0 + tokens.shape[0] > cfg.local_ctx_len:
+            raise UsageError(f"forward_infer takes one window of <= {cfg.local_ctx_len} tokens; "
+                             f"got {tokens.shape} after {n0} cached rows")
         t = tokens.shape[0]
-        positions = np.arange(t)
+        n_all = n0 + t
+        positions = np.arange(n0, n_all)
         x = N.embedding(self.params["embed"], tokens[None])
         new_kv: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         records: list[AttentionRecord] = []
         for li in range(cfg.n_layers):
             if li not in cfg.memory_layers:
-                x, _ = self._plain_layer(x, li, positions, collect_kv=False)
+                x, _ = self._plain_layer(x, li, positions, collect_kv=False, cache=cache)
                 continue
             q, kl, vl = self._attn_inputs(x, li)
             new_kv[li] = (kl.data[0].copy(), vl.data[0].copy())
+            cache._put(cache.memory_keys, li, kl.data, cfg.local_ctx_len)
             if self._layer_rotary(li):
                 q = N.rotary_encode(q, positions, cfg.rotary_base)
                 kl = N.rotary_encode(kl, positions, cfg.rotary_base)
+            kl, vl, causal = self._local_kv(li, kl, vl, cache)
             qs = self._scaled_q(q, li)
-            causal = self._causal_add(t)
             n_mem = memory.layer_size(li) if memory is not None else 0
             kk = min(k, n_mem)
             if kk == 0:
@@ -604,8 +682,8 @@ class Transformer:
                 logits_loc = N.add(N.matmul(qs, N.transpose(kl, (0, 1, 3, 2))), Tensor(causal))
                 if cfg.integration_mode == "merged":
                     probs = N.softmax_last_axis(N.concat_last_axis([logits_loc, logits_mem]))
-                    p_loc = N.slice_last_axis(probs, 0, t)
-                    p_mem = N.slice_last_axis(probs, t, t + kk)
+                    p_loc = N.slice_last_axis(probs, 0, n_all)
+                    p_mem = N.slice_last_axis(probs, n_all, n_all + kk)
                     out_loc = N.matmul(p_loc, vl)
                     pm = N.reshape(p_mem, (1, cfg.n_heads, t, 1, kk))
                     out_mem = N.reshape(N.matmul(pm, vm), (1, cfg.n_heads, t, cfg.head_dim))
@@ -628,12 +706,10 @@ class Transformer:
                                                        gate=g))
             x = self._attn_out(out, x, li)
             x = self._ff_block(x, li)
+        cache.n = n_all
         x = N.rms_norm(x, self.params["final_ln"])
         logits = N.add(N.matmul(x, self.params["lm_head"]), self.params["lm_bias"])
         return InferForward(logits.data[0], new_kv, records)
-
-    def window_positions(self, start: int, t: int) -> np.ndarray:
-        return np.arange(start, start + t)
 
     # -- reference local-only forwards ------------------------------------------
 
@@ -682,14 +758,6 @@ class Transformer:
         x = N.rms_norm(x, self.params["final_ln"])
         logits = N.add(N.matmul(x, self.params["lm_head"]), self.params["lm_bias"])
         return logits.data[0] if squeeze else logits.data
-
-
-class _NullCtx:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return None
 
 
 # ---------------------------------------------------------------------------

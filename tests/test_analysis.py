@@ -133,7 +133,7 @@ def test_ppl_matches_f64_oracle_recomputation():
         mem.clear()
         t = model.cfg.local_ctx_len
         for s in range(0, len(toks), t):
-            out = model.forward_infer(toks[s:s + t], mem, 4, doc_id=doc_id, start_position=s)
+            out = model.forward_infer(toks[s:s + t], mem, 4)
             tgt = toks[s + 1:min(s + t + 1, len(toks))]
             z = out.logits[:len(tgt)].astype(np.float64)
             z = z - z.max(axis=-1, keepdims=True)
@@ -205,6 +205,34 @@ def test_greedy_continuation_shape():
     prompt = encode_bytes("The pass key is 77. What is the pass key? The pass key is")
     cont = A.greedy_continuation(model, prompt, 4, k=4)
     assert cont.shape == (4,) and (cont >= 0).all() and (cont < 256).all()
+
+
+def test_greedy_continuation_matches_full_recompute():
+    """Incremental decoding emits the ids of re-running the whole working
+    window for every token, across rolls of the window into memory."""
+    model = byte_model(init_scheme="structured")
+    t = model.cfg.local_ctx_len
+    prompt = encode_bytes(gen_text_corpus(1, 200, seed=7)[0])[:2 * t + 11]
+    n_tokens, k = 2 * t, 4
+    memory = MemoryIndex(model.cfg.memory_layers, model.cfg.n_heads, model.cfg.head_dim)
+
+    def ingest(out, start):
+        for li, (kk, vv) in out.new_kv.items():
+            memory.append_block(li, kk, vv, 0, np.arange(start, start + kk.shape[1]))
+
+    for s in range(0, 2 * t, t):
+        ingest(model.forward_infer(prompt[s:s + t], memory, k), s)
+    s, window, want = 2 * t, list(prompt[2 * t:]), []
+    for _ in range(n_tokens):
+        out = model.forward_infer(np.asarray(window), memory, k)
+        want.append(int(out.logits[-1].argmax()))
+        if len(window) == t:
+            ingest(out, s)
+            s, window = s + t, [want[-1]]
+        else:
+            window.append(want[-1])
+    assert s == 4 * t and len(set(want)) > 1  # two rolls, a nontrivial sequence
+    np.testing.assert_array_equal(A.greedy_continuation(model, prompt, n_tokens, k=k), want)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from fot import numerics as N
 from fot.errors import FormatError, ShapeError, UsageError
 from fot.memstore import MemoryIndex
 from fot.model import (
-    AttentionRecord, ModelConfig, Transformer, crossbatch_grad_step,
+    AttentionRecord, InferCache, ModelConfig, Transformer, crossbatch_grad_step,
     gated_integration, init_params, load_checkpoint, merged_softmax_attention,
     param_count, save_checkpoint,
 )
@@ -87,10 +87,10 @@ def test_train_infer_equivalence(mode):
     train_logits = model.forward_train(batch, plan, with_tape=False).logits.data[0]
 
     memory = MemoryIndex(cfg.memory_layers, cfg.n_heads, cfg.head_dim)
-    first = model.forward_infer(w1, memory, k=0, doc_id=0, start_position=0)
+    first = model.forward_infer(w1, memory, k=0)
     for li, (kk, vv) in first.new_kv.items():
         memory.append_block(li, kk, vv, doc_id=0, positions=np.arange(8))
-    second = model.forward_infer(w2, memory, k=64, doc_id=0, start_position=8)
+    second = model.forward_infer(w2, memory, k=64)
     assert np.abs(second.logits - train_logits).max() <= 1e-5
 
 
@@ -107,6 +107,67 @@ def test_dominant_memory_entry_takes_all_mass():
     out = model.forward_infer(toks, memory, k=1, collect_records=True)
     rec = out.records[0]
     assert rec.mass_memory.min() > 0.999
+
+
+# ---------------------------------------------------------------------------
+# incremental inference
+# ---------------------------------------------------------------------------
+
+def _model_with_memory(integration="merged", mode="none"):
+    """A model with a random head and a memory holding one earlier window."""
+    rng = np.random.default_rng(15)
+    cfg = tiny_cfg(n_layers=3, local_ctx_len=12, integration_mode=integration,
+                   mem_positional_mode=mode)
+    model = Transformer(cfg, seed=16)
+    _randomize_head(model, rng)
+    model.params["layers.1.gate_bias"].data[...] = 0.3
+    memory = MemoryIndex(cfg.memory_layers, cfg.n_heads, cfg.head_dim)
+    for li, (kk, vv) in model.forward_infer(rng.integers(0, 13, size=12), memory, 0).new_kv.items():
+        memory.append_block(li, kk, vv, doc_id=0, positions=np.arange(12))
+    return model, memory, rng.integers(0, 13, size=12)
+
+
+@pytest.mark.parametrize("k", [0, 5])
+@pytest.mark.parametrize("mode", ["none", "as_first"])
+@pytest.mark.parametrize("integration", ["merged", "gated"])
+def test_cached_chunks_match_full_window(integration, mode, k):
+    model, memory, toks = _model_with_memory(integration, mode)
+    full = model.forward_infer(toks, memory, k, collect_records=True)
+    cache = InferCache(memory)
+    outs, lo = [], 0
+    for n in (1, 1, 5, len(toks) - 7):
+        outs.append(model.forward_infer(toks[lo:lo + n], memory, k, cache=cache,
+                                        collect_records=True))
+        lo += n
+    assert len(cache) == len(toks)
+    np.testing.assert_allclose(np.concatenate([o.logits for o in outs]), full.logits,
+                               rtol=0, atol=1e-5)
+    for li, (kk, vv) in full.new_kv.items():
+        for j, want in enumerate((kk, vv)):
+            got = np.concatenate([o.new_kv[li][j] for o in outs], axis=1)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
+            np.testing.assert_allclose(cache.memory_kv()[li][j], want, rtol=0, atol=1e-6)
+    for i, rec in enumerate(full.records):
+        for name in ("mass_local", "mass_memory"):
+            got = np.concatenate([getattr(o.records[i], name) for o in outs], axis=-1)
+            np.testing.assert_allclose(got, getattr(rec, name), rtol=0, atol=1e-6)
+
+
+def test_stale_cache_is_rejected():
+    model, memory, toks = _model_with_memory()
+    cache = InferCache(memory)
+    model.forward_infer(toks, memory, 4, cache=cache)
+    with pytest.raises(UsageError):  # a full window takes no more rows
+        model.forward_infer(toks[:1], memory, 4, cache=cache)
+    assert len(cache) == len(toks)
+
+    cache = InferCache(memory)
+    model.forward_infer(toks[:3], memory, 4, cache=cache)
+    kk, vv = model.forward_infer(toks, None, 0).new_kv[1]
+    memory.append_block(1, kk, vv, doc_id=1, positions=np.arange(12))
+    with pytest.raises(UsageError):  # cached rows retrieved from a smaller memory
+        model.forward_infer(toks[3:4], memory, 4, cache=cache)
+    assert len(cache) == 3
 
 
 # ---------------------------------------------------------------------------

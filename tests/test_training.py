@@ -11,7 +11,8 @@ import pytest
 from fot import numerics as N
 from fot.config import (TrainConfig, apply_overrides, config_hash, emit_config,
                         get_preset, parse_config)
-from fot.errors import ConfigError
+from fot.errors import (CapacityError, ConfigError, DataError, FormatError, FotError,
+                        NumericError, ShapeError, UsageError)
 from fot.model import ModelConfig, Transformer, load_checkpoint
 from fot.numerics import Tensor
 from fot.pipeline import TrainBatch, make_eval_exposure_plan
@@ -232,6 +233,22 @@ def test_cli_bad_checkpoint_exit_code(tmp_path):
     assert code == 2 and "config error" in err
     code, _, err = run_cli("inspect", "--checkpoint", str(tmp_path / "missing.fotc"))
     assert code == 3
+
+
+CLI_EXIT_CODES = {ConfigError: 2, UsageError: 2, FormatError: 2, ShapeError: 2,
+                  DataError: 3, NumericError: 4, CapacityError: 5}
+
+
+@pytest.mark.parametrize("exc", FotError.__subclasses__(), ids=lambda c: c.__name__)
+def test_cli_maps_every_error_to_its_exit_code(exc, monkeypatch):
+    from fot import cli
+
+    def fail(args):
+        raise exc("boom")
+    monkeypatch.setattr(cli, "cmd_inspect", fail)
+    code, _, err = run_cli("inspect", "--checkpoint", "unused.fotc")
+    assert code == CLI_EXIT_CODES[exc]
+    assert err.endswith(": boom\n") and "Traceback" not in err
 
 
 def test_cli_gen_data_and_eval(tmp_path):
