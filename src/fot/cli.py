@@ -37,8 +37,6 @@ def _load_train_config(args) -> TrainConfig:
     cfg = apply_overrides(cfg, args.override or [])
     if args.seed is not None:
         cfg.seed = args.seed
-    if getattr(args, "deterministic", False):
-        cfg.deterministic = True
     cfg.validate()
     return cfg
 
@@ -240,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--override", action="append", metavar="KEY=VALUE",
                         help="config override, repeatable (e.g. model.n_layers=2)")
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--deterministic", action="store_true")
 
     sp = sub.add_parser("train", help="run a training loop")
     common(sp)

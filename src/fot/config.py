@@ -52,7 +52,6 @@ class TrainConfig:
     # run control
     seed: int = 0
     precision: str = "f32"             # f32 | f64
-    deterministic: bool = True
     checkpoint_every: int = 0          # 0: final checkpoint only
     log_every: int = 25
     chunk_slots: int = 8

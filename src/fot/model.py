@@ -18,7 +18,7 @@ from __future__ import annotations
 import contextlib
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -268,58 +268,131 @@ def _memory_size(memory: MemoryIndex | None) -> int:
 
 @dataclass
 class _Extras:
-    """Per-memory-layer planned context tensors for the current rows."""
-    k: Tensor                # [b, H, E*T, Dh]
-    v: Tensor                # [b, H, E*T, Dh]
-    pad_add: np.ndarray      # [b, 1, 1, E*T] additive mask (0 valid, MASK_VALUE pad)
+    """Extra (key, value) pairs one memory layer attends to beside its local rows.
+
+    Planned windows (training): k, v are [b, H, E*T, Dh], shared by every
+    query of a slot, and pad_add [b, 1, 1, E*T] masks the padding (0 valid,
+    MASK_VALUE pad). Retrieved top-k (inference): k, v are [1, H, T, k, Dh],
+    one set per query, all of them valid (pad_add None).
+    """
+    k: Tensor
+    v: Tensor
+    pad_add: np.ndarray | None = None
+
+
+@dataclass
+class _Gather:
+    """Which deduplicated previous windows each slot of a chunk attends to."""
+    rows: np.ndarray            # [b*E] row of each slot's windows, slot-major (0 = pad)
+    pad_add: np.ndarray         # [b, 1, 1, E*T] additive mask (0 valid, MASK_VALUE pad)
     window_context: np.ndarray  # [b, E] context id per gathered window (0 = pad)
-    polarity: np.ndarray     # [b, C_max] +1/-1/0
-    n_contexts: int          # C_max
+    polarity: np.ndarray        # [b, C_max] +1/-1/0
+
+    def extras(self, k: Tensor, v: Tensor) -> _Extras:
+        """Slot-shared extras from the gathered [b*E, H, T, Dh] windows."""
+        return _Extras(self._per_slot(k), self._per_slot(v), self.pad_add)
+
+    def _per_slot(self, g: Tensor) -> Tensor:
+        b, e = self.window_context.shape
+        _, h, t, dh = g.shape
+        g = N.transpose(N.reshape(g, (b, e, h, t, dh)), (0, 2, 1, 3, 4))
+        return N.reshape(g, (b, h, e * t, dh))
+
+    def window_grads(self, g: np.ndarray) -> np.ndarray:
+        """Grads of slot-shared extras [b, H, E*T, Dh] per gathered window."""
+        b, e = self.window_context.shape
+        _, h, _, dh = g.shape
+        return g.reshape(b, h, e, -1, dh).transpose(0, 2, 1, 3, 4).reshape(b * e, h, -1, dh)
+
+
+def _plan_gather(plan: CrossbatchPlan, row_of: dict[tuple[int, int], int], slots,
+                 t: int, dtype) -> _Gather | None:
+    """Gather metadata for ``slots``; None when none of them has a window."""
+    e_max = max((len(plan.per_slot[s]) for s in slots), default=0)
+    if e_max == 0:
+        return None
+    b = len(slots)
+    idx = np.zeros((b, e_max), dtype=np.int64)
+    pad_add = np.zeros((b, 1, 1, e_max * t), dtype=dtype)
+    win_ctx = np.zeros((b, e_max), dtype=np.int64)
+    polarity = np.zeros((b, max(plan.n_contexts[s] for s in slots)), dtype=np.int64)
+    for j, s in enumerate(slots):
+        windows = plan.per_slot[s]
+        for e, pw in enumerate(windows):
+            idx[j, e] = row_of[(pw.source_slot, pw.window_index)]
+            win_ctx[j, e] = pw.context_id
+            polarity[j, pw.context_id - 1] = 1 if pw.polarity == "positive" else -1
+        pad_add[j, :, :, len(windows) * t:] = N.MASK_VALUE
+    return _Gather(idx.reshape(-1), pad_add, win_ctx, polarity)
+
+
+def _bucket_record(li: int, mass_local: np.ndarray, p_ext: np.ndarray, gather: _Gather,
+                   gate: float | None) -> AttentionRecord:
+    """Training record: extras weights summed per window, then per context."""
+    b, h, t, _ = p_ext.shape
+    e = gather.window_context.shape[1]
+    per_window = p_ext.reshape(b, h, t, e, -1).sum(axis=-1)
+    # [b, E, C]: window -> its context; padding windows (id 0) match none
+    of_context = gather.window_context[:, :, None] == np.arange(1, gather.polarity.shape[1] + 1)
+    per_context = np.einsum("bhte,bec->bhtc", per_window, of_context.astype(per_window.dtype))
+    return AttentionRecord(li, mass_local, per_context, gather.polarity, None, gate)
 
 
 # ---------------------------------------------------------------------------
 # spec-level kernels
 # ---------------------------------------------------------------------------
 
-class _ProbsView:
-    """Read-only slice of the merged softmax weights (for records only)."""
+def _extra_logits(q: Tensor, k_ext: Tensor, extra_add: np.ndarray | None) -> Tensor:
+    """q . k [B, H, T, E] against extras shared by every query ([B, H, E, Dh])
+    or [B, H, T, k] against one set per query ([B, H, T, k, Dh])."""
+    if k_ext.data.ndim == 4:
+        logits = N.matmul(q, N.transpose(k_ext, (0, 1, 3, 2)))
+    else:
+        b, h, t, dh = q.shape
+        logits = N.matmul(N.reshape(q, (b, h, t, 1, dh)), N.transpose(k_ext, (0, 1, 2, 4, 3)))
+        logits = N.reshape(logits, (b, h, t, k_ext.shape[3]))
+    return logits if extra_add is None else N.add(logits, Tensor(extra_add))
 
-    __slots__ = ("_t", "_lo", "_hi")
 
-    def __init__(self, t: Tensor, lo: int, hi: int):
-        self._t, self._lo, self._hi = t, lo, hi
-
-    @property
-    def data(self) -> np.ndarray:
-        return self._t.data[..., self._lo:self._hi]
+def _read_extras(p: Tensor, v_ext: Tensor) -> Tensor:
+    """Weights p over the extras applied to their values, in either layout."""
+    if v_ext.data.ndim == 4:
+        return N.matmul(p, v_ext)
+    b, h, t, k = p.shape
+    out = N.matmul(N.reshape(p, (b, h, t, 1, k)), v_ext)
+    return N.reshape(out, (b, h, t, v_ext.shape[4]))
 
 
 def merged_softmax_attention(q: Tensor, local_kv: tuple[Tensor, Tensor],
                              extra_kv: tuple[Tensor, Tensor] | None,
                              causal_add: np.ndarray,
                              extra_add: np.ndarray | None = None,
-                             ) -> tuple[Tensor, Tensor, Tensor | None]:
+                             ) -> tuple[Tensor, np.ndarray, np.ndarray | None]:
     """One softmax over [local causal keys | extra keys].
 
-    q is pre-scaled ([B, H, T, Dh]); returns (values_out, local_probs,
-    extra_probs). Temperature and qk-normalization are the caller's business
-    so the kernel stays shared between training and inference shapes.
+    q is pre-scaled ([B, H, T, Dh]). Extra keys and values are either shared
+    by every query ([B, H, E, Dh]) or one set per query ([B, H, T, k, Dh]);
+    ``extra_add`` is an additive mask on their logits. Returns (values_out,
+    local_probs, extra_probs); the probabilities are plain arrays, views of
+    the softmax weights for records only. Temperature and qk-normalization
+    are the caller's business so the kernel stays shared between training
+    and inference shapes.
     """
     k_loc, v_loc = local_kv
     logits_loc = N.add(N.matmul(q, N.transpose(k_loc, (0, 1, 3, 2))), Tensor(causal_add))
     if extra_kv is None:
         probs = N.softmax_last_axis(logits_loc)
-        return N.matmul(probs, v_loc), probs, None
+        return N.matmul(probs, v_loc), probs.data, None
     k_ext, v_ext = extra_kv
-    logits_ext = N.matmul(q, N.transpose(k_ext, (0, 1, 3, 2)))
-    if extra_add is not None:
-        logits_ext = N.add(logits_ext, Tensor(extra_add))
     t_local = logits_loc.shape[-1]
-    probs = N.softmax_last_axis(N.concat_last_axis([logits_loc, logits_ext]))
-    out = N.matmul(probs, N.concat_axis([v_loc, v_ext], axis=-2))
-    p_loc = _ProbsView(probs, 0, t_local)
-    p_ext = _ProbsView(probs, t_local, probs.shape[-1])
-    return out, p_loc, p_ext
+    probs = N.softmax_last_axis(N.concat_last_axis([logits_loc, _extra_logits(q, k_ext, extra_add)]))
+    n = probs.shape[-1]
+    if v_ext.data.ndim == 4:
+        out = N.matmul(probs, N.concat_axis([v_loc, v_ext], axis=-2))
+    else:  # per-query values cannot join the local ones in one matmul
+        out = N.add(N.matmul(N.slice_last_axis(probs, 0, t_local), v_loc),
+                    _read_extras(N.slice_last_axis(probs, t_local, n), v_ext))
+    return out, probs.data[..., :t_local], probs.data[..., t_local:]
 
 
 def gated_integration(v_memory: Tensor, v_local: Tensor, gate_bias: Tensor) -> Tensor:
@@ -398,6 +471,10 @@ class Transformer:
         h = N.add(N.matmul(h, self.params[f"layers.{li}.w2"]), self.params[f"layers.{li}.b2"])
         return N.add(x, h)
 
+    def _logits(self, x: Tensor) -> Tensor:
+        x = N.rms_norm(x, self.params["final_ln"])
+        return N.add(N.matmul(x, self.params["lm_head"]), self.params["lm_bias"])
+
     def _layer_rotary(self, li: int) -> bool:
         if li not in self.cfg.memory_layers:
             return True
@@ -415,18 +492,74 @@ class Transformer:
                 Tensor(cache._put(cache.values, li, v.data, t_max)),
                 self._causal_add(t_max)[:, :, n0:n_all, :n_all])
 
-    def _plain_layer(self, x: Tensor, li: int, positions: np.ndarray, collect_kv: bool,
-                     cache: InferCache | None = None,
-                     ) -> tuple[Tensor, tuple[Tensor, Tensor] | None]:
+    # -- the layer loop ---------------------------------------------------------
+
+    def _attend(self, li: int, qs: Tensor, local_kv: tuple[Tensor, Tensor],
+                causal: np.ndarray, ext: _Extras | None, collect: bool):
+        """Attention of layer li over its local rows and ``ext`` (None: local only).
+
+        Returns the heads' output and, when ``collect``, the record masses:
+        local [b, H, T], extras weights [b, H, T, E*T or k] or None, and the
+        gate. In gated mode both masses carry the gate, so they sum to 1.
+        """
+        if ext is None or self.cfg.integration_mode == "merged":
+            out, p_loc, p_ext = merged_softmax_attention(
+                qs, local_kv, None if ext is None else (ext.k, ext.v), causal,
+                None if ext is None else ext.pad_add)
+            if not collect:
+                return out, None
+            return out, (p_loc.sum(-1), p_ext, None)
+        out_loc, p_loc, _ = merged_softmax_attention(qs, local_kv, None, causal)
+        p_ext = N.softmax_last_axis(_extra_logits(qs, ext.k, ext.pad_add))
+        gate_bias = self.params[f"layers.{li}.gate_bias"]
+        out = gated_integration(_read_extras(p_ext, ext.v), out_loc, gate_bias)
+        # a slot without planned windows softmaxes a fully masked row into
+        # uniform weights; its rows take the local output alone, exactly as
+        # when no slot of the batch has extras
+        keep = np.ones((1, 1, 1, 1), self.dtype) if ext.pad_add is None else \
+            (ext.pad_add == 0).any(axis=-1, keepdims=True).astype(self.dtype)
+        if not keep.all():
+            out = N.add(N.mul(out, Tensor(keep)), N.mul(out_loc, Tensor(1 - keep)))
+        if not collect:
+            return out, None
+        g = float(1.0 / (1.0 + np.exp(-gate_bias.data)))
+        return out, ((p_loc * (1 - g * keep)).sum(-1), p_ext.data * (g * keep), g)
+
+    def _layer(self, x: Tensor, li: int, positions: np.ndarray, cache: InferCache | None = None,
+               extras_of=None, collect: bool = False):
+        """One decoder layer over the rows x at window ``positions``.
+
+        With ``cache`` the rows extend the cached ones. ``extras_of(li, q)``
+        gives the extras for the rotated queries q (memory layers only).
+        Returns the new x, the layer's pre-rotary (K, V) and, when
+        ``collect``, the record masses of ``_attend``.
+        """
         q, k, v = self._attn_inputs(x, li)
-        kv = (k, v) if collect_kv else None
+        kv = (k, v)
+        if cache is not None and li in self.cfg.memory_layers:
+            cache._put(cache.memory_keys, li, k.data, self.cfg.local_ctx_len)
         if self._layer_rotary(li):
             q = N.rotary_encode(q, positions, self.cfg.rotary_base)
             k = N.rotary_encode(k, positions, self.cfg.rotary_base)
         k, v, causal = self._local_kv(li, k, v, cache)
-        out, _, _ = merged_softmax_attention(self._scaled_q(q, li), (k, v), None, causal)
-        x = self._attn_out(out, x, li)
-        return self._ff_block(x, li), kv
+        ext = None if extras_of is None else extras_of(li, q)
+        out, att = self._attend(li, self._scaled_q(q, li), (k, v), causal, ext, collect)
+        return self._ff_block(self._attn_out(out, x, li), li), kv, att
+
+    def _forward(self, tokens: np.ndarray, positions: np.ndarray, extras_of,
+                 cache: InferCache | None, collect: bool):
+        """Every layer over [b, t] tokens; memory layers also attend to
+        ``extras_of(li, q)``. Returns the logits and, when ``collect``,
+        (layer, local mass, extras weights, gate) per memory layer."""
+        mem = self.cfg.memory_layers
+        x = N.embedding(self.params["embed"], tokens)
+        atts = []
+        for li in range(self.cfg.n_layers):
+            x, _, att = self._layer(x, li, positions, cache, extras_of if li in mem else None,
+                                    collect and li in mem)
+            if att is not None:
+                atts.append((li, *att))
+        return self._logits(x), atts
 
     # -- previous-context encoding --------------------------------------------
 
@@ -439,14 +572,13 @@ class Transformer:
         cfg = self.cfg
         if not cfg.memory_layers:
             return {}
-        t = tokens.shape[1]
-        positions = np.arange(t)
+        positions = np.arange(tokens.shape[1])
         x = N.embedding(self.params["embed"], tokens)
         out: dict[int, tuple[Tensor, Tensor]] = {}
         top = max(cfg.memory_layers)
         for li in range(top):
-            x, kv = self._plain_layer(x, li, positions, collect_kv=li in cfg.memory_layers)
-            if kv is not None:
+            x, kv, _ = self._layer(x, li, positions)
+            if li in cfg.memory_layers:
                 out[li] = kv
         # nothing above the last memory layer consumes these rows, so only
         # their key/value projections are needed there
@@ -454,112 +586,28 @@ class Transformer:
         out[top] = (self._project_heads(h, top, "k"), self._project_heads(h, top, "v"))
         return out
 
-
     # -- training forward ------------------------------------------------------
 
-    def _gather_extras(self, plan: CrossbatchPlan, prev_kv: dict[int, tuple[Tensor, Tensor]],
-                       row_of: dict[tuple[int, int], int], slots: list[int],
-                       t: int, differentiable: bool) -> dict[int, _Extras]:
-        """Assemble per-layer [b, H, E*T, Dh] extra keys/values for ``slots``."""
-        cfg = self.cfg
-        b = len(slots)
-        e_max = max(len(plan.per_slot[s]) for s in slots)
-        if e_max == 0:
-            return {}
-        idx = np.zeros((b, e_max), dtype=np.int64)
-        pad_add = np.zeros((b, 1, 1, e_max * t), dtype=self.dtype)
-        win_ctx = np.zeros((b, e_max), dtype=np.int64)
-        c_max = max(plan.n_contexts[s] for s in slots)
-        polarity = np.zeros((b, c_max), dtype=np.int64)
-        for j, s in enumerate(slots):
-            windows = plan.per_slot[s]
-            for e, pw in enumerate(windows):
-                idx[j, e] = row_of[(pw.source_slot, pw.window_index)]
-                win_ctx[j, e] = pw.context_id
-                polarity[j, pw.context_id - 1] = 1 if pw.polarity == "positive" else -1
-            pad_add[j, :, :, len(windows) * t:] = N.MASK_VALUE
-
-        extras: dict[int, _Extras] = {}
-        flat = idx.reshape(-1)
-        for li, (k, v) in prev_kv.items():
-            def pick(src: Tensor) -> Tensor:
-                g = N.take_rows(src, flat)                                    # [b*E, H, T, Dh]
-                g = N.reshape(g, (b, e_max, cfg.n_heads, t, cfg.head_dim))
-                g = N.transpose(g, (0, 2, 1, 3, 4))
-                g = N.reshape(g, (b, cfg.n_heads, e_max * t, cfg.head_dim))
-                return g if differentiable else N.stop_gradient(g)
-            extras[li] = _Extras(pick(k), pick(v), pad_add, win_ctx, polarity, c_max)
-        return extras
-
     def _current_rows(self, tokens: np.ndarray, extras: dict[int, _Extras],
-                      collect_records: bool) -> tuple[Tensor, list[AttentionRecord]]:
-        """Process current windows; memory layers merge planned extras."""
-        cfg = self.cfg
+                      gather: _Gather | None, collect_records: bool,
+                      ) -> tuple[Tensor, list[AttentionRecord]]:
+        """Process current windows; memory layers attend to planned extras."""
         b, t = tokens.shape
-        positions = np.arange(t)
-        x = N.embedding(self.params["embed"], tokens)
+        sink = self.debug_sink
+        logits, atts = self._forward(tokens, np.arange(t), lambda li, q: extras.get(li), None,
+                                     collect_records or sink is not None)
         records: list[AttentionRecord] = []
-        for li in range(cfg.n_layers):
-            if li not in cfg.memory_layers:
-                x, _ = self._plain_layer(x, li, positions, collect_kv=False)
+        for li, mass_local, p_ext, gate in atts:
+            if p_ext is None:  # no planned contexts anywhere
+                records.append(AttentionRecord(
+                    li, mass_local, per_context=np.zeros(mass_local.shape + (0,), self.dtype),
+                    context_polarity=np.zeros((b, 0), dtype=np.int64)))
                 continue
-            q, k, v = self._attn_inputs(x, li)
-            if self._layer_rotary(li):
-                q = N.rotary_encode(q, positions, cfg.rotary_base)
-                k = N.rotary_encode(k, positions, cfg.rotary_base)
-            qs = self._scaled_q(q, li)
-            ext = extras.get(li)
-            causal = self._causal_add(t)
-            if ext is None:
-                # no planned contexts anywhere: plain causal attention
-                out, p_loc, _ = merged_softmax_attention(qs, (k, v), None, causal)
-                if collect_records:
-                    records.append(AttentionRecord(
-                        li, p_loc.data.sum(-1),
-                        per_context=np.zeros((b, cfg.n_heads, t, 0), dtype=self.dtype),
-                        context_polarity=np.zeros((b, 0), dtype=np.int64)))
-            elif cfg.integration_mode == "merged":
-                out, p_loc, p_ext = merged_softmax_attention(
-                    qs, (k, v), (ext.k, ext.v), causal, ext.pad_add)
-                if self.debug_sink is not None:
-                    self.debug_sink.append((li, p_ext.data.copy(),
-                                            ext.window_context.copy(), ext.polarity.copy()))
-                if collect_records:
-                    records.append(self._bucket_record(li, p_loc.data, p_ext.data, ext, gate=None))
-            else:
-                out_loc, p_loc, _ = merged_softmax_attention(qs, (k, v), None, causal)
-                logits_ext = N.add(N.matmul(qs, N.transpose(ext.k, (0, 1, 3, 2))),
-                                   Tensor(ext.pad_add))
-                p_ext = N.softmax_last_axis(logits_ext)
-                # a slot with zero planned windows would otherwise softmax a
-                # fully-masked row into uniform weights; zero it instead
-                valid = (ext.pad_add == 0).astype(self.dtype)
-                p_ext = N.mul(p_ext, Tensor(valid))
-                out_mem = N.matmul(p_ext, ext.v)
-                gate_bias = self.params[f"layers.{li}.gate_bias"]
-                out = gated_integration(out_mem, out_loc, gate_bias)
-                if collect_records:
-                    g = float(1.0 / (1.0 + np.exp(-gate_bias.data)))
-                    records.append(self._bucket_record(li, p_loc.data * (1 - g),
-                                                       p_ext.data * g, ext, gate=g))
-            x = self._attn_out(out, x, li)
-            x = self._ff_block(x, li)
-        x = N.rms_norm(x, self.params["final_ln"])
-        logits = N.add(N.matmul(x, self.params["lm_head"]), self.params["lm_bias"])
-        return logits, records
-
-    def _bucket_record(self, li: int, p_loc: np.ndarray, p_ext: np.ndarray,
-                       ext: _Extras, gate: float | None) -> AttentionRecord:
-        b, h, t, _ = p_loc.shape
-        e = ext.window_context.shape[1]
-        per_window = p_ext.reshape(b, h, t, e, -1).sum(axis=-1)
-        per_context = np.zeros((b, h, t, ext.n_contexts), dtype=per_window.dtype)
-        for j in range(b):
-            for w in range(e):
-                c = ext.window_context[j, w]
-                if c > 0:
-                    per_context[j, :, :, c - 1] += per_window[j, :, :, w]
-        return AttentionRecord(li, p_loc.sum(-1), per_context, ext.polarity, None, gate)
+            if sink is not None and gate is None:
+                sink.append((li, p_ext.copy(), gather.window_context.copy(),
+                             gather.polarity.copy()))
+            records.append(_bucket_record(li, mass_local, p_ext, gather, gate))
+        return logits, records if collect_records else []
 
     def forward_train(self, batch: TrainBatch, plan: CrossbatchPlan, *,
                       differentiable: bool = True, with_tape: bool = True,
@@ -575,22 +623,10 @@ class Transformer:
         one. ``compute_loss`` adds the masked mean NLL against the batch
         targets on the same tape.
         """
-        cfg = self.cfg
         b, t = batch.cur_tokens.shape
-        if t != cfg.local_ctx_len:
-            raise UsageError(f"window length {t} != local_ctx_len {cfg.local_ctx_len}")
-        if plan.b_s != b:
-            raise UsageError(f"plan covers {plan.b_s} slots, batch has {b}")
-        referenced: list[tuple[int, int]] = []
-        row_of: dict[tuple[int, int], int] = {}
-        for s in range(b):
-            for pw in plan.per_slot[s]:
-                if not batch.prev_valid[pw.source_slot, pw.window_index]:
-                    raise UsageError(f"plan references missing prev window {pw}")
-                key = (pw.source_slot, pw.window_index)
-                if key not in row_of:
-                    row_of[key] = len(referenced)
-                    referenced.append(key)
+        if t != self.cfg.local_ctx_len:
+            raise UsageError(f"window length {t} != local_ctx_len {self.cfg.local_ctx_len}")
+        prev_tokens, row_of = plan_rows(plan, batch)
 
         tape: N.Tape | None = None
         ctx: N.Tape | contextlib.nullcontext = contextlib.nullcontext()
@@ -600,14 +636,15 @@ class Transformer:
                 tape = N.Tape()
                 ctx = tape
         with ctx:
-            if referenced:
-                prev_tokens = np.stack([batch.prev_tokens[s, w] for s, w in referenced])
-                prev_kv = self.encode_windows(prev_tokens)
-                extras = self._gather_extras(plan, prev_kv, row_of, list(range(b)), t,
-                                             differentiable)
-            else:
-                extras = {}
-            logits, records = self._current_rows(batch.cur_tokens, extras, collect_records)
+            extras: dict[int, _Extras] = {}
+            gather = _plan_gather(plan, row_of, range(b), t, self.dtype)
+            if gather is not None:
+                def pick(src: Tensor) -> Tensor:
+                    g = N.take_rows(src, gather.rows)
+                    return g if differentiable else N.stop_gradient(g)
+                extras = {li: gather.extras(pick(k), pick(v))
+                          for li, (k, v) in self.encode_windows(prev_tokens).items()}
+            logits, records = self._current_rows(batch.cur_tokens, extras, gather, collect_records)
             loss = None
             if compute_loss:
                 loss = N.cross_entropy_masked(logits, batch.cur_targets, batch.cur_mask)
@@ -643,79 +680,27 @@ class Transformer:
         if tokens.ndim != 1 or n0 + tokens.shape[0] > cfg.local_ctx_len:
             raise UsageError(f"forward_infer takes one window of <= {cfg.local_ctx_len} tokens; "
                              f"got {tokens.shape} after {n0} cached rows")
-        t = tokens.shape[0]
-        n_all = n0 + t
-        positions = np.arange(n0, n_all)
-        x = N.embedding(self.params["embed"], tokens[None])
-        new_kv: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        records: list[AttentionRecord] = []
-        for li in range(cfg.n_layers):
-            if li not in cfg.memory_layers:
-                x, _ = self._plain_layer(x, li, positions, collect_kv=False, cache=cache)
-                continue
-            q, kl, vl = self._attn_inputs(x, li)
-            new_kv[li] = (kl.data[0].copy(), vl.data[0].copy())
-            cache._put(cache.memory_keys, li, kl.data, cfg.local_ctx_len)
-            if self._layer_rotary(li):
-                q = N.rotary_encode(q, positions, cfg.rotary_base)
-                kl = N.rotary_encode(kl, positions, cfg.rotary_base)
-            kl, vl, causal = self._local_kv(li, kl, vl, cache)
-            qs = self._scaled_q(q, li)
-            n_mem = memory.layer_size(li) if memory is not None else 0
-            kk = min(k, n_mem)
+        n_all = n0 + tokens.shape[0]
+
+        def retrieve(li: int, q: Tensor) -> _Extras | None:
+            kk = min(k, memory.layer_size(li) if memory is not None else 0)
             if kk == 0:
-                out, p_loc, _ = merged_softmax_attention(qs, (kl, vl), None, causal)
-                if collect_records:
-                    records.append(AttentionRecord(
-                        li, p_loc.data.sum(-1),
-                        mass_memory=np.zeros_like(p_loc.data.sum(-1))))
-            else:
-                # retrieval scores must match attention logits: use the same
-                # (possibly rotated) query against raw stored keys
-                top = memory.topk(li, q.data[0], kk)
-                km = Tensor(top.keys[None])       # [1, H, T, kk, Dh]
-                vm = Tensor(top.values[None])
-                q_pq = N.reshape(N.transpose(qs, (0, 2, 1, 3)), (1, t, cfg.n_heads, 1, cfg.head_dim))
-                q_pq = N.transpose(q_pq, (0, 2, 1, 3, 4))     # [1, H, T, 1, Dh]
-                logits_mem = N.matmul(q_pq, N.transpose(km, (0, 1, 2, 4, 3)))  # [1,H,T,1,kk]
-                logits_mem = N.reshape(logits_mem, (1, cfg.n_heads, t, kk))
-                logits_loc = N.add(N.matmul(qs, N.transpose(kl, (0, 1, 3, 2))), Tensor(causal))
-                if cfg.integration_mode == "merged":
-                    probs = N.softmax_last_axis(N.concat_last_axis([logits_loc, logits_mem]))
-                    p_loc = N.slice_last_axis(probs, 0, n_all)
-                    p_mem = N.slice_last_axis(probs, n_all, n_all + kk)
-                    out_loc = N.matmul(p_loc, vl)
-                    pm = N.reshape(p_mem, (1, cfg.n_heads, t, 1, kk))
-                    out_mem = N.reshape(N.matmul(pm, vm), (1, cfg.n_heads, t, cfg.head_dim))
-                    out = N.add(out_loc, out_mem)
-                    if collect_records:
-                        records.append(AttentionRecord(li, p_loc.data.sum(-1),
-                                                       mass_memory=p_mem.data.sum(-1)))
-                else:
-                    p_loc = N.softmax_last_axis(logits_loc)
-                    out_loc = N.matmul(p_loc, vl)
-                    p_mem = N.softmax_last_axis(logits_mem)
-                    pm = N.reshape(p_mem, (1, cfg.n_heads, t, 1, kk))
-                    out_mem = N.reshape(N.matmul(pm, vm), (1, cfg.n_heads, t, cfg.head_dim))
-                    gate_bias = self.params[f"layers.{li}.gate_bias"]
-                    out = gated_integration(out_mem, out_loc, gate_bias)
-                    if collect_records:
-                        g = float(1.0 / (1.0 + np.exp(-gate_bias.data)))
-                        records.append(AttentionRecord(li, p_loc.data.sum(-1) * (1 - g),
-                                                       mass_memory=p_mem.data.sum(-1) * g,
-                                                       gate=g))
-            x = self._attn_out(out, x, li)
-            x = self._ff_block(x, li)
+                return None
+            # retrieval scores must match attention logits: use the same
+            # (possibly rotated) query against raw stored keys
+            top = memory.topk(li, q.data[0], kk)
+            return _Extras(Tensor(top.keys[None]), Tensor(top.values[None]))
+
+        logits, atts = self._forward(tokens[None], np.arange(n0, n_all), retrieve, cache,
+                                     collect_records)
         cache.n = n_all
-        x = N.rms_norm(x, self.params["final_ln"])
-        logits = N.add(N.matmul(x, self.params["lm_head"]), self.params["lm_bias"])
+        new_kv = {li: (kk[:, n0:], vv[:, n0:]) for li, (kk, vv) in cache.memory_kv().items()}
+        records = [AttentionRecord(li, mass_local, gate=gate, mass_memory=np.zeros_like(mass_local)
+                                   if p_mem is None else p_mem.sum(-1))
+                   for li, mass_local, p_mem, gate in atts]
         return InferForward(logits.data[0], new_kv, records)
 
-    # -- reference local-only forwards ------------------------------------------
-
-    def forward_local(self, tokens: np.ndarray) -> np.ndarray:
-        """Vanilla causal forward over [B, T] windows (no memory machinery)."""
-        return self.forward_long(np.asarray(tokens), chunk=None)
+    # -- reference local-only forward -------------------------------------------
 
     def forward_long(self, tokens: np.ndarray, chunk: int | None = 256) -> np.ndarray:
         """Full-context causal forward with rotary positions 0..L-1.
@@ -723,7 +708,8 @@ class Transformer:
         The local-only baseline's long-context evaluation path: attention is
         computed in query chunks so L x L score matrices never materialize.
         Memory layers behave per mem_positional_mode (no rotary for "none"),
-        but no external memory is consulted.
+        but no external memory is consulted. ``chunk=None`` is the vanilla
+        causal transformer over [B, T] windows.
         """
         cfg = self.cfg
         tokens = np.asarray(tokens, dtype=np.int64)
@@ -755,8 +741,7 @@ class Transformer:
             out_full = Tensor(np.concatenate(outs, axis=2))
             x = self._attn_out(out_full, x, li)
             x = self._ff_block(x, li)
-        x = N.rms_norm(x, self.params["final_ln"])
-        logits = N.add(N.matmul(x, self.params["lm_head"]), self.params["lm_bias"])
+        logits = self._logits(x)
         return logits.data[0] if squeeze else logits.data
 
 
@@ -764,64 +749,45 @@ class Transformer:
 # chunked gradient step (checkpointed crossbatch)
 # ---------------------------------------------------------------------------
 
-def plan_rows(plan: CrossbatchPlan) -> tuple[list[tuple[int, int]], dict[tuple[int, int], int]]:
-    """Deduplicated (slot, window_index) previous windows referenced by a plan."""
-    referenced: list[tuple[int, int]] = []
+def plan_rows(plan: CrossbatchPlan, batch: TrainBatch,
+              ) -> tuple[np.ndarray, dict[tuple[int, int], int]]:
+    """The distinct previous windows a plan references: their tokens [N, T]
+    and the row of each (slot, window_index) among them.
+
+    Raises UsageError when the plan does not fit the batch or references a
+    window the batch does not hold.
+    """
+    if plan.b_s != batch.cur_tokens.shape[0]:
+        raise UsageError(f"plan covers {plan.b_s} slots, batch has {batch.cur_tokens.shape[0]}")
     row_of: dict[tuple[int, int], int] = {}
-    for s in range(plan.b_s):
-        for pw in plan.per_slot[s]:
+    for windows in plan.per_slot:
+        for pw in windows:
             key = (pw.source_slot, pw.window_index)
-            if key not in row_of:
-                row_of[key] = len(referenced)
-                referenced.append(key)
-    return referenced, row_of
+            if key in row_of:
+                continue
+            if not batch.prev_valid[key]:
+                raise UsageError(f"plan references missing prev window {pw}")
+            row_of[key] = len(row_of)
+    slots, wins = [s for s, _ in row_of], [w for _, w in row_of]
+    return batch.prev_tokens[slots, wins], row_of
 
 
-def build_extras_leaves(cfg: ModelConfig, dtype, plan: CrossbatchPlan,
+def build_extras_leaves(model: Transformer, plan: CrossbatchPlan,
                         prev_vals: dict[int, tuple[np.ndarray, np.ndarray]],
-                        row_of: dict[tuple[int, int], int], slots: list[int], t: int,
+                        row_of: dict[tuple[int, int], int], slots, t: int,
                         requires_grad: bool,
-                        ) -> tuple[dict[int, _Extras], dict[int, tuple[Tensor, Tensor, np.ndarray]]]:
-    """Gather per-layer extras for ``slots`` as leaf tensors from numpy K/V."""
-    e_max = max((len(plan.per_slot[s]) for s in slots), default=0)
-    if not e_max or not prev_vals:
-        return {}, {}
-    cb = len(slots)
-    idx = np.zeros((cb, e_max), dtype=np.int64)
-    pad_add = np.zeros((cb, 1, 1, e_max * t), dtype=dtype)
-    win_ctx = np.zeros((cb, e_max), dtype=np.int64)
-    c_max = max(plan.n_contexts[s] for s in slots)
-    polarity = np.zeros((cb, c_max), dtype=np.int64)
-    for j, s in enumerate(slots):
-        windows = plan.per_slot[s]
-        for e, pw in enumerate(windows):
-            idx[j, e] = row_of[(pw.source_slot, pw.window_index)]
-            win_ctx[j, e] = pw.context_id
-            polarity[j, pw.context_id - 1] = 1 if pw.polarity == "positive" else -1
-        pad_add[j, :, :, len(windows) * t:] = N.MASK_VALUE
-    flat = idx.reshape(-1)
-    extras: dict[int, _Extras] = {}
-    leaf_meta: dict[int, tuple[Tensor, Tensor, np.ndarray]] = {}
-    for li, (kv_k, kv_v) in prev_vals.items():
-        def leaf(src: np.ndarray) -> Tensor:
-            g = src[flat].reshape(cb, e_max, cfg.n_heads, t, cfg.head_dim)
-            g = np.ascontiguousarray(g.transpose(0, 2, 1, 3, 4))
-            g = g.reshape(cb, cfg.n_heads, e_max * t, cfg.head_dim)
-            return Tensor(g, requires_grad=requires_grad)
-        k_leaf, v_leaf = leaf(kv_k), leaf(kv_v)
-        extras[li] = _Extras(k_leaf, v_leaf, pad_add, win_ctx, polarity, c_max)
-        leaf_meta[li] = (k_leaf, v_leaf, flat)
-    return extras, leaf_meta
-
-
-def encode_prev_values(model: Transformer, batch: TrainBatch,
-                       referenced: list[tuple[int, int]],
-                       ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    if not referenced:
-        return {}
-    prev_tokens = np.stack([batch.prev_tokens[s, w] for s, w in referenced])
-    kv = model.encode_windows(prev_tokens)
-    return {li: (k.data, v.data) for li, (k, v) in kv.items()}
+                        ) -> tuple[dict[int, _Extras], _Gather | None]:
+    """Extras for ``slots`` gathered from numpy K/V; their keys and values
+    are leaf tensors. Returns the extras and their gather metadata."""
+    gather = _plan_gather(plan, row_of, slots, t, model.dtype)
+    if gather is None:
+        return {}, None
+    extras = {}
+    for li, (k, v) in prev_vals.items():
+        ext = gather.extras(Tensor(k[gather.rows]), Tensor(v[gather.rows]))  # off the tape
+        ext.k.requires_grad = ext.v.requires_grad = requires_grad
+        extras[li] = ext
+    return extras, gather
 
 
 FULL_TAPE_SCORE_BYTES = 200 * 2**20
@@ -841,7 +807,6 @@ def crossbatch_grad_step(model: Transformer, batch: TrainBatch, plan: Crossbatch
     """
     cfg = model.cfg
     b, t = batch.cur_tokens.shape
-    referenced, row_of = plan_rows(plan)
     denom = float(batch.cur_mask.sum())
     if denom == 0:
         raise UsageError("crossbatch_grad_step: empty loss mask")
@@ -853,54 +818,37 @@ def crossbatch_grad_step(model: Transformer, batch: TrainBatch, plan: Crossbatch
         N.backward(fwd.tape, fwd.loss)
         return fwd.loss.item(), fwd.records
 
-    prev_vals = encode_prev_values(model, batch, referenced)  # no tape active here
-    n_prev = len(referenced)
-    grad_k = {li: np.zeros((n_prev, cfg.n_heads, t, cfg.head_dim), dtype=model.dtype)
+    prev_tokens, row_of = plan_rows(plan, batch)
+    prev_vals = _encode_values(model, prev_tokens)  # no tape active here
+    grad_k = {li: np.zeros((len(prev_tokens), cfg.n_heads, t, cfg.head_dim), dtype=model.dtype)
               for li in prev_vals}
     grad_v = {li: np.zeros_like(g) for li, g in grad_k.items()}
 
     total_loss = 0.0
-    all_records: list[list[AttentionRecord]] = []
+    chunks: list[list[AttentionRecord]] = []
     for lo in range(0, b, chunk_slots):
         hi = min(lo + chunk_slots, b)
-        slots = list(range(lo, hi))
         chunk_mask = batch.cur_mask[lo:hi]
         with N.Tape() as tape:
-            extras, leaf_meta = build_extras_leaves(
-                cfg, model.dtype, plan, prev_vals, row_of, slots, t,
-                requires_grad=differentiable)
-            logits, recs = model._current_rows(batch.cur_tokens[lo:hi], extras, collect_records)
+            extras, gather = build_extras_leaves(
+                model, plan, prev_vals, row_of, range(lo, hi), t, requires_grad=differentiable)
+            logits, recs = model._current_rows(batch.cur_tokens[lo:hi], extras, gather,
+                                               collect_records)
             if chunk_mask.sum() > 0:
                 ce = N.cross_entropy_masked(logits, batch.cur_targets[lo:hi], chunk_mask)
                 loss_chunk = N.scale(ce, float(chunk_mask.sum()) / denom)
                 N.backward(tape, loss_chunk)
                 total_loss += loss_chunk.item()
-        if collect_records:
-            all_records.append(recs)
-        for li, (k_leaf, v_leaf, flat) in leaf_meta.items():
-            for leaf_t, buf in ((k_leaf, grad_k[li]), (v_leaf, grad_v[li])):
-                if leaf_t.grad is None:
-                    continue
-                g = leaf_t.grad.reshape(len(slots), cfg.n_heads, -1, t, cfg.head_dim)
-                g = g.transpose(0, 2, 1, 3, 4).reshape(-1, cfg.n_heads, t, cfg.head_dim)
-                np.add.at(buf, flat, g)
+        chunks.append(recs)
+        for li, ext in extras.items():
+            for leaf, buf in ((ext.k, grad_k[li]), (ext.v, grad_v[li])):
+                if leaf.grad is not None:
+                    np.add.at(buf, gather.rows, gather.window_grads(leaf.grad))
 
     # push extras gradients into the previous windows' parameters
-    _push_prev_grads(model, batch, referenced, grad_k, grad_v,
+    _push_prev_grads(model, prev_tokens, grad_k, grad_v,
                      differentiable=differentiable, chunk_slots=chunk_slots)
-
-    records: list[AttentionRecord] = []
-    if collect_records and all_records:
-        for i in range(len(all_records[0])):
-            chunk_recs = [r[i] for r in all_records]
-            records.append(AttentionRecord(
-                layer=chunk_recs[0].layer,
-                mass_local=np.concatenate([c.mass_local for c in chunk_recs]),
-                per_context=_cat_padded([c.per_context for c in chunk_recs]),
-                context_polarity=_cat_padded([c.context_polarity for c in chunk_recs]),
-                gate=chunk_recs[0].gate,
-            ))
-    return total_loss, records
+    return total_loss, _merge_chunk_records(chunks)
 
 
 def exposure_records(model: Transformer, batch: TrainBatch, plan: CrossbatchPlan,
@@ -911,39 +859,33 @@ def exposure_records(model: Transformer, batch: TrainBatch, plan: CrossbatchPlan
     so large-d exposures never materialize a full-batch score tensor.
     """
     b, t = batch.cur_tokens.shape
-    referenced, row_of = plan_rows(plan)
-    prev_vals = encode_prev_values(model, batch, referenced)
-    all_records: list[list[AttentionRecord]] = []
+    prev_tokens, row_of = plan_rows(plan, batch)
+    prev_vals = _encode_values(model, prev_tokens)
+    chunks: list[list[AttentionRecord]] = []
     for lo in range(0, b, chunk_slots):
-        slots = list(range(lo, min(lo + chunk_slots, b)))
-        extras, _ = build_extras_leaves(model.cfg, model.dtype, plan, prev_vals,
-                                        row_of, slots, t, requires_grad=False)
-        _, recs = model._current_rows(batch.cur_tokens[lo:min(lo + chunk_slots, b)],
-                                      extras, collect_records=True)
-        all_records.append(recs)
-    merged: list[AttentionRecord] = []
-    for i in range(len(all_records[0])):
-        chunk_recs = [r[i] for r in all_records]
-        merged.append(AttentionRecord(
-            layer=chunk_recs[0].layer,
-            mass_local=np.concatenate([c.mass_local for c in chunk_recs]),
-            per_context=_cat_padded([c.per_context for c in chunk_recs]),
-            context_polarity=_cat_padded([c.context_polarity for c in chunk_recs]),
-            gate=chunk_recs[0].gate,
-        ))
-    return merged
+        hi = min(lo + chunk_slots, b)
+        extras, gather = build_extras_leaves(model, plan, prev_vals, row_of, range(lo, hi),
+                                             t, requires_grad=False)
+        chunks.append(model._current_rows(batch.cur_tokens[lo:hi], extras, gather,
+                                          collect_records=True)[1])
+    return _merge_chunk_records(chunks)
 
 
-def _push_prev_grads(model, batch, referenced, grad_k, grad_v, *,
+def _encode_values(model: Transformer, prev_tokens: np.ndarray,
+                   ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    if not len(prev_tokens):
+        return {}
+    return {li: (k.data, v.data) for li, (k, v) in model.encode_windows(prev_tokens).items()}
+
+
+def _push_prev_grads(model, prev_tokens, grad_k, grad_v, *,
                      differentiable: bool, chunk_slots: int) -> None:
-    if not differentiable or not referenced:
+    if not differentiable:
         return
-    n_prev = len(referenced)
-    for lo in range(0, n_prev, chunk_slots):
-        hi = min(lo + chunk_slots, n_prev)
-        rows = np.stack([batch.prev_tokens[s, w] for s, w in referenced[lo:hi]])
+    for lo in range(0, len(prev_tokens), chunk_slots):
+        hi = lo + chunk_slots
         with N.Tape() as tape:
-            kv = model.encode_windows(rows)
+            kv = model.encode_windows(prev_tokens[lo:hi])
             seeds = []
             for li, (k_t, v_t) in kv.items():
                 seeds.append((k_t, grad_k[li][lo:hi]))
@@ -951,10 +893,19 @@ def _push_prev_grads(model, batch, referenced, grad_k, grad_v, *,
             N.backward_from(tape, seeds)
 
 
-def _cat_padded(arrays: list[np.ndarray | None]) -> np.ndarray | None:
-    arrays = [a for a in arrays if a is not None]
-    if not arrays:
-        return None
+def _merge_chunk_records(chunks: list[list[AttentionRecord]]) -> list[AttentionRecord]:
+    """One record per memory layer from per-slot-chunk records."""
+    return [AttentionRecord(
+        layer=recs[0].layer,
+        mass_local=np.concatenate([r.mass_local for r in recs]),
+        per_context=_cat_padded([r.per_context for r in recs]),
+        context_polarity=_cat_padded([r.context_polarity for r in recs]),
+        gate=next((r.gate for r in recs if r.gate is not None), None),
+    ) for recs in zip(*chunks)]
+
+
+def _cat_padded(arrays: list[np.ndarray]) -> np.ndarray:
+    """Concatenate along axis 0, zero-padding the last axis to the widest."""
     c = max(a.shape[-1] for a in arrays)
     out = []
     for a in arrays:
@@ -963,7 +914,6 @@ def _cat_padded(arrays: list[np.ndarray | None]) -> np.ndarray | None:
             a = np.pad(a, pad)
         out.append(a)
     return np.concatenate(out, axis=0)
-
 
 # ---------------------------------------------------------------------------
 # checkpoints

@@ -89,9 +89,6 @@ def active_tape() -> Tape | None:
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
-_active_tape = active_tape
-
-
 def _accum(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
     """Add g into t.grad. ``owned`` promises g is freshly allocated (or a
     view no other tensor will adopt), so the first contribution can adopt it
@@ -103,7 +100,7 @@ def _accum(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
 
 
 def _record(out: Tensor, inputs: Sequence[Tensor], backward: Callable[[np.ndarray], None]) -> Tensor:
-    tape = _active_tape()
+    tape = active_tape()
     if tape is not None and any(i.requires_grad for i in inputs):
         out.requires_grad = True
         tape._nodes.append(_Node(out, backward))
@@ -252,10 +249,6 @@ def slice_last_axis(x: Tensor, start: int, stop: int) -> Tensor:
             _accum(x, buf, owned=True)
 
     return _record(out, (x,), bwd)
-
-
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    return concat_axis(parts, 0)
 
 
 def take_rows(x: Tensor, indices) -> Tensor:

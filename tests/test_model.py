@@ -8,8 +8,8 @@ from fot.errors import FormatError, ShapeError, UsageError
 from fot.memstore import MemoryIndex
 from fot.model import (
     AttentionRecord, InferCache, ModelConfig, Transformer, crossbatch_grad_step,
-    gated_integration, init_params, load_checkpoint, merged_softmax_attention,
-    param_count, save_checkpoint,
+    exposure_records, gated_integration, init_params, load_checkpoint,
+    merged_softmax_attention, param_count, save_checkpoint,
 )
 from fot.numerics import Tensor
 from fot.pipeline import CrossbatchPlan, PlanWindow, TrainBatch, make_eval_exposure_plan
@@ -53,7 +53,7 @@ def test_d0_equals_vanilla(mode):
     model.params["lm_head"].data[:] = rng.normal(0, 0.1, size=(16, 13)).astype(np.float32)
     batch = make_batch(rng, cfg, b=3)
     fwd = model.forward_train(batch, empty_plan(3), with_tape=False)
-    vanilla = model.forward_local(batch.cur_tokens)
+    vanilla = model.forward_long(batch.cur_tokens, chunk=None)
     assert np.abs(fwd.logits.data - vanilla).max() <= 1e-6
 
 
@@ -66,14 +66,15 @@ def test_empty_memory_infer_equals_local_exactly():
     memory = MemoryIndex(cfg.memory_layers, cfg.n_heads, cfg.head_dim)
     for k in (0, 5, 128):
         out = model.forward_infer(toks, memory, k)
-        np.testing.assert_array_equal(out.logits, model.forward_local(toks[None])[0])
+        np.testing.assert_array_equal(out.logits, model.forward_long(toks, chunk=None))
 
 
+@pytest.mark.parametrize("integration", ["merged", "gated"])
 @pytest.mark.parametrize("mode", ["none", "as_first"])
-def test_train_infer_equivalence(mode):
+def test_train_infer_equivalence(mode, integration):
     """Memory holding exactly the previous window, k >= T, matches d=1/w=1."""
     rng = np.random.default_rng(2)
-    cfg = tiny_cfg(mem_positional_mode=mode)
+    cfg = tiny_cfg(mem_positional_mode=mode, integration_mode=integration)
     model = Transformer(cfg, seed=3)
     for p in model.params.values():  # random head so logits differ by token
         if p.data.ndim >= 2:
@@ -239,13 +240,24 @@ def test_gradient_reaches_extras_only_when_differentiable():
     assert np.abs(grads_diff["layers.0.w1"] - grads_stop["layers.0.w1"]).max() > 1e-9
 
 
-def test_chunked_grad_step_matches_full_tape():
+def _without_windows(plan, slots):
+    for s in slots:
+        plan.per_slot[s], plan.n_contexts[s], plan.source_unit[s] = [], 0, []
+    return plan
+
+
+@pytest.mark.parametrize("integration,empty_slots",
+                         [("merged", ()), ("merged", (0, 1)), ("gated", (0, 1))],
+                         ids=["merged", "merged-empty_chunk", "gated-empty_chunk"])
+def test_chunked_grad_step_matches_full_tape(integration, empty_slots):
     rng = np.random.default_rng(8)
-    cfg = tiny_cfg(n_layers=3, memory_layers=(1, 2))
+    cfg = tiny_cfg(n_layers=3, memory_layers=(1, 2), integration_mode=integration)
     model = Transformer(cfg, seed=9, dtype=np.float64)
     _randomize_head(model, rng)
+    for li in cfg.memory_layers:
+        model.params[f"layers.{li}.gate_bias"].data[...] = 0.5
     batch = make_batch(rng, cfg, b=6)
-    plan = exposure_plan(6, 3)
+    plan = _without_windows(exposure_plan(6, 3), empty_slots)  # chunk 0 may have none
 
     model.zero_grads()
     loss_full, grads_full = _loss_of(model, batch, plan)
@@ -259,6 +271,21 @@ def test_chunked_grad_step_matches_full_tape():
             assert b_ is None or np.abs(b_).max() == 0
             continue
         np.testing.assert_allclose(a, b_, atol=1e-10, err_msg=name)
+
+
+@pytest.mark.parametrize("integration", ["merged", "gated"])
+def test_slot_logits_ignore_neighbour_plans(integration):
+    """A slot without windows attends locally whatever its neighbours see."""
+    rng = np.random.default_rng(17)
+    cfg = tiny_cfg(integration_mode=integration)
+    model = Transformer(cfg, seed=18, dtype=np.float64)
+    _randomize_head(model, rng)
+    model.params["layers.1.gate_bias"].data[...] = 0.5
+    batch = make_batch(rng, cfg, b=2)
+    neighbour_has_window = _without_windows(exposure_plan(2, 1), [1])
+    logits = [model.forward_train(batch, plan, with_tape=False).logits.data[1]
+              for plan in (neighbour_has_window, empty_plan(2))]
+    assert np.abs(logits[0] - logits[1]).max() <= 1e-10
 
 
 def test_finite_diff_through_memory_layer():
@@ -414,3 +441,8 @@ def test_forward_train_rejects_bad_plan():
     batch.prev_valid[:] = False
     with pytest.raises(UsageError):
         model.forward_train(batch, exposure_plan(2, 1))
+    for run in (lambda plan: crossbatch_grad_step(model, batch, plan, force_chunked=True),
+                lambda plan: exposure_records(model, batch, plan)):
+        for plan in (empty_plan(3), exposure_plan(2, 1)):
+            with pytest.raises(UsageError):
+                run(plan)

@@ -233,7 +233,7 @@ def test_fd_elementwise_and_shape_ops():
     _check(lambda: N.sum_all(N.mul(N.concat_last_axis([a, b]), w26)), [a, b])
     _check(lambda: N.sum_all(N.mul(N.slice_last_axis(a, 1, 3), N.Tensor(w[:, 1:3]))), [a])
     _check(lambda: N.sum_all(N.mul(N.take_rows(a, [1, 0, 1]), w33)), [a])
-    _check(lambda: N.sum_all(N.mul(N.concat_rows([a, b]), w43)), [a, b])
+    _check(lambda: N.sum_all(N.mul(N.concat_axis([a, b], 0), w43)), [a, b])
 
 
 def test_fd_nonlinearities():
