@@ -3,6 +3,14 @@
 Entries are grouped per (layer, head). Search is a full scan: one matmul for
 the scores, then exact top-k selection with ties broken by lower insertion
 index (older entry wins). No approximation anywhere.
+
+Selection bounds each row before it sorts. The n columns of a row are split
+into m = n // g groups of g = max(1, min(16, n // 2k)) columns (group j holds
+columns j, m+j, ..., (g-1)m+j), so m >= k, and the bound is the k-th largest
+of the m group maxima. Those k groups hold k distinct scores at or above the
+bound, so the k-th largest score is at or above it too: every hit, and every
+score tied with the last hit, passes the bound. Only the passing candidates
+are sorted, by (row, score descending, column).
 """
 
 from __future__ import annotations
@@ -12,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, FormatError, ShapeError
+from .errors import CapacityError, FormatError, NumericError, ShapeError
 
 MAGIC = b"FOTM"
 FORMAT_VERSION = 1
+_GROUP = 16  # most columns per group in the top-k bound
 
 
 @dataclass(frozen=True)
@@ -46,7 +55,7 @@ class _Bucket:
     __slots__ = ("keys", "values", "doc_ids", "positions", "insert_ids", "size")
 
     def __init__(self, head_dim: int, dtype):
-        cap = 256
+        cap = 0  # grown on first write, so a loaded header alone allocates nothing
         self.keys = np.empty((cap, head_dim), dtype=dtype)
         self.values = np.empty((cap, head_dim), dtype=dtype)
         self.doc_ids = np.empty(cap, dtype=np.int64)
@@ -200,12 +209,12 @@ class MemoryIndex:
         n = sizes.pop()
         kk = min(k, n)
         res = TopkResult(
-            indices=np.zeros((h_count, q_count, kk), dtype=np.int64),
-            scores=np.zeros((h_count, q_count, kk), dtype=self.dtype),
-            keys=np.zeros((h_count, q_count, kk, self.head_dim), dtype=self.dtype),
-            values=np.zeros((h_count, q_count, kk, self.head_dim), dtype=self.dtype),
-            doc_ids=np.zeros((h_count, q_count, kk), dtype=np.int64),
-            positions=np.zeros((h_count, q_count, kk), dtype=np.int64),
+            indices=np.empty((h_count, q_count, kk), dtype=np.int64),
+            scores=np.empty((h_count, q_count, kk), dtype=self.dtype),
+            keys=np.empty((h_count, q_count, kk, self.head_dim), dtype=self.dtype),
+            values=np.empty((h_count, q_count, kk, self.head_dim), dtype=self.dtype),
+            doc_ids=np.empty((h_count, q_count, kk), dtype=np.int64),
+            positions=np.empty((h_count, q_count, kk), dtype=np.int64),
             k=kk,
         )
         if kk == 0:
@@ -216,10 +225,10 @@ class MemoryIndex:
             top = _exact_topk_rows(scores, kk)
             res.indices[h] = top
             res.scores[h] = np.take_along_axis(scores, top, axis=1)
-            res.keys[h] = b.keys[: b.size][top]
-            res.values[h] = b.values[: b.size][top]
-            res.doc_ids[h] = b.doc_ids[: b.size][top]
-            res.positions[h] = b.positions[: b.size][top]
+            # gather straight into the result, so each page is written once;
+            # mode="clip" skips take's buffered copy (every index is < n)
+            for name in ("keys", "values", "doc_ids", "positions"):
+                np.take(getattr(b, name)[:n], top, axis=0, out=getattr(res, name)[h], mode="clip")
         return res
 
     def topk_entries(self, layer: int, head: int, query: np.ndarray, k: int) -> list[tuple[MemoryEntry, float]]:
@@ -283,59 +292,74 @@ class MemoryIndex:
         if raw[:4] != MAGIC:
             raise FormatError(f"{path}: bad magic {raw[:4]!r}")
         off = 4
-        version, n_layers, n_heads, head_dim = struct.unpack_from("<IIII", raw, off)
-        off += 16
+
+        def span(nbytes: int) -> int:
+            """Offset of the next ``nbytes`` of the file; FormatError past its end."""
+            nonlocal off
+            if off + nbytes > len(raw):
+                raise FormatError(f"{path}: truncated at byte {off} ({nbytes} more expected)")
+            off += nbytes
+            return off - nbytes
+
+        def unpack(fmt: str) -> tuple:
+            return struct.unpack_from(fmt, raw, span(struct.calcsize(fmt)))
+
+        def array(dtype: str, count: int) -> np.ndarray:
+            return np.frombuffer(raw, dtype, count, span(np.dtype(dtype).itemsize * count))
+
+        version, n_layers, n_heads, head_dim = unpack("<IIII")
         if version != FORMAT_VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
-        layers = struct.unpack_from(f"<{n_layers}I", raw, off)
-        off += 4 * n_layers
-        counter, capacity = struct.unpack_from("<qq", raw, off)
-        off += 16
-        (n_buckets,) = struct.unpack_from("<I", raw, off)
-        off += 4
+        layers = unpack(f"<{n_layers}I")
+        counter, capacity = unpack("<qq")
+        (n_buckets,) = unpack("<I")
+        # one 16-byte header per (layer, head) must follow: this bounds what
+        # the index below allocates by the file's size
+        if len(set(layers)) != n_layers or n_buckets != n_layers * n_heads or \
+                16 * n_buckets > len(raw) - off:
+            raise FormatError(f"{path}: {n_buckets} buckets for layers {layers} x {n_heads} heads")
         idx = cls(layers, n_heads, head_dim, capacity=None if capacity < 0 else capacity)
         idx._insert_counter = counter
+        unread = dict(idx._buckets)
         for _ in range(n_buckets):
-            layer, h, size = struct.unpack_from("<IIq", raw, off)
-            off += 16
-            b = idx._buckets[(layer, h)]
+            layer, h, size = unpack("<IIq")
+            b = unread.pop((layer, h), None)
+            if b is None or size < 0:
+                raise FormatError(f"{path}: unknown or repeated bucket (layer={layer}, head={h}) "
+                                  f"or negative size {size}")
+            keys, values = array("<f4", size * head_dim), array("<f4", size * head_dim)
+            doc_ids, positions, insert_ids = (array("<i8", size) for _ in range(3))
             b._grow_to(size)
-            n_f = size * head_dim
-            b.keys[:size] = np.frombuffer(raw, "<f4", n_f, off).reshape(size, head_dim)
-            off += 4 * n_f
-            b.values[:size] = np.frombuffer(raw, "<f4", n_f, off).reshape(size, head_dim)
-            off += 4 * n_f
-            b.doc_ids[:size] = np.frombuffer(raw, "<i8", size, off)
-            off += 8 * size
-            b.positions[:size] = np.frombuffer(raw, "<i8", size, off)
-            off += 8 * size
-            b.insert_ids[:size] = np.frombuffer(raw, "<i8", size, off)
-            off += 8 * size
+            b.keys[:size] = keys.reshape(size, head_dim)
+            b.values[:size] = values.reshape(size, head_dim)
+            b.doc_ids[:size] = doc_ids
+            b.positions[:size] = positions
+            b.insert_ids[:size] = insert_ids
             b.size = size
         if off != len(raw):
             raise FormatError(f"{path}: {len(raw) - off} trailing bytes")
+        if idx.capacity is not None and idx.size() > idx.capacity:
+            raise FormatError(f"{path}: {idx.size()} entries exceed capacity {idx.capacity}")
         return idx
 
 
 def _exact_topk_rows(scores: np.ndarray, k: int) -> np.ndarray:
-    """Row-wise exact top-k indices of ``scores`` [Q, n], descending, ties by
-    lower column index. Assumes index order equals insertion order."""
+    """Row-wise exact top-k indices of ``scores`` [Q, n] for 1 <= k <= n,
+    descending, ties by lower column index. Assumes index order equals
+    insertion order. A NaN score has no rank and raises NumericError."""
     q, n = scores.shape
-    out = np.empty((q, k), dtype=np.int64)
-    if k >= n:
-        for i in range(q):
-            out[i] = np.argsort(-scores[i], kind="stable")[:k]
-        return out
-    part = np.argpartition(-scores, k - 1, axis=1)[:, :k]
-    for i in range(q):
-        row = scores[i]
-        boundary = row[part[i]].min()
-        better = np.flatnonzero(row > boundary)
-        ties = np.flatnonzero(row == boundary)
-        cand = np.concatenate([better, ties[: k - better.size]])
-        order = np.lexsort((cand, -row[cand]))
-        out[i] = cand[order]
-    return out
+    g = max(1, min(_GROUP, n // (2 * k)))
+    m = n // g  # >= k groups; >= 2k where n allows, which keeps the bound tight
+    gmax = scores[:, :g * m].reshape(q, g, m).max(axis=1)
+    if np.isnan(gmax).any() or np.isnan(scores[:, g * m:]).any():
+        raise NumericError("NaN top-k score: a query or a stored key is NaN")
+    lb = np.partition(gmax, m - k, axis=1)[:, m - k, None]
+    flat = np.flatnonzero(scores >= lb)
+    row, col = divmod(flat, n)
+    # flat lists each row's columns ascending and lexsort is stable, so equal
+    # scores keep the lower column first
+    order = np.lexsort((-scores.take(flat), row))
+    return col[order[np.searchsorted(row, np.arange(q))[:, None] + np.arange(k)]]
 
 
 def brute_force_topk(keys: np.ndarray, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,9 +1,13 @@
 """Exact kNN store: append/search semantics, oracle equality, persistence."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fot.errors import CapacityError, FormatError, ShapeError
+from fot.errors import CapacityError, FormatError, NumericError, ShapeError
 from fot.memstore import MemoryEntry, MemoryIndex, brute_force_topk
 
 
@@ -53,6 +57,63 @@ def test_topk_matches_brute_force_oracle():
     oracle_idx, oracle_scores = brute_force_topk(keys, queries[0], k)
     np.testing.assert_array_equal(res.indices[0], oracle_idx)
     np.testing.assert_array_equal(res.scores[0], oracle_scores)
+
+
+@st.composite
+def topk_cases(draw):
+    """(keys [n, 4], queries [Q, 4], k) with n on both sides of the group-size
+    boundaries of the selection bound (n = 2k and n = 32k, see the module
+    docstring), k = 1, k = n, and key sets with exact ties."""
+    k = draw(st.integers(1, 12))
+    n = max(1, draw(st.sampled_from([2, 32])) * k + draw(st.integers(-20, 20)))
+    k = draw(st.sampled_from([1, min(k, n), n]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "integer", "constant", "blocks"]))
+    q = draw(st.integers(1, 4))
+    if kind == "normal":
+        keys, queries = rng.standard_normal((n, 4)), rng.standard_normal((q, 4))
+    else:  # integer keys and queries: inner products are exact, so ties are real
+        keys, queries = rng.integers(-2, 3, (n, 4)), rng.integers(-2, 3, (q, 4))
+    if kind == "constant":  # every score ties: the bound admits whole rows
+        keys[:] = 1
+    elif kind == "blocks":  # column c holds key c // m: every group holds the same keys
+        m = n // max(1, min(16, n // (2 * k)))
+        keys = rng.integers(-2, 3, (16, 4))[np.arange(n) // m % 16]
+    return keys.astype(np.float32), queries.astype(np.float32), k
+
+
+@settings(max_examples=150, deadline=None)
+@given(topk_cases())
+def test_topk_equals_brute_force_property(case):
+    keys, queries, k = case
+    idx = MemoryIndex([0], n_heads=1, head_dim=4)
+    idx.append_block(0, keys[None], keys[None], doc_id=0, positions=np.arange(len(keys)))
+    res = idx.topk(0, queries[None], k)
+    oracle_idx, oracle_scores = brute_force_topk(keys, queries, k)
+    np.testing.assert_array_equal(res.indices[0], oracle_idx)
+    np.testing.assert_array_equal(res.scores[0], oracle_scores)
+    np.testing.assert_array_equal(res.keys[0], keys[oracle_idx])
+
+
+@pytest.mark.parametrize("n", [10, 3000])  # all columns in the tail / in groups
+def test_nan_query_or_key_raises_numeric_error(n):
+    rng = np.random.default_rng(5)
+    keys = rng.standard_normal((n, 8)).astype(np.float32)
+    queries = rng.standard_normal((1, 6, 8)).astype(np.float32)
+
+    def index(keys):
+        idx = MemoryIndex([0], n_heads=1, head_dim=8)
+        idx.append_block(0, keys[None], keys[None], doc_id=0, positions=np.arange(n))
+        return idx
+
+    one_nan = queries.copy()
+    one_nan[0, 2, 3] = np.nan
+    for bad in (one_nan, np.full_like(queries, np.nan)):
+        with pytest.raises(NumericError):
+            index(keys).topk(0, bad, 4)
+    keys[n // 2, 0] = np.nan
+    with pytest.raises(NumericError):
+        index(keys).topk(0, queries, 4)
 
 
 def test_tie_break_prefers_lower_insertion_index():
@@ -178,3 +239,29 @@ def test_load_rejects_bad_magic(tmp_path):
     p.write_bytes(b"NOPE" + b"\0" * 32)
     with pytest.raises(FormatError):
         MemoryIndex.load(p)
+
+
+def test_load_rejects_every_truncation_and_header_bit_flip(tmp_path):
+    rng = np.random.default_rng(6)
+    idx = MemoryIndex([2, 3], n_heads=2, head_dim=4, capacity=100)
+    keys = rng.standard_normal((2, 3, 4)).astype(np.float32)
+    idx.append_block(2, keys, -keys, doc_id=1, positions=np.arange(3))
+    idx.append([MemoryEntry(3, 1, keys[0, 0], keys[0, 1], 2, 7)])  # (3, 0) stays empty
+    path = tmp_path / "mem.fotm"
+    idx.dump(path)
+    raw = path.read_bytes()
+    # header fields with no free value: magic, version, geometry, layer ids,
+    # bucket count, then every bucket's (layer, head, size)
+    header = [*range(0, 28), *range(44, 48)]
+    off = 48
+    for _ in range(4):
+        size = struct.unpack_from("<q", raw, off + 8)[0]
+        header += range(off, off + 16)
+        off += 16 + size * (2 * 4 * 4 + 3 * 8)
+    assert off == len(raw)
+    bad = [raw[:i] for i in range(len(raw))]
+    bad += [raw[:i] + bytes([raw[i] ^ 1 << bit]) + raw[i + 1:] for i in header for bit in range(8)]
+    for blob in bad:
+        path.write_bytes(blob)
+        with pytest.raises(FormatError):
+            MemoryIndex.load(path)
