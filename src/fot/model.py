@@ -77,18 +77,20 @@ class ModelConfig:
         return cls(**d)
 
 
-def param_names(cfg: ModelConfig) -> list[str]:
-    names = ["embed"]
+def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's name and shape, in checkpoint order."""
+    d, hd, f = cfg.d_model, cfg.n_heads * cfg.head_dim, cfg.ff_dim
+    shapes = {"embed": (cfg.vocab_size, d)}
     for i in range(cfg.n_layers):
-        names += [f"layers.{i}.ln1", f"layers.{i}.wq", f"layers.{i}.bq",
-                  f"layers.{i}.wk", f"layers.{i}.bk", f"layers.{i}.wv", f"layers.{i}.bv",
-                  f"layers.{i}.wo", f"layers.{i}.bo", f"layers.{i}.log_tau"]
+        layer = {"ln1": (d,), "wq": (d, hd), "bq": (hd,), "wk": (d, hd), "bk": (hd,),
+                 "wv": (d, hd), "bv": (hd,), "wo": (hd, d), "bo": (d,),
+                 "log_tau": (cfg.n_heads,)}
         if i in cfg.memory_layers:
-            names.append(f"layers.{i}.gate_bias")
-        names += [f"layers.{i}.ln2", f"layers.{i}.w1", f"layers.{i}.b1",
-                  f"layers.{i}.w2", f"layers.{i}.b2"]
-    names += ["final_ln", "lm_head", "lm_bias"]
-    return names
+            layer["gate_bias"] = ()
+        layer.update(ln2=(d,), w1=(d, f), b1=(f,), w2=(f, d), b2=(d,))
+        shapes.update({f"layers.{i}.{k}": v for k, v in layer.items()})
+    shapes.update(final_ln=(d,), lm_head=(d, cfg.vocab_size), lm_bias=(cfg.vocab_size,))
+    return shapes
 
 
 def param_count(cfg: ModelConfig) -> int:
@@ -117,49 +119,27 @@ def init_params(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> dict[str, 
     cfg.validate()
     rng = np.random.default_rng(seed)
     std = cfg.d_model ** -0.5
-    d, h, dh, f, v = cfg.d_model, cfg.n_heads, cfg.head_dim, cfg.ff_dim, cfg.vocab_size
     structured = cfg.init_scheme == "structured"
-
-    def normal(*shape):
-        return Tensor(rng.normal(0.0, std, size=shape).astype(dtype), requires_grad=True)
-
-    def zeros(*shape):
-        return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
-
-    def ones(*shape):
-        return Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
-
-    p: dict[str, Tensor] = {"embed": normal(v, d)}
-    for i in range(cfg.n_layers):
-        mem_identity = structured and i in cfg.memory_layers
-        p[f"layers.{i}.ln1"] = ones(d)
-        p[f"layers.{i}.wq"] = normal(d, h * dh)
-        p[f"layers.{i}.bq"] = zeros(h * dh)
-        p[f"layers.{i}.wk"] = normal(d, h * dh)
-        p[f"layers.{i}.bk"] = zeros(h * dh)
-        p[f"layers.{i}.wv"] = Tensor(np.eye(d, dtype=dtype), requires_grad=True) \
-            if mem_identity else normal(d, h * dh)
-        p[f"layers.{i}.bv"] = zeros(h * dh)
-        p[f"layers.{i}.wo"] = Tensor(0.5 * np.eye(d, dtype=dtype), requires_grad=True) \
-            if mem_identity else normal(h * dh, d)
-        p[f"layers.{i}.bo"] = zeros(d)
-        p[f"layers.{i}.log_tau"] = Tensor(
-            np.full(h, np.log(cfg.temperature_init), dtype=dtype), requires_grad=True)
-        if i in cfg.memory_layers:
-            p[f"layers.{i}.gate_bias"] = zeros()
-        p[f"layers.{i}.ln2"] = ones(d)
-        p[f"layers.{i}.w1"] = normal(d, f)
-        p[f"layers.{i}.b1"] = zeros(f)
-        p[f"layers.{i}.w2"] = normal(f, d)
-        p[f"layers.{i}.b2"] = zeros(d)
-    p["final_ln"] = ones(d)
-    if structured:
-        p["lm_head"] = Tensor(p["embed"].data.T.copy(), requires_grad=True)
-    else:
-        # zero-init head keeps an untrained model's predictive distribution uniform
-        p["lm_head"] = zeros(d, v)
-    p["lm_bias"] = zeros(v)
-    assert list(p) == param_names(cfg)
+    p: dict[str, Tensor] = {}
+    for name, shape in param_shapes(cfg).items():
+        *layer, kind = name.split(".")
+        if kind in ("wv", "wo") and structured and int(layer[1]) in cfg.memory_layers:
+            arr = np.eye(shape[0], dtype=dtype)
+            if kind == "wo":
+                arr = 0.5 * arr
+        elif kind in ("embed", "wq", "wk", "wv", "wo", "w1", "w2"):
+            arr = rng.normal(0.0, std, size=shape).astype(dtype)
+        elif kind == "lm_head" and structured:
+            arr = p["embed"].data.T.copy()
+        elif kind in ("ln1", "ln2", "final_ln"):
+            arr = np.ones(shape, dtype=dtype)
+        elif kind == "log_tau":
+            arr = np.full(shape, np.log(cfg.temperature_init), dtype=dtype)
+        else:
+            # biases, gate biases; a zero-init head keeps an untrained
+            # model's predictive distribution uniform
+            arr = np.zeros(shape, dtype=dtype)
+        p[name] = Tensor(arr, requires_grad=True)
     assert sum(t.data.size for t in p.values()) == param_count(cfg)
     return p
 
@@ -926,7 +906,7 @@ def save_checkpoint(path, cfg: ModelConfig, params: dict[str, Tensor]) -> None:
         f.write(struct.pack("<I", CHECKPOINT_VERSION))
         f.write(struct.pack("<I", len(blob)))
         f.write(blob)
-        for name in param_names(cfg):
+        for name in param_shapes(cfg):
             arr = params[name].data.astype("<f4")
             f.write(struct.pack("<I", arr.ndim))
             f.write(struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b"")
@@ -934,31 +914,34 @@ def save_checkpoint(path, cfg: ModelConfig, params: dict[str, Tensor]) -> None:
 
 
 def load_checkpoint(path, dtype=np.float32) -> tuple[ModelConfig, dict[str, Tensor]]:
+    """Read a FOTC file. Every parameter must have the shape its config
+    implies (``param_shapes``); anything else raises FormatError."""
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: bad magic {raw[:4]!r}")
-    off = 4
-    (version,) = struct.unpack_from("<I", raw, off)
-    off += 4
+    if len(raw) < 12:
+        raise FormatError(f"{path}: truncated header")
+    version, blob_len = struct.unpack_from("<II", raw, 4)
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    (blob_len,) = struct.unpack_from("<I", raw, off)
-    off += 4
+    off = 12
     try:
         cfg = ModelConfig.from_dict(json.loads(raw[off:off + blob_len].decode()))
+        shapes = param_shapes(cfg)
     except (ValueError, TypeError) as e:
         raise FormatError(f"{path}: bad config blob: {e}") from e
     off += blob_len
     params: dict[str, Tensor] = {}
     try:
-        for name in param_names(cfg):
+        for name, want in shapes.items():
             (ndim,) = struct.unpack_from("<I", raw, off)
-            off += 4
-            shape = struct.unpack_from(f"<{ndim}I", raw, off) if ndim else ()
-            off += 4 * ndim
-            n = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(raw, "<f4", n, off).reshape(shape)
+            if ndim != len(want) or struct.unpack_from(f"<{ndim}I", raw, off + 4) != want:
+                raise FormatError(f"{path}: {name} is not stored with shape {want}, "
+                                  "the shape its config implies")
+            off += 4 + 4 * ndim
+            n = int(np.prod(want))
+            arr = np.frombuffer(raw, "<f4", n, off).reshape(want)
             off += 4 * n
             params[name] = Tensor(arr.astype(dtype), requires_grad=True)
     except (struct.error, ValueError) as e:

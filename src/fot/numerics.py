@@ -4,6 +4,13 @@ Tensors wrap numpy arrays (float32 for training, float64 for verification).
 Ops record onto the innermost active ``Tape``; with no tape active they run
 as plain numpy forward computations, which is how all inference paths run.
 
+Backward consumes its tape: each node's output grad is handed to its
+backward closure as a buffer the closure owns, and the node then drops its
+output and its closure, so intermediate grads and the forward arrays only
+that closure kept alive are freed as backward goes. A tape is single-use.
+Leaf tensors (those no recorded op produced, parameters among them) keep
+their grads.
+
 Reduction order is whatever numpy/BLAS uses, which is fixed per process and
 input shape, so forward passes are bit-deterministic across reruns.
 """
@@ -49,9 +56,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
@@ -65,12 +69,18 @@ class _Node:
 
 
 class Tape:
-    """Ordered record of primitive applications, replayed in reverse by backward()."""
+    """Ordered record of primitive applications, replayed in reverse by backward().
 
-    __slots__ = ("_nodes",)
+    Single-use: backward releases every node's contents as it goes, so a
+    second backward over the same tape raises UsageError. ``len(tape)``
+    still counts the recorded nodes afterwards.
+    """
+
+    __slots__ = ("_nodes", "_consumed")
 
     def __init__(self):
         self._nodes: list[_Node] = []
+        self._consumed = False
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -90,9 +100,10 @@ def active_tape() -> Tape | None:
 
 
 def _accum(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
-    """Add g into t.grad. ``owned`` promises g is freshly allocated (or a
-    view no other tensor will adopt), so the first contribution can adopt it
-    without copying."""
+    """Add g into t.grad. ``owned`` promises no other tensor will adopt g
+    (it is freshly allocated, or the grad buffer backward handed to the
+    calling closure, or a view of either), so the first contribution can
+    adopt it without copying."""
     if t.grad is None:
         t.grad = g if owned else np.array(g, dtype=t.data.dtype)
     else:
@@ -118,17 +129,24 @@ def backward_from(tape: Tape, seeds: Sequence[tuple[Tensor, np.ndarray]]) -> Non
     """Reverse-traverse the tape starting from explicit (tensor, grad) seeds.
 
     Used by the chunked crossbatch path to inject upstream gradients into the
-    re-encoded previous-context keys/values.
+    re-encoded previous-context keys/values. Consumes the tape: each node's
+    output grad is taken off its tensor and the node is released once its
+    backward has run, so only leaf tensors keep grads, and a second call on
+    the same tape raises UsageError.
     """
+    if tape._consumed:
+        raise UsageError("backward over a tape that backward has already consumed")
     for t, g in seeds:
         if g.shape != t.data.shape:
             raise ShapeError(f"seed grad shape {g.shape} != tensor shape {t.data.shape}")
         _accum(t, g.astype(t.data.dtype, copy=False))
+    tape._consumed = True
     for node in reversed(tape._nodes):
-        g = node.out.grad
-        if g is None:
-            continue
-        node.backward(g)
+        out, bwd = node.out, node.backward
+        node.out = node.backward = None
+        g, out.grad = out.grad, None
+        if g is not None:
+            bwd(g)  # g is the closure's to keep or overwrite
 
 
 def zero_grads(tensors) -> None:
@@ -178,7 +196,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g: np.ndarray) -> None:
         if a.requires_grad:
             ga = _unbroadcast(g, a.data.shape)
-            _accum(a, ga, owned=ga is not g)
+            _accum(a, ga, owned=ga is not g or g.dtype == a.data.dtype)
         if b.requires_grad:
             gb = _unbroadcast(g, b.data.shape)
             _accum(b, gb, owned=gb is not g)
@@ -272,7 +290,7 @@ def reshape(x: Tensor, shape) -> Tensor:
 
     def bwd(g: np.ndarray) -> None:
         if x.requires_grad:
-            _accum(x, g.reshape(x.data.shape))
+            _accum(x, g.reshape(x.data.shape), owned=True)
 
     return _record(out, (x,), bwd)
 
@@ -284,7 +302,7 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
 
     def bwd(g: np.ndarray) -> None:
         if x.requires_grad:
-            _accum(x, g.transpose(inv))
+            _accum(x, g.transpose(inv), owned=True)
 
     return _record(out, (x,), bwd)
 
@@ -307,10 +325,11 @@ def softmax_last_axis(x: Tensor, temperature: float = 1.0) -> Tensor:
     def bwd(g: np.ndarray) -> None:
         if x.requires_grad:
             dot = (g * y).sum(axis=-1, keepdims=True)
-            gx = y * (g - dot)
+            g -= dot
+            g *= y
             if temperature != 1.0:
-                gx /= x.data.dtype.type(temperature)
-            _accum(x, gx, owned=True)
+                g /= x.data.dtype.type(temperature)
+            _accum(x, g, owned=True)
 
     return _record(out, (x,), bwd)
 

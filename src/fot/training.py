@@ -165,7 +165,9 @@ def train(cfg: TrainConfig, out_dir) -> TrainResult:
     """Run the loop: next_batch -> build_plan -> forward -> backward -> step.
 
     Data steps whose loss mask is all zero advance the pipeline but consume
-    no optimizer step. NaN/Inf loss aborts with a diagnostic dump.
+    no optimizer step. NaN/Inf loss aborts with a diagnostic dump. Each
+    logged row is appended to metrics.csv as it is logged, so a failed run
+    keeps the rows logged before the failure.
     """
     cfg.validate()
     out = Path(out_dir)
@@ -198,7 +200,6 @@ def train(cfg: TrainConfig, out_dir) -> TrainResult:
     chunk = max(1, min(cfg.chunk_slots, cfg.b_s))
 
     losses: list[float] = []
-    rows: list[EvalResult] = []
     opt_step = 0
     skipped_in_row = 0
     ended_early = ""
@@ -234,8 +235,9 @@ def train(cfg: TrainConfig, out_dir) -> TrainResult:
         optimizer.step(inverse_sqrt_lr(opt_step, cfg.max_lr, cfg.min_lr, cfg.warmup_steps))
         losses.append(loss)
         if opt_step % max(1, cfg.log_every) == 0 or opt_step == cfg.steps - 1:
-            rows.append(EvalResult(run_id, "train_loss", "step", float(opt_step),
-                                   loss, cfg.seed, chash))
+            write_metrics_csv(metrics_path, [EvalResult(
+                run_id, "train_loss", "step", float(opt_step), loss, cfg.seed, chash)],
+                append=True)
         if cfg.checkpoint_every and opt_step and opt_step % cfg.checkpoint_every == 0:
             ck = out / f"step{opt_step:06d}.fotc"
             save_checkpoint(ck, cfg.model, model.params)
@@ -246,7 +248,6 @@ def train(cfg: TrainConfig, out_dir) -> TrainResult:
     final_ck = out / "final.fotc"
     save_checkpoint(final_ck, cfg.model, model.params)
     manifest.checkpoint_files.append(str(final_ck))
-    write_metrics_csv(metrics_path, rows, append=True)
     manifest.status = "done"
     manifest.end_step = opt_step
     manifest.note = ended_early or f"{time.time() - t0:.1f}s"

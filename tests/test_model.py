@@ -1,15 +1,18 @@
 """Transformer with memory attention: reductions, equivalences, formats."""
 
+import struct
+
 import numpy as np
 import pytest
 
+from fot import model as model_mod
 from fot import numerics as N
 from fot.errors import FormatError, ShapeError, UsageError
 from fot.memstore import MemoryIndex
 from fot.model import (
     AttentionRecord, InferCache, ModelConfig, Transformer, crossbatch_grad_step,
     exposure_records, gated_integration, init_params, load_checkpoint,
-    merged_softmax_attention, param_count, save_checkpoint,
+    merged_softmax_attention, param_count, param_shapes, save_checkpoint,
 )
 from fot.numerics import Tensor
 from fot.pipeline import CrossbatchPlan, PlanWindow, TrainBatch, make_eval_exposure_plan
@@ -273,6 +276,29 @@ def test_chunked_grad_step_matches_full_tape(integration, empty_slots):
         np.testing.assert_allclose(a, b_, atol=1e-10, err_msg=name)
 
 
+def test_chunked_extras_leaves_keep_their_grads(monkeypatch):
+    """Backward frees the grads of intermediate tensors only: the chunked
+    step reads the grads of its extras leaves after each chunk's backward."""
+    rng = np.random.default_rng(19)
+    cfg = tiny_cfg(n_layers=3, memory_layers=(1, 2))
+    model = Transformer(cfg, seed=20, dtype=np.float64)
+    _randomize_head(model, rng)
+    batch = make_batch(rng, cfg, b=4)
+    leaves = []
+
+    def spy(*args, **kw):
+        extras, gather = build(*args, **kw)
+        leaves.extend(t for ext in extras.values() for t in (ext.k, ext.v))
+        return extras, gather
+
+    build = model_mod.build_extras_leaves
+    monkeypatch.setattr(model_mod, "build_extras_leaves", spy)
+    model.zero_grads()
+    crossbatch_grad_step(model, batch, exposure_plan(4, 2), chunk_slots=2, force_chunked=True)
+    assert len(leaves) == 2 * 2 * 2  # chunks x memory layers x (k, v)
+    assert all(t.grad is not None and np.abs(t.grad).max() > 0 for t in leaves)
+
+
 @pytest.mark.parametrize("integration", ["merged", "gated"])
 def test_slot_logits_ignore_neighbour_plans(integration):
     """A slot without windows attends locally whatever its neighbours see."""
@@ -429,6 +455,32 @@ def test_checkpoint_truncation_and_magic(tmp_path):
     trunc.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(FormatError):
         load_checkpoint(trunc)
+
+
+def test_load_checkpoint_rejects_every_truncation_and_header_bit_flip(tmp_path):
+    cfg = tiny_cfg(n_layers=1, d_model=4, n_heads=1, head_dim=4, ff_dim=6, vocab_size=5,
+                   memory_layers=(0,), local_ctx_len=4)
+    path = tmp_path / "c.fotc"
+    save_checkpoint(path, cfg, init_params(cfg, seed=3))
+    raw = path.read_bytes()
+    # magic, version, blob length, then each parameter's ndim and shape
+    # words (the JSON config blob is free text)
+    header, starts = [*range(12)], {}
+    off = 12 + struct.unpack_from("<I", raw, 8)[0]
+    for name, shape in param_shapes(cfg).items():
+        starts[name] = off
+        header += range(off, off + 4 * (1 + len(shape)))
+        off += 4 * (1 + len(shape)) + 4 * int(np.prod(shape))
+    assert off == len(raw)
+    bad = [raw[:i] for i in range(len(raw))]
+    bad += [raw[:i] + bytes([raw[i] ^ 1 << bit]) + raw[i + 1:] for i in header for bit in range(8)]
+    # a parameter stored transposed holds the right number of floats
+    w1 = starts["layers.0.w1"]
+    bad.append(raw[:w1 + 4] + struct.pack("<2I", 6, 4) + raw[w1 + 12:])
+    for blob in bad:
+        path.write_bytes(blob)
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
 
 
 def test_forward_train_rejects_bad_plan():

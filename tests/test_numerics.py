@@ -1,5 +1,8 @@
 """Tensor engine: forward semantics, gradient checks, invariants."""
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -320,3 +323,78 @@ def test_grad_accumulates_across_multiple_uses():
         loss = N.sum_all(y)
     N.backward(tape, loss)
     np.testing.assert_array_equal(x.grad, [2.0])
+
+
+def test_adopted_grad_buffers_accumulate_correctly():
+    """reshape, transpose and add hand their grad buffer on, and softmax's
+    backward overwrites its own; a leaf reached along several such paths
+    still gets the sum of all of them."""
+    rng = np.random.default_rng(11)
+    x = t64(rng.standard_normal((3, 4)))
+
+    def fn():
+        a = N.transpose(x, (1, 0))
+        b = N.reshape(N.transpose(x, (1, 0)), (4, 3))
+        s = N.softmax_last_axis(N.add(N.add(a, b), N.reshape(x, (4, 3))), temperature=0.7)
+        return N.sum_all(N.mul(s, N.add(s, a)))
+
+    _check(fn, [x])
+
+
+# ---------------------------------------------------------------------------
+# backward consumes its tape
+# ---------------------------------------------------------------------------
+
+def test_backward_releases_consumed_nodes():
+    x = t64(np.linspace(-1.0, 1.0, 6))
+    w = t64(np.full(6, 0.5))
+    with N.Tape() as tape:
+        y = N.sigmoid(x)  # the sigmoid closure keeps y's array
+        z = N.mul(y, w)
+        loss = N.sum_all(N.mul(z, z))
+    recorded = len(tape)
+    forward_array = weakref.ref(y.data)
+    del y
+    grads_in = []
+    for node in tape._nodes[:2]:  # sigmoid and mul(y, w) receive y's and z's grads
+        def spy(g, inner=node.backward):
+            grads_in.append(weakref.ref(g))
+            inner(g)
+        node.backward = spy
+    del node, spy  # the spies hold the closures only through the nodes
+    N.backward(tape, loss)
+    assert len(grads_in) == 2 and all(r() is None for r in grads_in)
+    assert forward_array() is None
+    assert z.grad is None and loss.grad is None
+    assert x.grad is not None and w.grad is not None  # leaf grads survive
+    assert len(tape) == recorded
+
+
+def test_backward_peak_memory_holds_one_grad_of_a_chain():
+    x = N.Tensor(np.ones(2**17), requires_grad=True)  # 1 MiB
+    with N.Tape() as tape:
+        h = x
+        for _ in range(16):
+            h = N.scale(h, 1.0)
+        loss = N.sum_all(h)
+    del h
+    tracemalloc.start()
+    try:
+        N.backward(tape, loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20  # all 17 intermediate grads at once would be 17 MiB
+    np.testing.assert_array_equal(x.grad, 1.0)
+
+
+def test_tape_is_single_use():
+    x = t64([1.0, 2.0])
+    with N.Tape() as tape:
+        loss = N.sum_all(N.mul(x, x))
+    N.backward(tape, loss)
+    with pytest.raises(UsageError):
+        N.backward(tape, loss)
+    with pytest.raises(UsageError):
+        N.backward_from(tape, [(loss, np.ones_like(loss.data))])
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])

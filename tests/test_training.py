@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from fot import numerics as N
+from fot import training
+from fot.analysis import read_metrics_csv
 from fot.config import (TrainConfig, apply_overrides, config_hash, emit_config,
                         get_preset, parse_config)
 from fot.errors import (CapacityError, ConfigError, DataError, FormatError, FotError,
@@ -129,6 +131,21 @@ def test_train_writes_manifest_before_metrics(tmp_path):
     # config round-trips from the emitted file
     back = parse_config(Path(man.config_path).read_text())
     assert back == cfg
+
+
+def test_metrics_rows_reach_disk_before_a_failure(tmp_path, monkeypatch):
+    real, calls = training.crossbatch_grad_step, []
+
+    def nan_at_step_4(*args, **kw):
+        calls.append(1)
+        loss, recs = real(*args, **kw)
+        return (float("nan") if len(calls) == 5 else loss), recs
+
+    monkeypatch.setattr(training, "crossbatch_grad_step", nan_at_step_4)
+    with pytest.raises(NumericError):
+        train(small_train_cfg(steps=6, log_every=2), tmp_path / "run")
+    rows = read_metrics_csv(tmp_path / "run" / "metrics.csv")
+    assert [(r.metric, r.axis_value) for r in rows] == [("train_loss", 0.0), ("train_loss", 2.0)]
 
 
 def test_train_resumes_from_checkpoint(tmp_path):
