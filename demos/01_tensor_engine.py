@@ -12,7 +12,7 @@ print("== forward ops ==")
 a = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32), requires_grad=True)
 b = Tensor(np.array([[0.5, -1.0], [2.0, 0.0]], dtype=np.float32), requires_grad=True)
 print("a @ b =\n", N.matmul(a, b).data)
-print("softmax([1,2,3], tau=0.5) =", N.softmax_last_axis(Tensor(np.array([1.0, 2.0, 3.0])), 0.5).data)
+print("softmax([1,2,3]) =", N.softmax_last_axis(Tensor(np.array([1.0, 2.0, 3.0]))).data)
 
 print("\n== tape + backward ==")
 with N.Tape() as tape:

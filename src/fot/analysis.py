@@ -284,6 +284,8 @@ def dict_eval_accuracy(model: Transformer, task: DictTaskConfig, total_len: int,
 
 
 def dump_predictions(path, result: AccuracyResult) -> None:
+    """Text dump of each query's prediction, for ``recount_accuracy``. The
+    pair is a test oracle: it recounts accuracy outside the eval loop."""
     with open(path, "w", encoding="ascii") as f:
         for doc, qi, pred, true, ok in result.rows:
             f.write(f"{doc} {qi} {','.join(map(str, pred))} "
@@ -402,7 +404,10 @@ def read_metrics_csv(path) -> list[EvalResult]:
 # ---------------------------------------------------------------------------
 
 def dump_weights(path, sink: list) -> None:
-    """Binary dump of raw extras softmax weights captured via debug_sink."""
+    """Binary FOTW dump of raw extras softmax weights captured via debug_sink.
+
+    With ``load_weights`` and ``r_from_weights`` this is a test oracle: it
+    re-derives r from the raw weights, independently of AttentionRecord."""
     with open(path, "wb") as f:
         f.write(WEIGHTS_MAGIC)
         f.write(struct.pack("<II", WEIGHTS_VERSION, len(sink)))
@@ -416,6 +421,7 @@ def dump_weights(path, sink: list) -> None:
 
 
 def load_weights(path) -> list:
+    """Read a ``dump_weights`` file (a test oracle; see there)."""
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:4] != WEIGHTS_MAGIC:

@@ -59,14 +59,17 @@ def _parse_axis(spec: str) -> tuple[str, list[float]]:
     if "=" not in spec:
         raise ConfigError(f"axis spec {spec!r} is not name=v1,v2,...")
     name, vals = spec.split("=", 1)
-    return name.strip(), [float(v) for v in vals.split(",")]
+    try:
+        return name.strip(), [float(v) for v in vals.split(",")]
+    except ValueError as e:
+        raise ConfigError(f"axis spec {spec!r}: values must be numbers") from e
 
 
 def cmd_eval(args) -> int:
+    axis_name, axis_vals = _parse_axis(args.axis)
     model, ck_path = _load_model(args.checkpoint)
     chash = config_hash(TrainConfig(model=model.cfg))
     run_id = f"eval-{Path(ck_path).stem}"
-    axis_name, axis_vals = _parse_axis(args.axis)
     rows: list[analysis.EvalResult] = []
     for v in axis_vals:
         if args.suite == "dict":
@@ -136,6 +139,8 @@ def cmd_sweep(args) -> int:
     base = _load_train_config(args)
     grid: dict[str, list[str]] = {}
     for part in args.grid.split(";"):
+        if "=" not in part:
+            raise ConfigError(f"grid part {part!r} is not key=v1,v2,...")
         key, vals = part.split("=", 1)
         grid[key.strip()] = vals.split(",")
     keys = sorted(grid)

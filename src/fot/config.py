@@ -82,11 +82,14 @@ class TrainConfig:
                 raise ConfigError("d_kind=segments needs a segments spec")
             segs = []
             for part in self.segments.split(","):
-                frac, pos, neg = part.split(":")
-                segs.append((float(frac), int(pos), int(neg)))
+                try:
+                    frac, pos, neg = part.split(":")
+                    segs.append((float(frac), int(pos), int(neg)))
+                except ValueError as e:
+                    raise ConfigError(f"segments part {part!r} is not frac:pos:neg") from e
             return SegmentSchedule(DSchedule("constant", d=0), tuple(segs))
         if self.d_kind == "random":
-            choices = tuple(int(c) for c in self.d_choices.split(","))
+            choices = _parse_ints(self.d_choices, "d_choices")
             return SegmentSchedule(DSchedule("random", choices=choices))
         if self.d_kind == "staged":
             return SegmentSchedule(DSchedule("staged", d_small=self.d_small,
@@ -117,6 +120,14 @@ def _parse_value(raw: str, target_type, name: str):
         except ValueError as e:
             raise ConfigError(f"{name}: expected a float, got {raw!r}") from e
     return raw
+
+
+def _parse_ints(raw: str, name: str) -> tuple[int, ...]:
+    """A comma-separated integer list; empty parts are skipped."""
+    try:
+        return tuple(int(x) for x in raw.split(",") if x.strip() != "")
+    except ValueError as e:
+        raise ConfigError(f"{name}: expected comma-separated integers, got {raw!r}") from e
 
 
 def emit_config(cfg: TrainConfig) -> str:
@@ -152,7 +163,7 @@ def parse_config(text: str) -> TrainConfig:
                 if key not in model_fields:
                     raise ConfigError(f"unknown model key {key!r}")
                 if key == "memory_layers":
-                    v = tuple(int(x) for x in raw.split(",") if x.strip() != "")
+                    v = _parse_ints(raw, "model.memory_layers")
                 else:
                     v = _parse_value(raw, type(getattr(cfg.model, key)), f"model.{key}")
                 setattr(cfg.model, key, v)
@@ -178,7 +189,7 @@ def apply_overrides(cfg: TrainConfig, overrides: list[str]) -> TrainConfig:
             if not hasattr(cfg.model, attr):
                 raise ConfigError(f"unknown override target {key!r}")
             if attr == "memory_layers":
-                v = tuple(int(x) for x in raw.split(",") if x.strip() != "")
+                v = _parse_ints(raw, key)
             else:
                 v = _parse_value(raw, type(getattr(cfg.model, attr)), key)
             setattr(cfg.model, attr, v)

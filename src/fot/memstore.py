@@ -1,8 +1,10 @@
 """Append-only exact maximum-inner-product index of (key, value) pairs.
 
-Entries are grouped per (layer, head). Search is a full scan: one matmul for
-the scores, then exact top-k selection with ties broken by lower insertion
-index (older entry wins). No approximation anywhere.
+Each memory layer has one store, and all its heads hold the same tokens: keys
+and values are [H, cap, head_dim], each token's doc id and position [cap].
+Search is a full scan per head: one matmul for the scores, then exact top-k
+selection with ties broken by lower column, which is the older entry (appends
+go to the end and ``reset_doc`` keeps order). No approximation anywhere.
 
 Selection bounds each row before it sorts. The n columns of a row are split
 into m = n // g groups of g = max(1, min(16, n // 2k)) columns (group j holds
@@ -23,24 +25,14 @@ import numpy as np
 from .errors import CapacityError, FormatError, NumericError, ShapeError
 
 MAGIC = b"FOTM"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _GROUP = 16  # most columns per group in the top-k bound
-
-
-@dataclass(frozen=True)
-class MemoryEntry:
-    layer: int
-    head: int
-    key: np.ndarray
-    value: np.ndarray
-    doc_id: int
-    position: int
 
 
 @dataclass
 class TopkResult:
     """Per-head retrieval for a batch of queries, descending score."""
-    indices: np.ndarray    # [H, Q, k] bucket slot of each hit
+    indices: np.ndarray    # [H, Q, k] store column of each hit
     scores: np.ndarray     # [H, Q, k]
     keys: np.ndarray       # [H, Q, k, head_dim]
     values: np.ndarray     # [H, Q, k, head_dim]
@@ -49,39 +41,48 @@ class TopkResult:
     k: int
 
 
-class _Bucket:
-    """Growable column store for one (layer, head)."""
+class _LayerStore:
+    """Growable column store for one memory layer, shared by its heads."""
 
-    __slots__ = ("keys", "values", "doc_ids", "positions", "insert_ids", "size")
+    __slots__ = ("keys", "values", "doc_ids", "positions", "size")
 
-    def __init__(self, head_dim: int, dtype):
-        cap = 0  # grown on first write, so a loaded header alone allocates nothing
-        self.keys = np.empty((cap, head_dim), dtype=dtype)
-        self.values = np.empty((cap, head_dim), dtype=dtype)
-        self.doc_ids = np.empty(cap, dtype=np.int64)
-        self.positions = np.empty(cap, dtype=np.int64)
-        self.insert_ids = np.empty(cap, dtype=np.int64)
+    def __init__(self, n_heads: int, head_dim: int, dtype):
+        # grown on first write, so a loaded header alone allocates nothing
+        self.keys = np.empty((n_heads, 0, head_dim), dtype=dtype)
+        self.values = np.empty((n_heads, 0, head_dim), dtype=dtype)
+        self.doc_ids = np.empty(0, dtype=np.int64)
+        self.positions = np.empty(0, dtype=np.int64)
         self.size = 0
 
-    def _grow_to(self, need: int) -> None:
-        cap = self.keys.shape[0]
+    def grow_to(self, need: int) -> None:
+        cap = self.doc_ids.shape[0]
         if need <= cap:
             return
         new = max(need, cap * 2)
         for name in ("keys", "values"):
-            buf = np.empty((new, self.keys.shape[1]), dtype=self.keys.dtype)
-            buf[: self.size] = getattr(self, name)[: self.size]
+            old = getattr(self, name)
+            buf = np.empty((old.shape[0], new, old.shape[2]), dtype=old.dtype)
+            buf[:, : self.size] = old[:, : self.size]
             setattr(self, name, buf)
-        for name in ("doc_ids", "positions", "insert_ids"):
+        for name in ("doc_ids", "positions"):
             buf = np.empty(new, dtype=np.int64)
             buf[: self.size] = getattr(self, name)[: self.size]
             setattr(self, name, buf)
 
+    def put(self, keys, values, doc_ids, positions) -> None:
+        """Append t tokens: keys and values [H, t, head_dim], doc ids and positions [t]."""
+        t = keys.shape[1]
+        self.grow_to(self.size + t)
+        sl = slice(self.size, self.size + t)
+        self.keys[:, sl], self.values[:, sl] = keys, values
+        self.doc_ids[sl], self.positions[sl] = doc_ids, positions
+        self.size += t
+
     def filter_keep(self, mask: np.ndarray) -> None:
         n = int(mask.sum())
         for name in ("keys", "values"):
-            getattr(self, name)[:n] = getattr(self, name)[: self.size][mask]
-        for name in ("doc_ids", "positions", "insert_ids"):
+            getattr(self, name)[:, :n] = getattr(self, name)[:, : self.size][:, mask]
+        for name in ("doc_ids", "positions"):
             getattr(self, name)[:n] = getattr(self, name)[: self.size][mask]
         self.size = n
 
@@ -96,40 +97,20 @@ class MemoryIndex:
         self.head_dim = head_dim
         self.capacity = capacity
         self.dtype = np.dtype(dtype)
-        self._buckets = {
-            (layer, h): _Bucket(head_dim, self.dtype)
-            for layer in self.memory_layers for h in range(n_heads)
-        }
-        self._insert_counter = 0
+        self._stores = {layer: _LayerStore(n_heads, head_dim, self.dtype)
+                        for layer in self.memory_layers}
+
+    def _store(self, layer: int, head: int = 0) -> _LayerStore:
+        if layer not in self._stores or not 0 <= head < self.n_heads:
+            raise ShapeError(f"(layer {layer}, head {head}) is not in this index")
+        return self._stores[layer]
 
     # -- writes ------------------------------------------------------------
-
-    def append(self, entries) -> int:
-        """Append individual MemoryEntry records; returns the new size."""
-        for e in entries:
-            if e.layer not in self.memory_layers or not (0 <= e.head < self.n_heads):
-                raise ShapeError(f"entry for unknown (layer={e.layer}, head={e.head})")
-            key = np.asarray(e.key, dtype=self.dtype)
-            val = np.asarray(e.value, dtype=self.dtype)
-            if key.shape != (self.head_dim,) or val.shape != (self.head_dim,):
-                raise ShapeError(f"entry key/value must be length {self.head_dim}")
-            self._check_capacity(1)
-            b = self._buckets[(e.layer, e.head)]
-            b._grow_to(b.size + 1)
-            b.keys[b.size] = key
-            b.values[b.size] = val
-            b.doc_ids[b.size] = e.doc_id
-            b.positions[b.size] = e.position
-            b.insert_ids[b.size] = self._insert_counter
-            self._insert_counter += 1
-            b.size += 1
-        return self.size()
 
     def append_block(self, layer: int, keys: np.ndarray, values: np.ndarray,
                      doc_id: int, positions) -> int:
         """Append one window's pairs for all heads: keys/values are [H, T, head_dim]."""
-        if layer not in self.memory_layers:
-            raise ShapeError(f"layer {layer} is not a memory layer of this index")
+        s = self._store(layer)
         keys = np.asarray(keys, dtype=self.dtype)
         values = np.asarray(values, dtype=self.dtype)
         if keys.shape != values.shape or keys.ndim != 3 or \
@@ -139,58 +120,42 @@ class MemoryIndex:
         pos = np.asarray(positions, dtype=np.int64)
         if pos.shape != (t,):
             raise ShapeError(f"positions {pos.shape} vs window length {t}")
-        self._check_capacity(t * self.n_heads)
-        base = self._insert_counter
-        for h in range(self.n_heads):
-            b = self._buckets[(layer, h)]
-            b._grow_to(b.size + t)
-            sl = slice(b.size, b.size + t)
-            b.keys[sl] = keys[h]
-            b.values[sl] = values[h]
-            b.doc_ids[sl] = doc_id
-            b.positions[sl] = pos
-            # all heads of one token share consecutive ranks; ordering within
-            # a block is by (token, head) to keep ids unique and monotone
-            b.insert_ids[sl] = base + np.arange(t, dtype=np.int64) * self.n_heads + h
-            b.size += t
-        self._insert_counter += t * self.n_heads
+        if self.capacity is not None and self.size() + t * self.n_heads > self.capacity:
+            raise CapacityError(f"memory capacity {self.capacity} exceeded")
+        s.put(keys, values, doc_id, pos)
         return self.size()
 
-    def _check_capacity(self, n_new: int) -> None:
-        if self.capacity is not None and self.size() + n_new > self.capacity:
-            raise CapacityError(f"memory capacity {self.capacity} exceeded")
-
     def reset_doc(self, doc_id: int) -> int:
-        for b in self._buckets.values():
-            mask = b.doc_ids[: b.size] != doc_id
+        for s in self._stores.values():
+            mask = s.doc_ids[: s.size] != doc_id
             if not mask.all():
-                b.filter_keep(mask)
+                s.filter_keep(mask)
         return self.size()
 
     def clear(self) -> int:
-        for b in self._buckets.values():
-            b.size = 0
+        for s in self._stores.values():
+            s.size = 0
         return self.size()
 
     # -- reads -------------------------------------------------------------
 
     def size(self) -> int:
         """Total stored entries, one per (layer, head, token)."""
-        return sum(b.size for b in self._buckets.values())
+        return self.n_heads * sum(s.size for s in self._stores.values())
 
     def stats(self) -> dict:
+        """Entry counts (one per (layer, head, token)) in total, per doc and per layer."""
         per_doc: dict[int, int] = {}
-        per_layer: dict[int, int] = {}
-        for (layer, _h), b in self._buckets.items():
-            per_layer[layer] = per_layer.get(layer, 0) + b.size
-            if b.size:
-                ids, counts = np.unique(b.doc_ids[: b.size], return_counts=True)
-                for d, c in zip(ids.tolist(), counts.tolist()):
-                    per_doc[d] = per_doc.get(d, 0) + c
+        for s in self._stores.values():
+            ids, counts = np.unique(s.doc_ids[: s.size], return_counts=True)
+            for d, c in zip(ids.tolist(), counts.tolist()):
+                per_doc[d] = per_doc.get(d, 0) + c * self.n_heads
+        per_layer = {layer: s.size * self.n_heads for layer, s in self._stores.items()}
         return {"size": self.size(), "per_doc": per_doc, "per_layer": per_layer}
 
-    def layer_size(self, layer: int, head: int = 0) -> int:
-        return self._buckets[(layer, head)].size
+    def layer_size(self, layer: int) -> int:
+        """Tokens stored for ``layer``; each of its heads holds all of them."""
+        return self._store(layer).size
 
     def topk(self, layer: int, queries: np.ndarray, k: int) -> TopkResult:
         """Exact top-k by inner product for a [H, Q, head_dim] query batch.
@@ -198,53 +163,29 @@ class MemoryIndex:
         Returns min(k, size) hits per query in descending score order; score
         ties go to the lower insertion index.
         """
+        s = self._store(layer)
         queries = np.asarray(queries, dtype=self.dtype)
         if queries.ndim != 3 or queries.shape[0] != self.n_heads or queries.shape[2] != self.head_dim:
             raise ShapeError(f"topk expects queries [H={self.n_heads}, Q, {self.head_dim}], got {queries.shape}")
-        h_count, q_count = queries.shape[0], queries.shape[1]
-        sizes = {self._buckets[(layer, h)].size for h in range(self.n_heads)}
-        if len(sizes) != 1:
-            raise ShapeError("batched topk needs equal bucket sizes across heads; "
-                             "use topk_entries for ragged stores")
-        n = sizes.pop()
+        h_count, q_count, n = queries.shape[0], queries.shape[1], s.size
         kk = min(k, n)
-        res = TopkResult(
-            indices=np.empty((h_count, q_count, kk), dtype=np.int64),
-            scores=np.empty((h_count, q_count, kk), dtype=self.dtype),
-            keys=np.empty((h_count, q_count, kk, self.head_dim), dtype=self.dtype),
-            values=np.empty((h_count, q_count, kk, self.head_dim), dtype=self.dtype),
-            doc_ids=np.empty((h_count, q_count, kk), dtype=np.int64),
-            positions=np.empty((h_count, q_count, kk), dtype=np.int64),
-            k=kk,
-        )
+        hqk, dh = (h_count, q_count, kk), (self.head_dim,)
+        res = TopkResult(indices=np.empty(hqk, np.int64), scores=np.empty(hqk, self.dtype),
+                         keys=np.empty(hqk + dh, self.dtype), values=np.empty(hqk + dh, self.dtype),
+                         doc_ids=np.empty(hqk, np.int64), positions=np.empty(hqk, np.int64), k=kk)
         if kk == 0:
             return res
         for h in range(h_count):
-            b = self._buckets[(layer, h)]
-            scores = queries[h] @ b.keys[: b.size].T  # [Q, n]
+            scores = queries[h] @ s.keys[h, :n].T  # [Q, n]
             top = _exact_topk_rows(scores, kk)
             res.indices[h] = top
             res.scores[h] = np.take_along_axis(scores, top, axis=1)
             # gather straight into the result, so each page is written once;
             # mode="clip" skips take's buffered copy (every index is < n)
-            for name in ("keys", "values", "doc_ids", "positions"):
-                np.take(getattr(b, name)[:n], top, axis=0, out=getattr(res, name)[h], mode="clip")
+            for name, src in (("keys", s.keys[h]), ("values", s.values[h]),
+                              ("doc_ids", s.doc_ids), ("positions", s.positions)):
+                np.take(src[:n], top, axis=0, out=getattr(res, name)[h], mode="clip")
         return res
-
-    def topk_entries(self, layer: int, head: int, query: np.ndarray, k: int) -> list[tuple[MemoryEntry, float]]:
-        """Single-query convenience wrapper returning (entry, score) pairs."""
-        b = self._buckets[(layer, head)]
-        if b.size == 0 or k <= 0:
-            return []
-        q = np.asarray(query, dtype=self.dtype)
-        scores = (b.keys[: b.size] @ q).reshape(1, -1)
-        top = _exact_topk_rows(scores, min(k, b.size))[0]
-        return [
-            (MemoryEntry(layer, head, b.keys[i].copy(), b.values[i].copy(),
-                         int(b.doc_ids[i]), int(b.positions[i])),
-             float(scores[0, i]))
-            for i in top
-        ]
 
     def neighborhood(self, layer: int, head: int, doc_id: int, position: int,
                      radius: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -253,18 +194,18 @@ class MemoryIndex:
 
         Returns (keys [m, head_dim], positions [m], index of the center entry).
         """
-        b = self._buckets[(layer, head)]
-        sel = (b.doc_ids[: b.size] == doc_id) & \
-              (np.abs(b.positions[: b.size] - position) <= radius)
+        s = self._store(layer, head)
+        sel = (s.doc_ids[: s.size] == doc_id) & \
+              (np.abs(s.positions[: s.size] - position) <= radius)
         idx = np.flatnonzero(sel)
         if idx.size == 0:
             raise ShapeError(f"no entries near doc {doc_id} position {position}")
-        order = np.argsort(b.positions[idx], kind="stable")
+        order = np.argsort(s.positions[idx], kind="stable")
         idx = idx[order]
-        center = np.flatnonzero(b.positions[idx] == position)
+        center = np.flatnonzero(s.positions[idx] == position)
         if center.size == 0:
             raise ShapeError(f"entry at doc {doc_id} position {position} not stored")
-        return b.keys[idx].copy(), b.positions[idx].copy(), int(center[0])
+        return s.keys[head, idx], s.positions[idx], int(center[0])
 
     # -- persistence ---------------------------------------------------------
 
@@ -274,16 +215,13 @@ class MemoryIndex:
             f.write(struct.pack("<IIII", FORMAT_VERSION, len(self.memory_layers),
                                 self.n_heads, self.head_dim))
             f.write(struct.pack(f"<{len(self.memory_layers)}I", *self.memory_layers))
-            f.write(struct.pack("<qq", self._insert_counter,
-                                -1 if self.capacity is None else self.capacity))
-            f.write(struct.pack("<I", len(self._buckets)))
-            for (layer, h), b in sorted(self._buckets.items()):
-                f.write(struct.pack("<IIq", layer, h, b.size))
-                f.write(b.keys[: b.size].astype("<f4").tobytes())
-                f.write(b.values[: b.size].astype("<f4").tobytes())
-                f.write(b.doc_ids[: b.size].astype("<i8").tobytes())
-                f.write(b.positions[: b.size].astype("<i8").tobytes())
-                f.write(b.insert_ids[: b.size].astype("<i8").tobytes())
+            f.write(struct.pack("<q", -1 if self.capacity is None else self.capacity))
+            for layer, s in self._stores.items():
+                f.write(struct.pack("<Iq", layer, s.size))
+                f.write(s.keys[:, : s.size].astype("<f4").tobytes())
+                f.write(s.values[:, : s.size].astype("<f4").tobytes())
+                f.write(s.doc_ids[: s.size].astype("<i8").tobytes())
+                f.write(s.positions[: s.size].astype("<i8").tobytes())
 
     @classmethod
     def load(cls, path) -> "MemoryIndex":
@@ -311,37 +249,27 @@ class MemoryIndex:
         if version != FORMAT_VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
         layers = unpack(f"<{n_layers}I")
-        counter, capacity = unpack("<qq")
-        (n_buckets,) = unpack("<I")
-        # one 16-byte header per (layer, head) must follow: this bounds what
+        (capacity,) = unpack("<q")
+        # one 12-byte record header per layer must follow: this bounds what
         # the index below allocates by the file's size
-        if len(set(layers)) != n_layers or n_buckets != n_layers * n_heads or \
-                16 * n_buckets > len(raw) - off:
-            raise FormatError(f"{path}: {n_buckets} buckets for layers {layers} x {n_heads} heads")
+        if len(set(layers)) != n_layers or 12 * n_layers > len(raw) - off:
+            raise FormatError(f"{path}: layers {layers} do not fit the file")
         idx = cls(layers, n_heads, head_dim, capacity=None if capacity < 0 else capacity)
-        idx._insert_counter = counter
-        unread = dict(idx._buckets)
-        for _ in range(n_buckets):
-            layer, h, size = unpack("<IIq")
-            b = unread.pop((layer, h), None)
-            if b is None or size < 0:
-                raise FormatError(f"{path}: unknown or repeated bucket (layer={layer}, head={h}) "
+        unread = dict(idx._stores)
+        for _ in range(n_layers):
+            layer, size = unpack("<Iq")
+            s = unread.pop(layer, None)
+            if s is None or size < 0:
+                raise FormatError(f"{path}: unknown or repeated layer {layer} "
                                   f"or negative size {size}")
-            keys, values = array("<f4", size * head_dim), array("<f4", size * head_dim)
-            doc_ids, positions, insert_ids = (array("<i8", size) for _ in range(3))
-            b._grow_to(size)
-            b.keys[:size] = keys.reshape(size, head_dim)
-            b.values[:size] = values.reshape(size, head_dim)
-            b.doc_ids[:size] = doc_ids
-            b.positions[:size] = positions
-            b.insert_ids[:size] = insert_ids
-            b.size = size
+            keys, values = (array("<f4", n_heads * size * head_dim).reshape(n_heads, size, head_dim)
+                            for _ in range(2))
+            s.put(keys, values, array("<i8", size), array("<i8", size))
         if off != len(raw):
             raise FormatError(f"{path}: {len(raw) - off} trailing bytes")
         if idx.capacity is not None and idx.size() > idx.capacity:
             raise FormatError(f"{path}: {idx.size()} entries exceed capacity {idx.capacity}")
         return idx
-
 
 def _exact_topk_rows(scores: np.ndarray, k: int) -> np.ndarray:
     """Row-wise exact top-k indices of ``scores`` [Q, n] for 1 <= k <= n,

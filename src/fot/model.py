@@ -15,7 +15,6 @@ in "none" mode the memory layers use no positional encoding at all.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import struct
 from dataclasses import dataclass
@@ -184,8 +183,6 @@ class AttentionRecord:
 class TrainForward:
     logits: Tensor                     # [b, T, vocab]
     records: list[AttentionRecord]
-    tape: N.Tape | None
-    loss: Tensor | None = None         # masked mean NLL when requested
 
 
 @dataclass
@@ -590,45 +587,30 @@ class Transformer:
         return logits, records if collect_records else []
 
     def forward_train(self, batch: TrainBatch, plan: CrossbatchPlan, *,
-                      differentiable: bool = True, with_tape: bool = True,
-                      collect_records: bool = True,
-                      compute_loss: bool = False) -> TrainForward:
+                      differentiable: bool = True,
+                      collect_records: bool = True) -> TrainForward:
         """Crossbatch training forward over one batch.
 
         Previous windows referenced by the plan are re-encoded in the same
         pass, so with ``differentiable`` the loss gradient flows into their
         keys and values; ``differentiable=False`` is the stop-gradient
-        ablation. ``with_tape=False`` runs evaluation-only. If a tape is
-        already active the forward records onto it instead of nesting a new
-        one. ``compute_loss`` adds the masked mean NLL against the batch
-        targets on the same tape.
+        ablation. The forward records onto the caller's active tape, if
+        there is one; with none it runs evaluation-only.
         """
         b, t = batch.cur_tokens.shape
         if t != self.cfg.local_ctx_len:
             raise UsageError(f"window length {t} != local_ctx_len {self.cfg.local_ctx_len}")
         prev_tokens, row_of = plan_rows(plan, batch)
-
-        tape: N.Tape | None = None
-        ctx: N.Tape | contextlib.nullcontext = contextlib.nullcontext()
-        if with_tape:
-            tape = N.active_tape()
-            if tape is None:
-                tape = N.Tape()
-                ctx = tape
-        with ctx:
-            extras: dict[int, _Extras] = {}
-            gather = _plan_gather(plan, row_of, range(b), t, self.dtype)
-            if gather is not None:
-                def pick(src: Tensor) -> Tensor:
-                    g = N.take_rows(src, gather.rows)
-                    return g if differentiable else N.stop_gradient(g)
-                extras = {li: gather.extras(pick(k), pick(v))
-                          for li, (k, v) in self.encode_windows(prev_tokens).items()}
-            logits, records = self._current_rows(batch.cur_tokens, extras, gather, collect_records)
-            loss = None
-            if compute_loss:
-                loss = N.cross_entropy_masked(logits, batch.cur_targets, batch.cur_mask)
-        return TrainForward(logits, records, tape, loss)
+        extras: dict[int, _Extras] = {}
+        gather = _plan_gather(plan, row_of, range(b), t, self.dtype)
+        if gather is not None:
+            def pick(src: Tensor) -> Tensor:
+                g = N.take_rows(src, gather.rows)
+                return g if differentiable else N.stop_gradient(g)
+            extras = {li: gather.extras(pick(k), pick(v))
+                      for li, (k, v) in self.encode_windows(prev_tokens).items()}
+        logits, records = self._current_rows(batch.cur_tokens, extras, gather, collect_records)
+        return TrainForward(logits, records)
 
     # -- inference forward -----------------------------------------------------
 
@@ -793,10 +775,12 @@ def crossbatch_grad_step(model: Transformer, batch: TrainBatch, plan: Crossbatch
 
     score_bytes = model.dtype.itemsize * b * cfg.n_heads * t * t * (1 + plan.max_windows)
     if score_bytes <= FULL_TAPE_SCORE_BYTES and not force_chunked:
-        fwd = model.forward_train(batch, plan, differentiable=differentiable,
-                                  collect_records=collect_records, compute_loss=True)
-        N.backward(fwd.tape, fwd.loss)
-        return fwd.loss.item(), fwd.records
+        with N.Tape() as tape:
+            fwd = model.forward_train(batch, plan, differentiable=differentiable,
+                                      collect_records=collect_records)
+            loss = N.cross_entropy_masked(fwd.logits, batch.cur_targets, batch.cur_mask)
+        N.backward(tape, loss)
+        return loss.item(), fwd.records
 
     prev_tokens, row_of = plan_rows(plan, batch)
     prev_vals = _encode_values(model, prev_tokens)  # no tape active here

@@ -312,11 +312,8 @@ def stop_gradient(x: Tensor) -> Tensor:
     return Tensor(x.data.copy(), requires_grad=False)
 
 
-def softmax_last_axis(x: Tensor, temperature: float = 1.0) -> Tensor:
-    if temperature <= 0:
-        raise UsageError(f"softmax temperature must be > 0, got {temperature}")
-    z = x.data if temperature == 1.0 else x.data / x.data.dtype.type(temperature)
-    z = z - z.max(axis=-1, keepdims=True)
+def softmax_last_axis(x: Tensor) -> Tensor:
+    z = x.data - x.data.max(axis=-1, keepdims=True)
     np.exp(z, out=z)
     y = z
     y /= y.sum(axis=-1, keepdims=True)
@@ -327,8 +324,6 @@ def softmax_last_axis(x: Tensor, temperature: float = 1.0) -> Tensor:
             dot = (g * y).sum(axis=-1, keepdims=True)
             g -= dot
             g *= y
-            if temperature != 1.0:
-                g /= x.data.dtype.type(temperature)
             _accum(x, g, owned=True)
 
     return _record(out, (x,), bwd)

@@ -190,7 +190,7 @@ def test_criterion_1_gradient_fidelity():
             (lambda: N.sum_all(N.mul(N.reshape(x, (6, 3)), Tensor(np.ones((6, 3))))), [x]),
             (lambda: N.sum_all(N.mul(N.transpose(x, (1, 0)), Tensor(np.ones((6, 3))))), [x]),
             (lambda: N.sum_all(N.mul(N.take_rows(x, [2, 0]), Tensor(np.ones((2, 6))))), [x]),
-            (lambda: N.sum_all(N.mul(N.softmax_last_axis(x, 0.8), w)), [x]),
+            (lambda: N.sum_all(N.mul(N.softmax_last_axis(x), w)), [x]),
             (lambda: N.sum_all(N.mul(N.rms_norm(x, gain), w)), [x, gain]),
             (lambda: N.sum_all(N.mul(N.l2_normalize_last_axis(x), w)), [x]),
             (lambda: N.sum_all(N.mul(N.rotary_encode(xr, pos), wr)), [xr]),
@@ -279,7 +279,7 @@ def test_criterion_3_reduction_equivalences():
                            np.zeros((3, 1, 16), np.int64), np.zeros((3, 1), bool),
                            np.arange(3), np.zeros(3, np.int64), 0)
         plan = CrossbatchPlan([[] for _ in range(3)], 1, [0] * 3, [[] for _ in range(3)])
-        fwd = model.forward_train(batch, plan, with_tape=False, collect_records=False)
+        fwd = model.forward_train(batch, plan, collect_records=False)
         vanilla = model.forward_long(toks, chunk=None)
         worst_a = max(worst_a, float(np.abs(fwd.logits.data - vanilla).max()))
 
@@ -290,8 +290,7 @@ def test_criterion_3_reduction_equivalences():
                         w1[None, None], np.ones((1, 1), bool),
                         np.zeros(1, np.int64), np.zeros(1, np.int64), 0)
         p2 = CrossbatchPlan([[PlanWindow(0, 0, "positive", 1)]], 1, [1], [[0]])
-        train_logits = model.forward_train(b2, p2, with_tape=False,
-                                           collect_records=False).logits.data[0]
+        train_logits = model.forward_train(b2, p2, collect_records=False).logits.data[0]
         memory = MemoryIndex(cfg.memory_layers, cfg.n_heads, cfg.head_dim)
         first = model.forward_infer(w1, memory, k=0)
         for li, (kk, vv) in first.new_kv.items():

@@ -267,7 +267,7 @@ def test_r_matches_raw_weight_dump(tmp_path):
         np.arange(4), np.zeros(4, np.int64), 0)
     plan = make_eval_exposure_plan(4, 3, batch.unit_ids)
     model.debug_sink = []
-    fwd = model.forward_train(batch, plan, with_tape=False)
+    fwd = model.forward_train(batch, plan)
     sink = model.debug_sink
     model.debug_sink = None
     r_records = A.positive_attention_mass(fwd.records).r

@@ -1,6 +1,10 @@
 """Exact kNN store: append/search semantics, oracle equality, persistence."""
 
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,23 +12,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fot.errors import CapacityError, FormatError, NumericError, ShapeError
-from fot.memstore import MemoryEntry, MemoryIndex, brute_force_topk
+from fot.memstore import MAGIC, MemoryIndex, brute_force_topk
 
 
 def make_index(**kw):
     return MemoryIndex(memory_layers=[2], n_heads=2, head_dim=8, **kw)
 
 
-def entry(key, doc=0, pos=0, head=0):
-    k = np.asarray(key, dtype=np.float32)
-    return MemoryEntry(2, head, k, -k, doc, pos)
+def block(keys, doc=0, positions=None):
+    """append_block arguments for layer 2 of ``make_index``: the [T, 8] keys
+    go to both heads, with their negation as values."""
+    k = np.broadcast_to(np.asarray(keys, dtype=np.float32), (2, len(keys), 8))
+    return 2, k, -k, doc, np.arange(len(keys)) if positions is None else positions
 
 
 def test_append_zero_and_n():
     idx = make_index()
-    assert idx.append([]) == 0
-    idx.append([entry(np.arange(8), pos=i) for i in range(3)])
-    assert idx.size() == 3
+    assert idx.append_block(*block(np.empty((0, 8)))) == 0
+    assert idx.append_block(*block(np.tile(np.arange(8), (3, 1)))) == 6  # 3 tokens x 2 heads
+    assert idx.size() == 6 and idx.layer_size(2) == 3
 
 
 def test_self_match_tops_for_unit_keys():
@@ -32,17 +38,21 @@ def test_self_match_tops_for_unit_keys():
     rng = np.random.default_rng(0)
     keys = rng.standard_normal((10, 8)).astype(np.float32)
     keys /= np.linalg.norm(keys, axis=1, keepdims=True)
-    idx.append([entry(keys[i], pos=i) for i in range(10)])
-    hits = idx.topk_entries(2, 0, keys[4], k=1)
-    assert hits[0][0].position == 4
+    idx.append_block(*block(keys))
+    res = idx.topk(2, np.stack([keys[4:5], keys[4:5]]), k=1)
+    np.testing.assert_array_equal(res.positions, [[[4]], [[4]]])
 
 
 def test_topk_empty_and_single():
     idx = make_index()
-    assert idx.topk_entries(2, 0, np.ones(8, np.float32), 5) == []
-    idx.append([entry(np.ones(8), pos=9)])
-    hits = idx.topk_entries(2, 0, np.ones(8, np.float32), 5)
-    assert len(hits) == 1 and hits[0][0].position == 9
+    q = np.ones((2, 3, 8), np.float32)
+    res = idx.topk(2, q, 5)
+    assert res.k == 0 and res.indices.shape == res.positions.shape == (2, 3, 0)
+    assert res.keys.shape == (2, 3, 0, 8)
+    idx.append_block(*block(np.ones((1, 8)), positions=[9]))
+    res = idx.topk(2, q, 5)
+    assert res.k == 1 and (res.positions == 9).all() and (res.scores == 8).all()
+    np.testing.assert_array_equal(res.values, -np.ones((2, 3, 1, 8)))
 
 
 def test_topk_matches_brute_force_oracle():
@@ -146,14 +156,14 @@ def test_scores_are_recomputable_inner_products():
 def test_reset_doc_and_clear():
     idx = make_index()
     assert idx.clear() == 0
-    idx.append([entry(np.arange(8), doc=7, pos=i) for i in range(3)])
-    idx.append([entry(np.arange(8) + 1, doc=8, pos=i) for i in range(2)])
-    assert idx.stats()["per_doc"] == {7: 3, 8: 2}
-    assert idx.reset_doc(99) == 5  # unknown doc is a no-op
-    assert idx.reset_doc(7) == 2
-    hits = idx.topk_entries(2, 0, np.ones(8, np.float32), 10)
-    assert all(h[0].doc_id == 8 for h in hits)
-    assert idx.clear() == 0
+    idx.append_block(*block(np.tile(np.arange(8), (3, 1)), doc=7))
+    idx.append_block(*block(np.tile(np.arange(8) + 1, (2, 1)), doc=8))
+    assert idx.stats()["per_doc"] == {7: 6, 8: 4}
+    assert idx.reset_doc(99) == 10  # unknown doc is a no-op
+    assert idx.reset_doc(7) == 4
+    res = idx.topk(2, np.ones((2, 1, 8), np.float32), 10)
+    assert res.k == 2 and (res.doc_ids == 8).all()
+    assert idx.clear() == 0 and idx.topk(2, np.ones((2, 1, 8), np.float32), 10).k == 0
 
 
 def test_reset_doc_preserves_unrelated_topk():
@@ -175,10 +185,11 @@ def test_reset_doc_preserves_unrelated_topk():
 def test_stats_counts_sum_to_size():
     idx = make_index()
     assert idx.stats() == {"size": 0, "per_doc": {}, "per_layer": {2: 0}}
-    idx.append([entry(np.arange(8), doc=7, pos=i) for i in range(3)])
+    idx.append_block(*block(np.tile(np.arange(8), (3, 1)), doc=7))
+    idx.append_block(*block(np.ones((2, 8)), doc=9))
     st = idx.stats()
-    assert sum(st["per_doc"].values()) == st["size"] == 3
-    assert sum(st["per_layer"].values()) == st["size"]
+    assert st == {"size": 10, "per_doc": {7: 6, 9: 4}, "per_layer": {2: 10}}
+    assert sum(st["per_doc"].values()) == sum(st["per_layer"].values()) == st["size"]
 
 
 def test_monotone_growth_without_resets():
@@ -200,38 +211,53 @@ def test_capacity_cap_is_hard():
 
 def test_geometry_mismatch_rejected():
     idx = make_index()
-    with pytest.raises(ShapeError):
-        idx.append([MemoryEntry(5, 0, np.ones(8, np.float32), np.ones(8, np.float32), 0, 0)])
-    with pytest.raises(ShapeError):
-        idx.append([entry(np.ones(3))])
-    with pytest.raises(ShapeError):
-        idx.append_block(2, np.ones((1, 2, 8)), np.ones((1, 2, 8)), 0, [0, 1])
+    ones = np.ones((2, 2, 8), np.float32)
+    with pytest.raises(ShapeError):  # unknown layer
+        idx.append_block(5, ones, ones, 0, [0, 1])
+    with pytest.raises(ShapeError):  # wrong H
+        idx.append_block(2, ones[:1], ones[:1], 0, [0, 1])
+    with pytest.raises(ShapeError):  # wrong head_dim
+        idx.append_block(2, ones[..., :3], ones[..., :3], 0, [0, 1])
+    with pytest.raises(ShapeError):  # one position per token
+        idx.append_block(2, ones, ones, 0, [0])
+    idx.append_block(2, ones, ones, 0, [0, 1])
+    for layer, q in ((5, ones), (2, ones[:1]), (2, ones[..., :3])):
+        with pytest.raises(ShapeError):
+            idx.topk(layer, q, 1)
+    assert idx.size() == 4
 
 
 def test_neighborhood_window():
-    idx = MemoryIndex([0], 1, 4)
-    keys = np.arange(40, dtype=np.float32).reshape(10, 4)
-    idx.append_block(0, keys[None], keys[None], doc_id=3, positions=np.arange(10) * 2)
-    ks, pos, center = idx.neighborhood(0, 0, doc_id=3, position=8, radius=5)
+    idx = MemoryIndex([0], 2, 4)
+    keys = np.arange(80, dtype=np.float32).reshape(2, 10, 4)
+    idx.append_block(0, keys, keys, doc_id=3, positions=np.arange(10) * 2)
+    ks, pos, center = idx.neighborhood(0, 1, doc_id=3, position=8, radius=5)
     np.testing.assert_array_equal(pos, [4, 6, 8, 10, 12])
+    np.testing.assert_array_equal(ks, keys[1, 2:7])
     assert center == 2
+    for layer, head in ((1, 0), (0, -1), (0, 2)):
+        with pytest.raises(ShapeError):
+            idx.neighborhood(layer, head, doc_id=3, position=8, radius=5)
 
 
 def test_dump_load_roundtrip(tmp_path):
     rng = np.random.default_rng(4)
-    idx = make_index(capacity=1000)
-    keys = rng.standard_normal((2, 6, 8)).astype(np.float32)
-    idx.append_block(2, keys, -keys, doc_id=5, positions=np.arange(6))
+    idx = MemoryIndex([2, 3], n_heads=2, head_dim=8, capacity=1000)  # layer 3 stays empty
+    for doc in range(3):
+        keys = rng.standard_normal((2, 6, 8)).astype(np.float32)
+        idx.append_block(2, keys, rng.standard_normal((2, 6, 8)), doc_id=doc,
+                         positions=np.arange(6) + 10 * doc)
+    idx.reset_doc(1)
     path = tmp_path / "mem.fotm"
     idx.dump(path)
     back = MemoryIndex.load(path)
-    assert back.size() == idx.size()
-    assert back.capacity == 1000
+    assert (back.size(), back.capacity, back.stats()) == (idx.size(), 1000, idx.stats())
     q = rng.standard_normal((2, 3, 8)).astype(np.float32)
-    a, b = idx.topk(2, q, 4), back.topk(2, q, 4)
-    np.testing.assert_array_equal(a.indices, b.indices)
-    np.testing.assert_array_equal(a.scores, b.scores)
-    np.testing.assert_array_equal(a.doc_ids, b.doc_ids)
+    for layer in (2, 3):
+        a, b = idx.topk(layer, q, 4), back.topk(layer, q, 4)
+        assert a.k == b.k == (4 if layer == 2 else 0)
+        for name in ("indices", "scores", "keys", "values", "doc_ids", "positions"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_load_rejects_bad_magic(tmp_path):
@@ -241,23 +267,31 @@ def test_load_rejects_bad_magic(tmp_path):
         MemoryIndex.load(p)
 
 
+def test_load_rejects_version_1(tmp_path):
+    # an empty one-layer, one-head index in the version-1 layout: geometry,
+    # layer ids, insert counter and capacity, then per-(layer, head) buckets
+    p = tmp_path / "v1.fotm"
+    p.write_bytes(MAGIC + struct.pack("<IIIIIqqIIIq", 1, 1, 1, 4, 0, 0, -1, 1, 0, 0, 0))
+    with pytest.raises(FormatError, match="version 1"):
+        MemoryIndex.load(p)
+
+
 def test_load_rejects_every_truncation_and_header_bit_flip(tmp_path):
     rng = np.random.default_rng(6)
-    idx = MemoryIndex([2, 3], n_heads=2, head_dim=4, capacity=100)
+    idx = MemoryIndex([2, 3], n_heads=2, head_dim=4, capacity=100)  # layer 3 stays empty
     keys = rng.standard_normal((2, 3, 4)).astype(np.float32)
     idx.append_block(2, keys, -keys, doc_id=1, positions=np.arange(3))
-    idx.append([MemoryEntry(3, 1, keys[0, 0], keys[0, 1], 2, 7)])  # (3, 0) stays empty
     path = tmp_path / "mem.fotm"
     idx.dump(path)
     raw = path.read_bytes()
     # header fields with no free value: magic, version, geometry, layer ids,
-    # bucket count, then every bucket's (layer, head, size)
-    header = [*range(0, 28), *range(44, 48)]
-    off = 48
-    for _ in range(4):
-        size = struct.unpack_from("<q", raw, off + 8)[0]
-        header += range(off, off + 16)
-        off += 16 + size * (2 * 4 * 4 + 3 * 8)
+    # then every layer's (layer, size); the capacity at bytes 28-36 is free
+    header = [*range(0, 28)]
+    off = 36
+    for _ in range(2):
+        size = struct.unpack_from("<q", raw, off + 4)[0]
+        header += range(off, off + 12)
+        off += 12 + size * (2 * 2 * 4 * 4 + 2 * 8)
     assert off == len(raw)
     bad = [raw[:i] for i in range(len(raw))]
     bad += [raw[:i] + bytes([raw[i] ^ 1 << bit]) + raw[i + 1:] for i in header for bit in range(8)]
@@ -265,3 +299,14 @@ def test_load_rejects_every_truncation_and_header_bit_flip(tmp_path):
         path.write_bytes(blob)
         with pytest.raises(FormatError):
             MemoryIndex.load(path)
+
+
+def test_memory_index_demo_runs():
+    """The demo uses only the public API, so it runs against any store layout."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(root / "demos" / "02_memory_index.py")],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "reloaded index returns identical results" in proc.stdout

@@ -55,7 +55,7 @@ def test_d0_equals_vanilla(mode):
     # give the zero-initialized head real weights so logits are nontrivial
     model.params["lm_head"].data[:] = rng.normal(0, 0.1, size=(16, 13)).astype(np.float32)
     batch = make_batch(rng, cfg, b=3)
-    fwd = model.forward_train(batch, empty_plan(3), with_tape=False)
+    fwd = model.forward_train(batch, empty_plan(3))
     vanilla = model.forward_long(batch.cur_tokens, chunk=None)
     assert np.abs(fwd.logits.data - vanilla).max() <= 1e-6
 
@@ -88,7 +88,7 @@ def test_train_infer_equivalence(mode, integration):
                        w1[None, None], np.ones((1, 1), bool),
                        np.zeros(1, np.int64), np.zeros(1, np.int64), 0)
     plan = CrossbatchPlan([[PlanWindow(0, 0, "positive", 1)]], 1, [1], [[0]])
-    train_logits = model.forward_train(batch, plan, with_tape=False).logits.data[0]
+    train_logits = model.forward_train(batch, plan).logits.data[0]
 
     memory = MemoryIndex(cfg.memory_layers, cfg.n_heads, cfg.head_dim)
     first = model.forward_infer(w1, memory, k=0)
@@ -184,7 +184,7 @@ def test_record_buckets_sum_to_one_untrained():
     model = Transformer(cfg, seed=6)
     batch = make_batch(rng, cfg, b=4)
     plan = exposure_plan(4, d=2)
-    fwd = model.forward_train(batch, plan, with_tape=False)
+    fwd = model.forward_train(batch, plan)
     rec = fwd.records[0]
     total = rec.bucket_total()
     np.testing.assert_allclose(total, 1.0, atol=1e-5)
@@ -200,7 +200,7 @@ def test_record_buckets_sum_to_one_gated():
     model = Transformer(cfg, seed=7)
     model.params["layers.1.gate_bias"].data[...] = 0.7
     batch = make_batch(rng, cfg, b=3)
-    fwd = model.forward_train(batch, exposure_plan(3, 3), with_tape=False)
+    fwd = model.forward_train(batch, exposure_plan(3, 3))
     np.testing.assert_allclose(fwd.records[0].bucket_total(), 1.0, atol=1e-5)
 
 
@@ -209,11 +209,12 @@ def test_record_buckets_sum_to_one_gated():
 # ---------------------------------------------------------------------------
 
 def _loss_of(model, batch, plan, differentiable=True):
-    fwd = model.forward_train(batch, plan, differentiable=differentiable,
-                              compute_loss=True)
-    N.backward(fwd.tape, fwd.loss)
-    return fwd.loss.item(), {k: (None if p.grad is None else p.grad.copy())
-                             for k, p in model.params.items()}
+    with N.Tape() as tape:
+        fwd = model.forward_train(batch, plan, differentiable=differentiable)
+        loss = N.cross_entropy_masked(fwd.logits, batch.cur_targets, batch.cur_mask)
+    N.backward(tape, loss)
+    return loss.item(), {k: (None if p.grad is None else p.grad.copy())
+                         for k, p in model.params.items()}
 
 
 def _randomize_head(model, rng):
@@ -309,7 +310,7 @@ def test_slot_logits_ignore_neighbour_plans(integration):
     model.params["layers.1.gate_bias"].data[...] = 0.5
     batch = make_batch(rng, cfg, b=2)
     neighbour_has_window = _without_windows(exposure_plan(2, 1), [1])
-    logits = [model.forward_train(batch, plan, with_tape=False).logits.data[1]
+    logits = [model.forward_train(batch, plan).logits.data[1]
               for plan in (neighbour_has_window, empty_plan(2))]
     assert np.abs(logits[0] - logits[1]).max() <= 1e-10
 

@@ -15,7 +15,7 @@ from fot.config import (TrainConfig, apply_overrides, config_hash, emit_config,
                         get_preset, parse_config)
 from fot.errors import (CapacityError, ConfigError, DataError, FormatError, FotError,
                         NumericError, ShapeError, UsageError)
-from fot.model import ModelConfig, Transformer, load_checkpoint
+from fot.model import ModelConfig, Transformer, load_checkpoint, save_checkpoint
 from fot.numerics import Tensor
 from fot.pipeline import TrainBatch, make_eval_exposure_plan
 from fot.training import Adam, AdaFactor, RunManifest, inverse_sqrt_lr, train
@@ -110,10 +110,12 @@ def test_overfit_one_batch_loss_decreases():
     losses = []
     for step in range(500):
         model.zero_grads()
-        fwd = model.forward_train(batch, plan, compute_loss=True, collect_records=False)
-        N.backward(fwd.tape, fwd.loss)
+        with N.Tape() as tape:
+            fwd = model.forward_train(batch, plan, collect_records=False)
+            loss = N.cross_entropy_masked(fwd.logits, batch.cur_targets, batch.cur_mask)
+        N.backward(tape, loss)
         opt.step(3e-3)
-        losses.append(fwd.loss.item())
+        losses.append(loss.item())
         if losses[-1] < 0.1:
             break
     assert losses[-1] < 0.1, f"stuck at {losses[-1]:.3f}"
@@ -266,6 +268,23 @@ def test_cli_maps_every_error_to_its_exit_code(exc, monkeypatch):
     code, _, err = run_cli("inspect", "--checkpoint", "unused.fotc")
     assert code == CLI_EXIT_CODES[exc]
     assert err.endswith(": boom\n") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("train", "--override", "d_kind=segments", "--override", "segments=1:1", "--out", "{tmp}"),
+    ("train", "--override", "d_kind=random", "--override", "d_choices=2,x", "--out", "{tmp}"),
+    ("train", "--override", "model.memory_layers=2,x", "--out", "{tmp}"),
+    ("sweep", "--grid", "d=1,2;steps", "--out", "{tmp}"),
+    ("eval", "--checkpoint", "{ck}", "--suite", "ppl", "--axis", "d=x", "--out", "{tmp}/m.csv"),
+], ids=["segments", "d_choices", "memory_layers", "sweep_grid", "eval_axis"])
+def test_cli_bad_config_value_is_config_error(argv, tmp_path):
+    cfg = ModelConfig(n_layers=1, d_model=16, n_heads=2, head_dim=8, ff_dim=32,
+                      vocab_size=64, memory_layers=(0,), local_ctx_len=16)
+    ck = tmp_path / "m.fotc"
+    save_checkpoint(ck, cfg, Transformer(cfg, seed=0).params)
+    code, _, err = run_cli(*(a.format(tmp=tmp_path / "out", ck=ck) for a in argv))
+    assert code == 2 and err.startswith("config error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_gen_data_and_eval(tmp_path):
