@@ -42,8 +42,7 @@ while step < STEPS:
         continue  # definition window: becomes the next step's positive context
     plan = pipe.build_plan(step, batch)
     model.zero_grads()
-    loss, records = crossbatch_grad_step(model, batch, plan, chunk_slots=8,
-                                         collect_records=step % 40 == 0)
+    loss, records = crossbatch_grad_step(model, batch, plan, collect_records=step % 40 == 0)
     clip_global_norm(model.params, 1.0)
     opt.step(inverse_sqrt_lr(step, cfg.max_lr, cfg.min_lr, cfg.warmup_steps))
     if step % 40 == 0:

@@ -28,12 +28,12 @@ def doc_iter(seed):
 print("untrained model, synthetic text, exposure to d contexts:")
 print(f"{'d':>4} {'r':>8} {'1/d':>8} {'band [0.5/d, 3/d]':>22} {'queries':>8}")
 for d in (4, 8, 16):
-    rep = distraction_eval(model, doc_iter(d), d, min_queries=800, chunk_slots=8)
+    rep = distraction_eval(model, doc_iter(d), d, min_queries=800)
     lo, hi = 0.5 / d, 3.0 / d
     mark = "ok" if lo <= rep.r <= hi else "OUT"
     print(f"{d:>4} {rep.r:>8.4f} {1/d:>8.4f} {f'[{lo:.4f}, {hi:.4f}] {mark}':>22} "
           f"{rep.n_queries:>8}")
 
 print("\nper-context share at d=8 (context 1 is the positive):")
-rep = distraction_eval(model, doc_iter(8), 8, min_queries=400, chunk_slots=8)
+rep = distraction_eval(model, doc_iter(8), 8, min_queries=400)
 print(" ", np.round(rep.per_context_share, 4))

@@ -47,7 +47,7 @@ def positive_attention_mass(records: list[AttentionRecord]) -> DistractionReport
     if not records:
         raise UsageError("no attention records")
     r_all: list[np.ndarray] = []
-    per_layer: dict[int, float] = {}
+    per_layer: dict[int, list[np.ndarray]] = {}
     shares_sum = None
     n_skipped = 0
     d = 0
@@ -63,7 +63,7 @@ def positive_attention_mass(records: list[AttentionRecord]) -> DistractionReport
         n_skipped += int((~ok).sum())
         r_q = np.where(ok, (rec.per_context * pos).sum(axis=-1) / np.where(ok, total, 1.0), 0.0)
         r_all.append(r_q[ok])
-        per_layer[rec.layer] = float(r_q[ok].mean()) if ok.any() else float("nan")
+        per_layer.setdefault(rec.layer, []).append(r_q[ok])
         share = rec.per_context / np.where(ok, total, 1.0)[..., None]
         share_mean = share[ok].mean(axis=0)
         if shares_sum is None:
@@ -76,15 +76,16 @@ def positive_attention_mass(records: list[AttentionRecord]) -> DistractionReport
     flat = np.concatenate(r_all)
     if flat.size == 0:
         raise UsageError("all queries had zero planned-context mass")
+    per_layer_r = {li: float(np.concatenate(rs).mean()) if sum(r.size for r in rs)
+                   else float("nan") for li, rs in per_layer.items()}
     return DistractionReport(
         r=float(flat.mean()), d=d, n_queries=int(flat.size),
-        per_context_share=shares_sum / flat.size, per_layer_r=per_layer,
+        per_context_share=shares_sum / flat.size, per_layer_r=per_layer_r,
         n_skipped=n_skipped)
 
 
 def distraction_eval(model: Transformer, doc_iter, d: int, *,
-                     min_queries: int = 1000, chunk_slots: int = 8,
-                     max_batches: int = 64) -> DistractionReport:
+                     min_queries: int = 1000, max_batches: int = 64) -> DistractionReport:
     """Expose the model to d contexts exactly as in crossbatch training.
 
     Feeds a b_S = d pipeline, skips steps where any slot lacks a previous
@@ -105,7 +106,7 @@ def distraction_eval(model: Transformer, doc_iter, d: int, *,
         if not batch.prev_valid[:, 0].all():
             continue
         plan = make_eval_exposure_plan(d, d, batch.unit_ids)
-        recs = exposure_records(model, batch, plan, chunk_slots=chunk_slots)
+        recs = exposure_records(model, batch, plan)
         collected.extend(recs)
         n_queries += sum(r.mass_local.size for r in recs)
         if n_queries >= min_queries:
@@ -247,7 +248,7 @@ class AccuracyResult:
 
 def dict_eval_accuracy(model: Transformer, task: DictTaskConfig, total_len: int,
                        *, n_docs: int = 8, k: int = 32, seed: int = 0,
-                       use_memory: bool = True, long_chunk: int = 256) -> AccuracyResult:
+                       use_memory: bool = True) -> AccuracyResult:
     """Dictionary-lookup accuracy at an extended context length.
 
     use_memory=True streams definition windows into the kNN memory and scores
@@ -272,7 +273,7 @@ def dict_eval_accuracy(model: Transformer, task: DictTaskConfig, total_len: int,
             final = model.forward_infer(doc.tokens[q_start:], memory, k)
             logits = final.logits
         else:
-            logits = model.forward_long(doc.tokens, chunk=long_chunk)[q_start:]
+            logits = model.forward_long(doc.tokens)[q_start:]
         oks = score_dict_window(logits, q_start, doc.queries)
         preds = logits.argmax(axis=-1)
         for qi, (q, ok) in enumerate(zip(doc.queries, oks)):

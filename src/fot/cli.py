@@ -19,7 +19,7 @@ import numpy as np
 from . import analysis, tasks
 from .config import TrainConfig, apply_overrides, config_hash, emit_config, get_preset, parse_config
 from .errors import CapacityError, ConfigError, DataError, FotError, NumericError
-from .model import Transformer, load_checkpoint, param_count
+from .model import CHECKPOINT_VERSION, Transformer, load_checkpoint, param_count
 from .tasks import DictTaskConfig, PasskeyTaskConfig
 from .training import train
 
@@ -98,9 +98,7 @@ def cmd_eval(args) -> int:
                                             res.ppl, args.seed, chash))
         elif args.suite == "distraction":
             docs = _distraction_docs(args, model)
-            rep = analysis.distraction_eval(model, docs, int(v),
-                                            min_queries=args.min_queries,
-                                            chunk_slots=8)
+            rep = analysis.distraction_eval(model, docs, int(v), min_queries=args.min_queries)
             rows.append(analysis.EvalResult(run_id, "positive_attention_mass",
                                             axis_name, v, rep.r, args.seed, chash))
         else:
@@ -210,13 +208,10 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    path = Path(args.checkpoint)
-    if not path.exists():
-        raise DataError(f"checkpoint {path} does not exist")
-    cfg, params = load_checkpoint(path)
+    cfg, params = load_checkpoint(args.checkpoint)
     total = sum(p.data.size for p in params.values())
-    print(f"checkpoint {path}")
-    print(f"format     FOTC v1")
+    print(f"checkpoint {args.checkpoint}")
+    print(f"format     FOTC v{CHECKPOINT_VERSION}")
     print(f"parameters {total} (analytic {param_count(cfg)})")
     print("config:")
     for k, v in sorted(cfg.to_dict().items()):

@@ -51,10 +51,8 @@ class TrainConfig:
     grad_clip: float = 1.0
     # run control
     seed: int = 0
-    precision: str = "f32"             # f32 | f64
     checkpoint_every: int = 0          # 0: final checkpoint only
     log_every: int = 25
-    chunk_slots: int = 8
     stop_gradient: bool = False
     init_checkpoint: str = ""
 
@@ -66,8 +64,6 @@ class TrainConfig:
             raise ConfigError("task=corpus needs corpus_path")
         if self.optimizer not in ("adam", "adafactor"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if self.precision not in ("f32", "f64"):
-            raise ConfigError(f"unknown precision {self.precision!r}")
         if self.warmup_steps > self.steps:
             raise ConfigError(f"warmup {self.warmup_steps} exceeds steps {self.steps}")
         if self.max_lr <= 0 or self.min_lr <= 0 or self.min_lr > self.max_lr:
@@ -103,22 +99,20 @@ class TrainConfig:
 _BOOLS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
 
-def _parse_value(raw: str, target_type, name: str):
+def _decode(raw: str, kind: type, key: str):
     raw = raw.strip()
-    if target_type is bool:
+    if kind is tuple:
+        return _parse_ints(raw, key)
+    if kind is bool:
         if raw.lower() not in _BOOLS:
-            raise ConfigError(f"{name}: expected a boolean, got {raw!r}")
+            raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
         return _BOOLS[raw.lower()]
-    if target_type is int:
+    if kind in (int, float):
         try:
-            return int(raw)
+            return kind(raw)
         except ValueError as e:
-            raise ConfigError(f"{name}: expected an integer, got {raw!r}") from e
-    if target_type is float:
-        try:
-            return float(raw)
-        except ValueError as e:
-            raise ConfigError(f"{name}: expected a float, got {raw!r}") from e
+            raise ConfigError(f"{key}: expected {'an integer' if kind is int else 'a float'}, "
+                              f"got {raw!r}") from e
     return raw
 
 
@@ -130,19 +124,28 @@ def _parse_ints(raw: str, name: str) -> tuple[int, ...]:
         raise ConfigError(f"{name}: expected comma-separated integers, got {raw!r}") from e
 
 
+def _assign(cfg: TrainConfig, key: str, raw: str) -> None:
+    """Set the setting ``key`` (``name``, ``train.name`` or ``model.name``)
+    from its text ``raw``, decoded by the type of the field's default."""
+    section, _, name = key.rpartition(".")
+    if section not in ("", "train", "model"):
+        raise ConfigError(f"unknown setting {key!r}")
+    target = cfg.model if section == "model" else cfg
+    f = next((f for f in fields(target) if f.name == name and f.name != "model"), None)
+    if f is None:
+        raise ConfigError(f"unknown setting {key!r}")
+    setattr(target, name, _decode(raw, type(f.default), key))
+
+
+def _text(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
 def emit_config(cfg: TrainConfig) -> str:
     cp = configparser.ConfigParser()
-    cp["model"] = {}
-    for f in fields(ModelConfig):
-        v = getattr(cfg.model, f.name)
-        if f.name == "memory_layers":
-            v = ",".join(str(m) for m in v)
-        cp["model"][f.name] = str(v)
-    cp["train"] = {}
-    for f in fields(TrainConfig):
-        if f.name == "model":
-            continue
-        cp["train"][f.name] = str(getattr(cfg, f.name))
+    for section, target in (("model", cfg.model), ("train", cfg)):
+        cp[section] = {f.name: _text(getattr(target, f.name))
+                       for f in fields(target) if f.name != "model"}
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()
@@ -155,49 +158,21 @@ def parse_config(text: str) -> TrainConfig:
     except configparser.Error as e:
         raise ConfigError(f"malformed config: {e}") from e
     cfg = TrainConfig(model=ModelConfig())
-    model_fields = {f.name: f for f in fields(ModelConfig)}
-    train_fields = {f.name: f for f in fields(TrainConfig) if f.name != "model"}
     for section in cp.sections():
-        if section == "model":
-            for key, raw in cp["model"].items():
-                if key not in model_fields:
-                    raise ConfigError(f"unknown model key {key!r}")
-                if key == "memory_layers":
-                    v = _parse_ints(raw, "model.memory_layers")
-                else:
-                    v = _parse_value(raw, type(getattr(cfg.model, key)), f"model.{key}")
-                setattr(cfg.model, key, v)
-        elif section == "train":
-            for key, raw in cp["train"].items():
-                if key not in train_fields:
-                    raise ConfigError(f"unknown train key {key!r}")
-                setattr(cfg, key, _parse_value(raw, type(getattr(cfg, key)), f"train.{key}"))
-        else:
+        if section not in ("model", "train"):
             raise ConfigError(f"unknown config section [{section}]")
+        for key, raw in cp[section].items():
+            _assign(cfg, f"{section}.{key}", raw)
     return cfg
 
 
 def apply_overrides(cfg: TrainConfig, overrides: list[str]) -> TrainConfig:
     """Apply repeatable --override entries like model.n_layers=2 or steps=50."""
     for item in overrides:
-        if "=" not in item:
+        key, eq, raw = item.partition("=")
+        if not eq:
             raise ConfigError(f"override {item!r} is not key=value")
-        key, raw = item.split("=", 1)
-        key = key.strip()
-        if key.startswith("model."):
-            attr = key[len("model."):]
-            if not hasattr(cfg.model, attr):
-                raise ConfigError(f"unknown override target {key!r}")
-            if attr == "memory_layers":
-                v = _parse_ints(raw, key)
-            else:
-                v = _parse_value(raw, type(getattr(cfg.model, attr)), key)
-            setattr(cfg.model, attr, v)
-        else:
-            attr = key[len("train."):] if key.startswith("train.") else key
-            if attr == "model" or not hasattr(cfg, attr):
-                raise ConfigError(f"unknown override target {key!r}")
-            setattr(cfg, attr, _parse_value(raw, type(getattr(cfg, attr)), key))
+        _assign(cfg, key.strip(), raw)
     return cfg
 
 

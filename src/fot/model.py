@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as N
-from .errors import ConfigError, FormatError, ShapeError, UsageError
+from .errors import ConfigError, DataError, FormatError, ShapeError, UsageError
 from .memstore import MemoryIndex
 from .numerics import Tensor
 from .pipeline import CrossbatchPlan, TrainBatch
@@ -664,14 +664,15 @@ class Transformer:
 
     # -- reference local-only forward -------------------------------------------
 
-    def forward_long(self, tokens: np.ndarray, chunk: int | None = 256) -> np.ndarray:
+    def forward_long(self, tokens: np.ndarray) -> np.ndarray:
         """Full-context causal forward with rotary positions 0..L-1.
 
         The local-only baseline's long-context evaluation path: attention is
-        computed in query chunks so L x L score matrices never materialize.
-        Memory layers behave per mem_positional_mode (no rotary for "none"),
-        but no external memory is consulted. ``chunk=None`` is the vanilla
-        causal transformer over [B, T] windows.
+        computed in blocks of ``LONG_QUERY_BLOCK`` queries so L x L score
+        matrices never materialize. Memory layers behave per
+        mem_positional_mode (no rotary for "none"), but no external memory is
+        consulted. Over [B, T] windows of at most ``LONG_QUERY_BLOCK`` rows it
+        is the vanilla causal transformer, in one block.
         """
         cfg = self.cfg
         tokens = np.asarray(tokens, dtype=np.int64)
@@ -681,7 +682,6 @@ class Transformer:
         b, length = tokens.shape
         positions = np.arange(length)
         x = N.embedding(self.params["embed"], tokens)
-        step = length if chunk is None else chunk
         for li in range(cfg.n_layers):
             q, k, v = self._attn_inputs(x, li)
             if self._layer_rotary(li):
@@ -689,8 +689,8 @@ class Transformer:
                 k = N.rotary_encode(k, positions, cfg.rotary_base)
             qs = self._scaled_q(q, li)
             outs = []
-            for lo in range(0, length, step):
-                hi = min(lo + step, length)
+            for lo in range(0, length, LONG_QUERY_BLOCK):
+                hi = min(lo + LONG_QUERY_BLOCK, length)
                 qc = Tensor(qs.data[:, :, lo:hi])
                 kc = Tensor(k.data[:, :, :hi])
                 vc = Tensor(v.data[:, :, :hi])
@@ -753,19 +753,21 @@ def build_extras_leaves(model: Transformer, plan: CrossbatchPlan,
 
 
 FULL_TAPE_SCORE_BYTES = 200 * 2**20
+CHUNK_SLOTS = 8        # slots per chunk, and previous windows per re-encoding
+LONG_QUERY_BLOCK = 256  # queries per attention block of forward_long
 
 
 def crossbatch_grad_step(model: Transformer, batch: TrainBatch, plan: CrossbatchPlan,
-                         *, differentiable: bool = True, chunk_slots: int = 8,
-                         collect_records: bool = False, force_chunked: bool = False,
+                         *, differentiable: bool = True, collect_records: bool = False,
                          ) -> tuple[float, list[AttentionRecord]]:
     """Accumulate exact crossbatch gradients, chunking when scores get large.
 
-    Small steps run on one tape. Otherwise previous windows are encoded once
-    without a tape; current windows run in slot chunks against leaf copies of
-    their extras, and the extras' gradients are then pushed through per-chunk
-    re-encodings of the previous windows. Parameter .grad buffers accumulate
-    across all chunks (caller zeroes them).
+    Steps whose attention scores fit in ``FULL_TAPE_SCORE_BYTES`` run on one
+    tape. Otherwise previous windows are encoded once without a tape; current
+    windows run in chunks of ``CHUNK_SLOTS`` slots against leaf copies of
+    their extras, and the extras' gradients are then pushed through
+    re-encodings of ``CHUNK_SLOTS`` previous windows at a time. Parameter
+    .grad buffers accumulate across all chunks (caller zeroes them).
     """
     cfg = model.cfg
     b, t = batch.cur_tokens.shape
@@ -774,7 +776,7 @@ def crossbatch_grad_step(model: Transformer, batch: TrainBatch, plan: Crossbatch
         raise UsageError("crossbatch_grad_step: empty loss mask")
 
     score_bytes = model.dtype.itemsize * b * cfg.n_heads * t * t * (1 + plan.max_windows)
-    if score_bytes <= FULL_TAPE_SCORE_BYTES and not force_chunked:
+    if score_bytes <= FULL_TAPE_SCORE_BYTES:
         with N.Tape() as tape:
             fwd = model.forward_train(batch, plan, differentiable=differentiable,
                                       collect_records=collect_records)
@@ -790,8 +792,8 @@ def crossbatch_grad_step(model: Transformer, batch: TrainBatch, plan: Crossbatch
 
     total_loss = 0.0
     chunks: list[list[AttentionRecord]] = []
-    for lo in range(0, b, chunk_slots):
-        hi = min(lo + chunk_slots, b)
+    for lo in range(0, b, CHUNK_SLOTS):
+        hi = min(lo + CHUNK_SLOTS, b)
         chunk_mask = batch.cur_mask[lo:hi]
         with N.Tape() as tape:
             extras, gather = build_extras_leaves(
@@ -810,24 +812,25 @@ def crossbatch_grad_step(model: Transformer, batch: TrainBatch, plan: Crossbatch
                     np.add.at(buf, gather.rows, gather.window_grads(leaf.grad))
 
     # push extras gradients into the previous windows' parameters
-    _push_prev_grads(model, prev_tokens, grad_k, grad_v,
-                     differentiable=differentiable, chunk_slots=chunk_slots)
+    if differentiable:
+        _push_prev_grads(model, prev_tokens, grad_k, grad_v)
     return total_loss, _merge_chunk_records(chunks)
 
 
 def exposure_records(model: Transformer, batch: TrainBatch, plan: CrossbatchPlan,
-                     chunk_slots: int = 8) -> list[AttentionRecord]:
+                     ) -> list[AttentionRecord]:
     """Evaluation-only attention records for a crossbatch exposure.
 
-    Same math as forward_train(collect_records=True) but chunked over slots,
-    so large-d exposures never materialize a full-batch score tensor.
+    Same math as forward_train(collect_records=True) but in chunks of
+    ``CHUNK_SLOTS`` slots, so large-d exposures never materialize a
+    full-batch score tensor.
     """
     b, t = batch.cur_tokens.shape
     prev_tokens, row_of = plan_rows(plan, batch)
     prev_vals = _encode_values(model, prev_tokens)
     chunks: list[list[AttentionRecord]] = []
-    for lo in range(0, b, chunk_slots):
-        hi = min(lo + chunk_slots, b)
+    for lo in range(0, b, CHUNK_SLOTS):
+        hi = min(lo + CHUNK_SLOTS, b)
         extras, gather = build_extras_leaves(model, plan, prev_vals, row_of, range(lo, hi),
                                              t, requires_grad=False)
         chunks.append(model._current_rows(batch.cur_tokens[lo:hi], extras, gather,
@@ -842,12 +845,9 @@ def _encode_values(model: Transformer, prev_tokens: np.ndarray,
     return {li: (k.data, v.data) for li, (k, v) in model.encode_windows(prev_tokens).items()}
 
 
-def _push_prev_grads(model, prev_tokens, grad_k, grad_v, *,
-                     differentiable: bool, chunk_slots: int) -> None:
-    if not differentiable:
-        return
-    for lo in range(0, len(prev_tokens), chunk_slots):
-        hi = lo + chunk_slots
+def _push_prev_grads(model, prev_tokens, grad_k, grad_v) -> None:
+    for lo in range(0, len(prev_tokens), CHUNK_SLOTS):
+        hi = lo + CHUNK_SLOTS
         with N.Tape() as tape:
             kv = model.encode_windows(prev_tokens[lo:hi])
             seeds = []
@@ -899,9 +899,13 @@ def save_checkpoint(path, cfg: ModelConfig, params: dict[str, Tensor]) -> None:
 
 def load_checkpoint(path, dtype=np.float32) -> tuple[ModelConfig, dict[str, Tensor]]:
     """Read a FOTC file. Every parameter must have the shape its config
-    implies (``param_shapes``); anything else raises FormatError."""
-    with open(path, "rb") as f:
-        raw = f.read()
+    implies (``param_shapes``); anything else raises FormatError. A file
+    that cannot be read raises DataError."""
+    try:
+        with open(path, "rb") as f:
+            raw = f.read()
+    except OSError as e:
+        raise DataError(f"cannot read checkpoint {path}: {e.strerror}") from e
     if raw[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: bad magic {raw[:4]!r}")
     if len(raw) < 12:

@@ -111,7 +111,6 @@ class PlanWindow:
 @dataclass
 class CrossbatchPlan:
     per_slot: list[list[PlanWindow]]
-    w: int
     n_contexts: list[int]      # contexts per slot (d_effective)
     source_unit: list[list[int]]  # unit id each window came from, parallel to per_slot
 
@@ -146,7 +145,6 @@ class TrainBatch:
     prev_tokens: np.ndarray    # [b_S, w, T] (index 0 = most recent)
     prev_valid: np.ndarray     # [b_S, w] bool
     unit_ids: np.ndarray       # [b_S]
-    window_start: np.ndarray   # [b_S] token offset of current window in its unit
     step: int
 
 
@@ -207,7 +205,7 @@ class _Slot:
         self.index = index
         self.unit: _Unit | None = None
         self.cursor = 0
-        self.prev: deque = deque(maxlen=w)  # newest first entries appended left
+        self.prev: deque = deque(maxlen=w)  # previous windows, newest first
 
 
 class CrossbatchPipeline:
@@ -238,7 +236,6 @@ class CrossbatchPipeline:
         prev = np.zeros((self.b_s, self.w, t), dtype=np.int64)
         prev_valid = np.zeros((self.b_s, self.w), dtype=bool)
         unit_ids = np.zeros(self.b_s, dtype=np.int64)
-        starts = np.zeros(self.b_s, dtype=np.int64)
 
         for slot in self._slots:
             if slot.unit is None or slot.cursor >= slot.unit.tokens.shape[0]:
@@ -259,15 +256,14 @@ class CrossbatchPipeline:
             else:
                 tgt[slot.index, :-1] = u.tokens[lo + 1:hi]
                 msk[slot.index, :-1] = u.mask[lo + 1:hi]
-            for j, (ptoks, _pstart) in enumerate(slot.prev):
+            for j, ptoks in enumerate(slot.prev):
                 prev[slot.index, j] = ptoks
                 prev_valid[slot.index, j] = True
             unit_ids[slot.index] = u.unit_id
-            starts[slot.index] = lo
-            slot.prev.appendleft((window, lo))
+            slot.prev.appendleft(window)
             slot.cursor = hi
 
-        batch = TrainBatch(cur, tgt, msk, prev, prev_valid, unit_ids, starts, self._step)
+        batch = TrainBatch(cur, tgt, msk, prev, prev_valid, unit_ids, self._step)
         self._step += 1
         return batch
 
@@ -313,7 +309,7 @@ class CrossbatchPipeline:
             units.append(w_units)
             n_ctx.append(ctx)
 
-        plan = CrossbatchPlan(per_slot, self.w, n_ctx, units)
+        plan = CrossbatchPlan(per_slot, n_ctx, units)
         plan.validate_polarity(batch.unit_ids)
         return plan
 
@@ -335,4 +331,4 @@ def make_eval_exposure_plan(b_s: int, d: int, unit_ids) -> CrossbatchPlan:
             us.append(int(unit_ids[src]))
         per_slot.append(ws)
         units.append(us)
-    return CrossbatchPlan(per_slot, 1, [d] * b_s, units)
+    return CrossbatchPlan(per_slot, [d] * b_s, units)

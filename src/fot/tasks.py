@@ -32,7 +32,6 @@ DEFAULT_DOC_DELIMITER = "<<<DOC>>>"
 
 @dataclass
 class DictTaskConfig:
-    vocab_size: int = 64
     key_len: int = 4
     val_len: int = 4
     doc_len: int = 512
@@ -48,8 +47,6 @@ class DictTaskConfig:
         return PAD_TOKEN  # ids 0..59 carry key/value content
 
     def validate(self) -> None:
-        if self.vocab_size != 64:
-            raise ConfigError("dictionary task uses a fixed 64-token vocab")
         if self.doc_len % 2:
             raise ConfigError("doc_len must be even (definition half + query half)")
         if not 0 < self.def_fraction < 1:

@@ -185,19 +185,17 @@ def train(cfg: TrainConfig, out_dir) -> TrainResult:
     manifest.write(manifest_path)
     write_metrics_csv(metrics_path, [])
 
-    dtype = np.float32 if cfg.precision == "f32" else np.float64
     if cfg.init_checkpoint:
-        ck_cfg, params = load_checkpoint(cfg.init_checkpoint, dtype=dtype)
+        ck_cfg, params = load_checkpoint(cfg.init_checkpoint)
         if ck_cfg != cfg.model:
             raise ConfigError("init checkpoint geometry differs from model config")
-        model = Transformer(cfg.model, params=params, dtype=dtype)
+        model = Transformer(cfg.model, params=params)
     else:
-        model = Transformer(cfg.model, seed=cfg.seed, dtype=dtype)
+        model = Transformer(cfg.model, seed=cfg.seed)
 
     pipe = CrossbatchPipeline(make_doc_stream(cfg), cfg.b_s, cfg.model.local_ctx_len,
                               cfg.schedule(), w=cfg.w, seed=cfg.seed)
     optimizer = make_optimizer(cfg, model.params)
-    chunk = max(1, min(cfg.chunk_slots, cfg.b_s))
 
     losses: list[float] = []
     opt_step = 0
@@ -218,9 +216,7 @@ def train(cfg: TrainConfig, out_dir) -> TrainResult:
         skipped_in_row = 0
         plan = pipe.build_plan(opt_step, batch)
         model.zero_grads()
-        loss, _ = crossbatch_grad_step(model, batch, plan,
-                                       differentiable=not cfg.stop_gradient,
-                                       chunk_slots=chunk)
+        loss, _ = crossbatch_grad_step(model, batch, plan, differentiable=not cfg.stop_gradient)
         if not np.isfinite(loss):
             diag = {"step": opt_step, "loss": float(loss),
                     "grad_norms": {k: float(np.abs(p.grad).max()) if p.grad is not None else 0.0

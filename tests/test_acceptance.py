@@ -84,7 +84,6 @@ def _train_dict_model(tag: str, seed: int, run_dir, **kw):
     cfg2.d_kind = "constant"
     cfg2.d = 64
     cfg2.b_s = 64
-    cfg2.chunk_slots = 8
     cfg2.steps = DESK_DICT["steps_phase2"]
     cfg2.warmup_steps = 1
     cfg2.max_lr = 2e-3
@@ -216,7 +215,7 @@ def test_criterion_1_gradient_fidelity():
         t = cfg.local_ctx_len
         batch = TrainBatch(rng.integers(0, 7, (2, t)), rng.integers(0, 7, (2, t)),
                            np.ones((2, t)), rng.integers(0, 7, (2, 1, t)),
-                           np.ones((2, 1), bool), np.arange(2), np.zeros(2, np.int64), 0)
+                           np.ones((2, 1), bool), np.arange(2), 0)
         plan = make_eval_exposure_plan(2, 2, batch.unit_ids)
 
         def fn():
@@ -277,19 +276,18 @@ def test_criterion_3_reduction_equivalences():
         toks = rng.integers(0, 29, size=(3, 16))
         batch = TrainBatch(toks, np.zeros_like(toks), np.ones(toks.shape),
                            np.zeros((3, 1, 16), np.int64), np.zeros((3, 1), bool),
-                           np.arange(3), np.zeros(3, np.int64), 0)
-        plan = CrossbatchPlan([[] for _ in range(3)], 1, [0] * 3, [[] for _ in range(3)])
+                           np.arange(3), 0)
+        plan = CrossbatchPlan([[] for _ in range(3)], [0] * 3, [[] for _ in range(3)])
         fwd = model.forward_train(batch, plan, collect_records=False)
-        vanilla = model.forward_long(toks, chunk=None)
+        vanilla = model.forward_long(toks)
         worst_a = max(worst_a, float(np.abs(fwd.logits.data - vanilla).max()))
 
         # (b) memory = exactly the previous window, k >= window length
         w1 = rng.integers(0, 29, size=16)
         w2 = rng.integers(0, 29, size=16)
         b2 = TrainBatch(w2[None], np.zeros((1, 16), np.int64), np.ones((1, 16)),
-                        w1[None, None], np.ones((1, 1), bool),
-                        np.zeros(1, np.int64), np.zeros(1, np.int64), 0)
-        p2 = CrossbatchPlan([[PlanWindow(0, 0, "positive", 1)]], 1, [1], [[0]])
+                        w1[None, None], np.ones((1, 1), bool), np.zeros(1, np.int64), 0)
+        p2 = CrossbatchPlan([[PlanWindow(0, 0, "positive", 1)]], [1], [[0]])
         train_logits = model.forward_train(b2, p2, collect_records=False).logits.data[0]
         memory = MemoryIndex(cfg.memory_layers, cfg.n_heads, cfg.head_dim)
         first = model.forward_infer(w1, memory, k=0)

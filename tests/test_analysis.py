@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fot import analysis as A
+from fot import model as model_mod
 from fot.errors import UsageError
 from fot.memstore import MemoryIndex
 from fot.model import AttentionRecord, ModelConfig, Transformer
@@ -31,6 +32,15 @@ def test_r_all_mass_on_positive():
     pc[..., 0] = 0.7
     rec = synthetic_record(pc, [[1, -1, -1]])
     assert A.positive_attention_mass([rec]).r == 1.0
+
+
+def test_per_layer_r_pools_every_record_of_the_layer():
+    """Two batches of one layer: per_layer_r pools their queries as r does."""
+    recs = [synthetic_record([[[[r, 1 - r]]]], [[1, -1]]) for r in (0.9, 0.1)]
+    recs.append(synthetic_record([[[[0.3, 0.7]]]], [[1, -1]], layer=2))
+    rep = A.positive_attention_mass(recs)
+    assert rep.r == pytest.approx((0.9 + 0.1 + 0.3) / 3)
+    assert rep.per_layer_r == pytest.approx({0: 0.5, 2: 0.3})
 
 
 def test_r_requires_positive_context():
@@ -239,7 +249,7 @@ def test_greedy_continuation_matches_full_recompute():
 # distraction evaluation end to end + weight dumps
 # ---------------------------------------------------------------------------
 
-def test_untrained_exposure_r_near_uniform():
+def test_untrained_exposure_r_near_uniform(monkeypatch):
     cfg = ModelConfig(n_layers=2, d_model=32, n_heads=2, head_dim=16, ff_dim=64,
                       vocab_size=256, memory_layers=(1,), local_ctx_len=16)
     model = Transformer(cfg, seed=7)
@@ -250,7 +260,8 @@ def test_untrained_exposure_r_near_uniform():
             toks = encode_bytes(text)[:32]
             yield toks, np.ones(len(toks))
 
-    rep = A.distraction_eval(model, docs(), d, min_queries=500, chunk_slots=4)
+    monkeypatch.setattr(model_mod, "CHUNK_SLOTS", 4)  # several chunks per exposure
+    rep = A.distraction_eval(model, docs(), d, min_queries=500)
     assert 0.5 / d <= rep.r <= 3.0 / d
     assert rep.n_queries >= 500
 
@@ -263,8 +274,7 @@ def test_r_matches_raw_weight_dump(tmp_path):
     from fot.pipeline import TrainBatch, make_eval_exposure_plan
     batch = TrainBatch(
         rng.integers(0, 64, (4, 8)), rng.integers(0, 64, (4, 8)), np.ones((4, 8)),
-        rng.integers(0, 64, (4, 1, 8)), np.ones((4, 1), bool),
-        np.arange(4), np.zeros(4, np.int64), 0)
+        rng.integers(0, 64, (4, 1, 8)), np.ones((4, 1), bool), np.arange(4), 0)
     plan = make_eval_exposure_plan(4, 3, batch.unit_ids)
     model.debug_sink = []
     fwd = model.forward_train(batch, plan)

@@ -1,0 +1,29 @@
+"""The fast demos run end to end against the public API."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# demo -> a line of its output that only a complete run prints; demos 03 and
+# 05 train models and take minutes, so they are run by hand
+DEMOS = {
+    "01_tensor_engine": "softmax(x xT) chain: max relative error",
+    "02_memory_index": "reloaded index returns identical results",
+    "04_distraction_metric": "per-context share at d=8",
+    "06_perplexity_and_scores": "query aligned with its key",
+}
+
+
+@pytest.mark.parametrize("demo", sorted(DEMOS))
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"{demo}.py")],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert DEMOS[demo] in proc.stdout

@@ -1,10 +1,6 @@
 """Exact kNN store: append/search semantics, oracle equality, persistence."""
 
-import os
 import struct
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -300,13 +296,3 @@ def test_load_rejects_every_truncation_and_header_bit_flip(tmp_path):
         with pytest.raises(FormatError):
             MemoryIndex.load(path)
 
-
-def test_memory_index_demo_runs():
-    """The demo uses only the public API, so it runs against any store layout."""
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(root / "demos" / "02_memory_index.py")],
-                          capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert "reloaded index returns identical results" in proc.stdout

@@ -31,12 +31,11 @@ def make_batch(rng, cfg, b, w=1):
     prev = rng.integers(0, cfg.vocab_size, size=(b, w, t))
     tgt = rng.integers(0, cfg.vocab_size, size=(b, t))
     mask = np.ones((b, t))
-    return TrainBatch(cur, tgt, mask, prev, np.ones((b, w), dtype=bool),
-                      np.arange(b), np.zeros(b, dtype=np.int64), 0)
+    return TrainBatch(cur, tgt, mask, prev, np.ones((b, w), dtype=bool), np.arange(b), 0)
 
 
 def empty_plan(b):
-    return CrossbatchPlan([[] for _ in range(b)], 1, [0] * b, [[] for _ in range(b)])
+    return CrossbatchPlan([[] for _ in range(b)], [0] * b, [[] for _ in range(b)])
 
 
 def exposure_plan(b, d):
@@ -56,7 +55,7 @@ def test_d0_equals_vanilla(mode):
     model.params["lm_head"].data[:] = rng.normal(0, 0.1, size=(16, 13)).astype(np.float32)
     batch = make_batch(rng, cfg, b=3)
     fwd = model.forward_train(batch, empty_plan(3))
-    vanilla = model.forward_long(batch.cur_tokens, chunk=None)
+    vanilla = model.forward_long(batch.cur_tokens)
     assert np.abs(fwd.logits.data - vanilla).max() <= 1e-6
 
 
@@ -69,7 +68,7 @@ def test_empty_memory_infer_equals_local_exactly():
     memory = MemoryIndex(cfg.memory_layers, cfg.n_heads, cfg.head_dim)
     for k in (0, 5, 128):
         out = model.forward_infer(toks, memory, k)
-        np.testing.assert_array_equal(out.logits, model.forward_long(toks, chunk=None))
+        np.testing.assert_array_equal(out.logits, model.forward_long(toks))
 
 
 @pytest.mark.parametrize("integration", ["merged", "gated"])
@@ -85,9 +84,8 @@ def test_train_infer_equivalence(mode, integration):
     w1 = rng.integers(0, 13, size=8)
     w2 = rng.integers(0, 13, size=8)
     batch = TrainBatch(w2[None], np.zeros((1, 8), np.int64), np.ones((1, 8)),
-                       w1[None, None], np.ones((1, 1), bool),
-                       np.zeros(1, np.int64), np.zeros(1, np.int64), 0)
-    plan = CrossbatchPlan([[PlanWindow(0, 0, "positive", 1)]], 1, [1], [[0]])
+                       w1[None, None], np.ones((1, 1), bool), np.zeros(1, np.int64), 0)
+    plan = CrossbatchPlan([[PlanWindow(0, 0, "positive", 1)]], [1], [[0]])
     train_logits = model.forward_train(batch, plan).logits.data[0]
 
     memory = MemoryIndex(cfg.memory_layers, cfg.n_heads, cfg.head_dim)
@@ -250,10 +248,16 @@ def _without_windows(plan, slots):
     return plan
 
 
+def _force_chunks_of_two(monkeypatch):
+    """Send every crossbatch step down the chunked path, two slots a chunk."""
+    monkeypatch.setattr(model_mod, "FULL_TAPE_SCORE_BYTES", 0)
+    monkeypatch.setattr(model_mod, "CHUNK_SLOTS", 2)
+
+
 @pytest.mark.parametrize("integration,empty_slots",
                          [("merged", ()), ("merged", (0, 1)), ("gated", (0, 1))],
                          ids=["merged", "merged-empty_chunk", "gated-empty_chunk"])
-def test_chunked_grad_step_matches_full_tape(integration, empty_slots):
+def test_chunked_grad_step_matches_full_tape(integration, empty_slots, monkeypatch):
     rng = np.random.default_rng(8)
     cfg = tiny_cfg(n_layers=3, memory_layers=(1, 2), integration_mode=integration)
     model = Transformer(cfg, seed=9, dtype=np.float64)
@@ -266,8 +270,8 @@ def test_chunked_grad_step_matches_full_tape(integration, empty_slots):
     model.zero_grads()
     loss_full, grads_full = _loss_of(model, batch, plan)
     model.zero_grads()
-    loss_chunk, _ = crossbatch_grad_step(model, batch, plan, chunk_slots=2,
-                                         force_chunked=True)
+    _force_chunks_of_two(monkeypatch)
+    loss_chunk, _ = crossbatch_grad_step(model, batch, plan)
     assert abs(loss_full - loss_chunk) < 1e-10
     for name, p in model.params.items():
         a, b_ = grads_full[name], p.grad
@@ -295,7 +299,8 @@ def test_chunked_extras_leaves_keep_their_grads(monkeypatch):
     build = model_mod.build_extras_leaves
     monkeypatch.setattr(model_mod, "build_extras_leaves", spy)
     model.zero_grads()
-    crossbatch_grad_step(model, batch, exposure_plan(4, 2), chunk_slots=2, force_chunked=True)
+    _force_chunks_of_two(monkeypatch)
+    crossbatch_grad_step(model, batch, exposure_plan(4, 2))
     assert len(leaves) == 2 * 2 * 2  # chunks x memory layers x (k, v)
     assert all(t.grad is not None and np.abs(t.grad).max() > 0 for t in leaves)
 
@@ -325,8 +330,7 @@ def test_finite_diff_through_memory_layer():
     cur = rng.integers(0, 7, size=(2, t))
     prev = rng.integers(0, 7, size=(2, 1, t))
     tgt = rng.integers(0, 7, size=(2, t))
-    batch = TrainBatch(cur, tgt, np.ones((2, t)), prev, np.ones((2, 1), bool),
-                       np.arange(2), np.zeros(2, np.int64), 0)
+    batch = TrainBatch(cur, tgt, np.ones((2, t)), prev, np.ones((2, 1), bool), np.arange(2), 0)
     plan = exposure_plan(2, 2)
 
     def fn():
@@ -484,7 +488,7 @@ def test_load_checkpoint_rejects_every_truncation_and_header_bit_flip(tmp_path):
             load_checkpoint(path)
 
 
-def test_forward_train_rejects_bad_plan():
+def test_forward_train_rejects_bad_plan(monkeypatch):
     rng = np.random.default_rng(14)
     cfg = tiny_cfg()
     model = Transformer(cfg, seed=15)
@@ -494,7 +498,8 @@ def test_forward_train_rejects_bad_plan():
     batch.prev_valid[:] = False
     with pytest.raises(UsageError):
         model.forward_train(batch, exposure_plan(2, 1))
-    for run in (lambda plan: crossbatch_grad_step(model, batch, plan, force_chunked=True),
+    _force_chunks_of_two(monkeypatch)
+    for run in (lambda plan: crossbatch_grad_step(model, batch, plan),
                 lambda plan: exposure_records(model, batch, plan)):
         for plan in (empty_plan(3), exposure_plan(2, 1)):
             with pytest.raises(UsageError):

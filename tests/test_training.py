@@ -15,7 +15,8 @@ from fot.config import (TrainConfig, apply_overrides, config_hash, emit_config,
                         get_preset, parse_config)
 from fot.errors import (CapacityError, ConfigError, DataError, FormatError, FotError,
                         NumericError, ShapeError, UsageError)
-from fot.model import ModelConfig, Transformer, load_checkpoint, save_checkpoint
+from fot.model import (CHECKPOINT_VERSION, ModelConfig, Transformer, load_checkpoint,
+                       save_checkpoint)
 from fot.numerics import Tensor
 from fot.pipeline import TrainBatch, make_eval_exposure_plan
 from fot.training import Adam, AdaFactor, RunManifest, inverse_sqrt_lr, train
@@ -103,9 +104,9 @@ def test_overfit_one_batch_loss_decreases():
     toks = rng.integers(0, 16, size=(2, 16))
     tgt = rng.integers(0, 16, size=(2, 16))
     batch = TrainBatch(toks, tgt, np.ones((2, 16)), np.zeros((2, 1, 16), np.int64),
-                       np.zeros((2, 1), bool), np.arange(2), np.zeros(2, np.int64), 0)
+                       np.zeros((2, 1), bool), np.arange(2), 0)
     from fot.pipeline import CrossbatchPlan
-    plan = CrossbatchPlan([[], []], 1, [0, 0], [[], []])
+    plan = CrossbatchPlan([[], []], [0, 0], [[], []])
     opt = Adam(model.params)
     losses = []
     for step in range(500):
@@ -177,6 +178,8 @@ def test_config_roundtrip_identity():
     back = parse_config(emit_config(cfg))
     assert back == cfg
     assert config_hash(back) == config_hash(cfg)
+    for name in ("desk", "desk-byte", "dict-small", "ref-37m", "ref-184m"):
+        assert parse_config(emit_config(get_preset(name))) == get_preset(name)
 
 
 def test_config_overrides():
@@ -189,6 +192,38 @@ def test_config_overrides():
         apply_overrides(cfg, ["bogus_key=1"])
     with pytest.raises(ConfigError):
         apply_overrides(cfg, ["steps;77"])
+
+
+BAD_SETTINGS = [("override", "schedule=x"), ("override", "model.validate=1"),
+                ("config", "[train]\nchunk_slots = 8\n"), ("config", "[train]\nprecision = f32\n")]
+
+
+@pytest.mark.parametrize("source,text", BAD_SETTINGS,
+                         ids=["method", "model_method", "chunk_slots", "precision"])
+def test_setting_names_only_fields(source, text, tmp_path):
+    """A key naming a method or a removed field is a ConfigError, not a crash."""
+    with pytest.raises(ConfigError):
+        if source == "override":
+            apply_overrides(get_preset("desk"), [text])
+        else:
+            parse_config(text)
+    if source == "override":
+        argv = ["--override", text]
+    else:
+        (tmp_path / "c.ini").write_text(text)
+        argv = ["--config", str(tmp_path / "c.ini")]
+    code, _, err = run_cli("train", *argv, "--out", str(tmp_path / "out"))
+    assert code == 2 and err.startswith("config error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_records_a_method_cell_as_config_error(tmp_path):
+    out = tmp_path / "sweep"
+    code, _, err = run_cli("sweep", "--preset", "desk", "--grid", "schedule=1;d=1,2",
+                           "--out", str(out))
+    assert code == 0, err
+    rows = (out / "summary.csv").read_text().strip().splitlines()[1:]
+    assert len(rows) == 2 and all(",failed(ConfigError)," in r for r in rows)
 
 
 def test_config_validation_errors():
@@ -243,6 +278,7 @@ def test_cli_train_and_inspect(tmp_path):
     cfg, params = load_checkpoint(ck)
     total = sum(p.data.size for p in params.values())
     assert f"parameters {total} (analytic {total})" in stdout
+    assert f"format     FOTC v{CHECKPOINT_VERSION}\n" in stdout
 
 
 def test_cli_bad_checkpoint_exit_code(tmp_path):
@@ -252,6 +288,17 @@ def test_cli_bad_checkpoint_exit_code(tmp_path):
     assert code == 2 and "config error" in err
     code, _, err = run_cli("inspect", "--checkpoint", str(tmp_path / "missing.fotc"))
     assert code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--checkpoint", "{missing}", "--suite", "ppl", "--axis", "memory=0",
+     "--out", "{tmp}/m.csv"),
+    ("train", "--override", "init_checkpoint={missing}", "--out", "{tmp}/run"),
+], ids=["eval", "train"])
+def test_cli_missing_checkpoint_is_data_error(argv, tmp_path):
+    missing = tmp_path / "missing.fotc"
+    code, _, err = run_cli(*(a.format(tmp=tmp_path, missing=missing) for a in argv))
+    assert code == 3 and err.startswith("data error: ") and str(missing) in err
 
 
 CLI_EXIT_CODES = {ConfigError: 2, UsageError: 2, FormatError: 2, ShapeError: 2,
