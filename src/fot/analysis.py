@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DataError, FormatError, UsageError
 from .memstore import MemoryIndex
-from .model import AttentionRecord, InferCache, Transformer, exposure_records
+from .model import AttentionRecord, InferCache, Transformer, _cat_padded, exposure_records
 from .pipeline import CrossbatchPipeline, DSchedule, SegmentSchedule, make_eval_exposure_plan
 from .tasks import DictTaskConfig, gen_dict_lookup
 
@@ -46,42 +46,30 @@ def positive_attention_mass(records: list[AttentionRecord]) -> DistractionReport
     """Aggregate r over train-mode attention records."""
     if not records:
         raise UsageError("no attention records")
-    r_all: list[np.ndarray] = []
-    per_layer: dict[int, list[np.ndarray]] = {}
-    shares_sum = None
-    n_skipped = 0
-    d = 0
     for rec in records:
         if rec.per_context is None:
             raise UsageError("inference-mode records carry no per-context masses")
         if rec.context_polarity is None or not (rec.context_polarity > 0).any():
             raise UsageError("records contain no positive context")
-        d = max(d, rec.per_context.shape[-1])
-        pos = (rec.context_polarity > 0)[:, None, None, :]
-        total = rec.per_context.sum(axis=-1)
-        ok = total > 0
-        n_skipped += int((~ok).sum())
-        r_q = np.where(ok, (rec.per_context * pos).sum(axis=-1) / np.where(ok, total, 1.0), 0.0)
-        r_all.append(r_q[ok])
-        per_layer.setdefault(rec.layer, []).append(r_q[ok])
-        share = rec.per_context / np.where(ok, total, 1.0)[..., None]
-        share_mean = share[ok].mean(axis=0)
-        if shares_sum is None:
-            shares_sum = share_mean * ok.sum()
-        else:
-            width = max(shares_sum.shape[0], share_mean.shape[0])
-            a = np.pad(shares_sum, (0, width - shares_sum.shape[0]))
-            b = np.pad(share_mean * ok.sum(), (0, width - share_mean.shape[0]))
-            shares_sum = a + b
-    flat = np.concatenate(r_all)
-    if flat.size == 0:
+    # one row per query, contexts zero-padded to the widest record
+    rows = [rec.per_context.reshape(-1, rec.per_context.shape[-1]) for rec in records]
+    per_context = _cat_padded(rows)
+    positive = _cat_padded([np.broadcast_to((rec.context_polarity > 0)[:, None, None, :],
+                                            rec.per_context.shape).reshape(r.shape)
+                            for rec, r in zip(records, rows)])
+    total = per_context.sum(axis=-1)
+    ok = total > 0
+    if not ok.any():
         raise UsageError("all queries had zero planned-context mass")
-    per_layer_r = {li: float(np.concatenate(rs).mean()) if sum(r.size for r in rs)
-                   else float("nan") for li, rs in per_layer.items()}
+    r_q = (per_context * positive).sum(axis=-1)[ok] / total[ok]
+    share = per_context[ok] / total[ok, None]
+    layer = np.repeat([rec.layer for rec in records], [len(r) for r in rows])[ok]
+    per_layer_r = {li: float(r_q[layer == li].mean()) if (layer == li).any() else float("nan")
+                   for li in dict.fromkeys(rec.layer for rec in records)}
     return DistractionReport(
-        r=float(flat.mean()), d=d, n_queries=int(flat.size),
-        per_context_share=shares_sum / flat.size, per_layer_r=per_layer_r,
-        n_skipped=n_skipped)
+        r=float(r_q.mean()), d=per_context.shape[-1], n_queries=int(r_q.size),
+        per_context_share=share.sum(axis=0) / r_q.size, per_layer_r=per_layer_r,
+        n_skipped=int((~ok).sum()))
 
 
 def distraction_eval(model: Transformer, doc_iter, d: int, *,
@@ -152,6 +140,15 @@ def _window_nll(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return lse - picked
 
 
+def _ingest(memory: MemoryIndex, new_kv: dict[int, tuple[np.ndarray, np.ndarray]], doc_id: int,
+            start: int, take: int | None = None) -> None:
+    """Append the first ``take`` rows (default all) of each memory layer's
+    (K, V) [H, rows, Dh] to ``memory``, at positions ``start`` onwards."""
+    for li, (kk, vv) in new_kv.items():
+        n = kk.shape[1] if take is None else take
+        memory.append_block(li, kk[:, :n], vv[:, :n], doc_id, np.arange(start, start + n))
+
+
 @dataclass
 class PerplexityResult:
     ppl: float
@@ -199,9 +196,7 @@ def perplexity_eval(model: Transformer, docs, mode: str = "single_doc", *,
                     max(0, memory_token_cap - memory.layer_size(min(cfg.memory_layers)))
                 take = window.shape[0] if room is None else min(room, window.shape[0])
                 if take > 0:
-                    for li, (kk, vv) in out.new_kv.items():
-                        memory.append_block(li, kk[:, :take], vv[:, :take], doc_id,
-                                            np.arange(s, s + take))
+                    _ingest(memory, out.new_kv, doc_id, s, take)
         per_doc[int(doc_id)] = (nll_sum, n_tok)
         total += n_tok
         if token_budget is not None and total >= token_budget:
@@ -267,9 +262,7 @@ def dict_eval_accuracy(model: Transformer, task: DictTaskConfig, total_len: int,
         if use_memory:
             memory = MemoryIndex(cfg.memory_layers, cfg.n_heads, cfg.head_dim)
             for s in range(0, q_start, t):
-                out = model.forward_infer(doc.tokens[s:s + t], memory, k)
-                for li, (kk, vv) in out.new_kv.items():
-                    memory.append_block(li, kk, vv, di, np.arange(s, s + t))
+                _ingest(memory, model.forward_infer(doc.tokens[s:s + t], memory, k).new_kv, di, s)
             final = model.forward_infer(doc.tokens[q_start:], memory, k)
             logits = final.logits
         else:
@@ -321,21 +314,18 @@ def greedy_continuation(model: Transformer, prompt: np.ndarray, n_tokens: int,
     memory = MemoryIndex(cfg.memory_layers, cfg.n_heads, cfg.head_dim) \
         if cfg.memory_layers else None
 
-    def ingest(kv: dict[int, tuple[np.ndarray, np.ndarray]], start: int) -> None:
-        for li, (kk, vv) in kv.items():
-            memory.append_block(li, kk, vv, 0, np.arange(start, start + kk.shape[1]))
-
     n_ingest = (prompt.shape[0] - 1) // t  # keep a nonempty working window
     for w in range(n_ingest):
         if memory is not None:
-            ingest(model.forward_infer(prompt[w * t:(w + 1) * t], memory, k).new_kv, w * t)
+            _ingest(memory, model.forward_infer(prompt[w * t:(w + 1) * t], memory, k).new_kv,
+                    0, w * t)
     s = n_ingest * t
     cache = InferCache(memory)
     new = prompt[s:]
     generated: list[int] = []
     for _ in range(n_tokens):
         if len(cache) == t:
-            ingest(cache.memory_kv(), s)
+            _ingest(memory, cache.memory_kv(), 0, s)
             s += t
             cache = InferCache(memory)
         out = model.forward_infer(new, memory, k, cache=cache)

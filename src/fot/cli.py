@@ -122,15 +122,11 @@ def _distraction_docs(args, model):
     t = model.cfg.local_ctx_len
     if args.corpus:
         stream = tasks.load_corpus(args.corpus, args.min_doc_len)
-        def gen():
-            for _id, toks in stream:
-                yield toks, np.ones(len(toks))
-        return gen()
-    def gen():
-        for text in tasks.gen_text_corpus(512, 3 * t, seed=args.seed):
-            toks = tasks.encode_bytes(text)[: 2 * t]
-            yield toks, np.ones(len(toks))
-    return gen()
+    else:
+        texts = tasks.gen_text_corpus(512, 3 * t, seed=args.seed)
+        stream = tasks.CorpusStream([tasks.encode_bytes(x)[: 2 * t] for x in texts],
+                                    list(range(len(texts))))
+    return tasks.corpus_training_stream(stream)
 
 
 def cmd_sweep(args) -> int:

@@ -15,6 +15,7 @@ in "none" mode the memory layers use no positional encoding at all.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import struct
 from dataclasses import dataclass
@@ -734,24 +735,6 @@ def plan_rows(plan: CrossbatchPlan, batch: TrainBatch,
     return batch.prev_tokens[slots, wins], row_of
 
 
-def build_extras_leaves(model: Transformer, plan: CrossbatchPlan,
-                        prev_vals: dict[int, tuple[np.ndarray, np.ndarray]],
-                        row_of: dict[tuple[int, int], int], slots, t: int,
-                        requires_grad: bool,
-                        ) -> tuple[dict[int, _Extras], _Gather | None]:
-    """Extras for ``slots`` gathered from numpy K/V; their keys and values
-    are leaf tensors. Returns the extras and their gather metadata."""
-    gather = _plan_gather(plan, row_of, slots, t, model.dtype)
-    if gather is None:
-        return {}, None
-    extras = {}
-    for li, (k, v) in prev_vals.items():
-        ext = gather.extras(Tensor(k[gather.rows]), Tensor(v[gather.rows]))  # off the tape
-        ext.k.requires_grad = ext.v.requires_grad = requires_grad
-        extras[li] = ext
-    return extras, gather
-
-
 FULL_TAPE_SCORE_BYTES = 200 * 2**20
 CHUNK_SLOTS = 8        # slots per chunk, and previous windows per re-encoding
 LONG_QUERY_BLOCK = 256  # queries per attention block of forward_long
@@ -763,58 +746,22 @@ def crossbatch_grad_step(model: Transformer, batch: TrainBatch, plan: Crossbatch
     """Accumulate exact crossbatch gradients, chunking when scores get large.
 
     Steps whose attention scores fit in ``FULL_TAPE_SCORE_BYTES`` run on one
-    tape. Otherwise previous windows are encoded once without a tape; current
-    windows run in chunks of ``CHUNK_SLOTS`` slots against leaf copies of
-    their extras, and the extras' gradients are then pushed through
-    re-encodings of ``CHUNK_SLOTS`` previous windows at a time. Parameter
-    .grad buffers accumulate across all chunks (caller zeroes them).
+    tape; larger ones run ``_chunked_step``. Parameter .grad buffers
+    accumulate (caller zeroes them).
     """
-    cfg = model.cfg
     b, t = batch.cur_tokens.shape
     denom = float(batch.cur_mask.sum())
     if denom == 0:
         raise UsageError("crossbatch_grad_step: empty loss mask")
-
-    score_bytes = model.dtype.itemsize * b * cfg.n_heads * t * t * (1 + plan.max_windows)
-    if score_bytes <= FULL_TAPE_SCORE_BYTES:
-        with N.Tape() as tape:
-            fwd = model.forward_train(batch, plan, differentiable=differentiable,
-                                      collect_records=collect_records)
-            loss = N.cross_entropy_masked(fwd.logits, batch.cur_targets, batch.cur_mask)
-        N.backward(tape, loss)
-        return loss.item(), fwd.records
-
-    prev_tokens, row_of = plan_rows(plan, batch)
-    prev_vals = _encode_values(model, prev_tokens)  # no tape active here
-    grad_k = {li: np.zeros((len(prev_tokens), cfg.n_heads, t, cfg.head_dim), dtype=model.dtype)
-              for li in prev_vals}
-    grad_v = {li: np.zeros_like(g) for li, g in grad_k.items()}
-
-    total_loss = 0.0
-    chunks: list[list[AttentionRecord]] = []
-    for lo in range(0, b, CHUNK_SLOTS):
-        hi = min(lo + CHUNK_SLOTS, b)
-        chunk_mask = batch.cur_mask[lo:hi]
-        with N.Tape() as tape:
-            extras, gather = build_extras_leaves(
-                model, plan, prev_vals, row_of, range(lo, hi), t, requires_grad=differentiable)
-            logits, recs = model._current_rows(batch.cur_tokens[lo:hi], extras, gather,
-                                               collect_records)
-            if chunk_mask.sum() > 0:
-                ce = N.cross_entropy_masked(logits, batch.cur_targets[lo:hi], chunk_mask)
-                loss_chunk = N.scale(ce, float(chunk_mask.sum()) / denom)
-                N.backward(tape, loss_chunk)
-                total_loss += loss_chunk.item()
-        chunks.append(recs)
-        for li, ext in extras.items():
-            for leaf, buf in ((ext.k, grad_k[li]), (ext.v, grad_v[li])):
-                if leaf.grad is not None:
-                    np.add.at(buf, gather.rows, gather.window_grads(leaf.grad))
-
-    # push extras gradients into the previous windows' parameters
-    if differentiable:
-        _push_prev_grads(model, prev_tokens, grad_k, grad_v)
-    return total_loss, _merge_chunk_records(chunks)
+    score_bytes = model.dtype.itemsize * b * model.cfg.n_heads * t * t * (1 + plan.max_windows)
+    if score_bytes > FULL_TAPE_SCORE_BYTES:
+        return _chunked_step(model, batch, plan, denom, differentiable, collect_records)
+    with N.Tape() as tape:
+        fwd = model.forward_train(batch, plan, differentiable=differentiable,
+                                  collect_records=collect_records)
+        loss = N.cross_entropy_masked(fwd.logits, batch.cur_targets, batch.cur_mask)
+    N.backward(tape, loss)
+    return loss.item(), fwd.records
 
 
 def exposure_records(model: Transformer, batch: TrainBatch, plan: CrossbatchPlan,
@@ -823,38 +770,69 @@ def exposure_records(model: Transformer, batch: TrainBatch, plan: CrossbatchPlan
 
     Same math as forward_train(collect_records=True) but in chunks of
     ``CHUNK_SLOTS`` slots, so large-d exposures never materialize a
-    full-batch score tensor.
+    full-batch score tensor: the chunked training step without a loss.
     """
+    return _chunked_step(model, batch, plan, None, differentiable=False,
+                         collect_records=True)[1]
+
+
+def _chunked_step(model: Transformer, batch: TrainBatch, plan: CrossbatchPlan,
+                  denom: float | None, differentiable: bool, collect_records: bool,
+                  ) -> tuple[float, list[AttentionRecord]]:
+    """The crossbatch forward in chunks of ``CHUNK_SLOTS`` slots against
+    leaf copies of their extras, gathered from one tape-free encoding of the
+    previous windows. With a loss ``denom`` each chunk backpropagates its
+    share of the loss on a tape, and the extras' grads are then pushed
+    through re-encodings of the previous windows; without one the chunks
+    run tape-free and only collect records. Returns (loss, records)."""
     b, t = batch.cur_tokens.shape
     prev_tokens, row_of = plan_rows(plan, batch)
-    prev_vals = _encode_values(model, prev_tokens)
+    prev_kv = {li: (k.data, v.data) for li, (k, v) in
+               model.encode_windows(prev_tokens).items()} if len(prev_tokens) else {}
+    grads = {li: tuple(np.zeros(a.shape, a.dtype) for a in kv) for li, kv in prev_kv.items()}
+    leaves_need_grad = denom is not None and differentiable
+
+    total_loss = 0.0
     chunks: list[list[AttentionRecord]] = []
     for lo in range(0, b, CHUNK_SLOTS):
         hi = min(lo + CHUNK_SLOTS, b)
-        extras, gather = build_extras_leaves(model, plan, prev_vals, row_of, range(lo, hi),
-                                             t, requires_grad=False)
-        chunks.append(model._current_rows(batch.cur_tokens[lo:hi], extras, gather,
-                                          collect_records=True)[1])
-    return _merge_chunk_records(chunks)
+        gather = _plan_gather(plan, row_of, range(lo, hi), t, model.dtype)
+        extras = {}
+        if gather is not None:
+            for li, (k, v) in prev_kv.items():  # numpy gather: leaves off the tape
+                extras[li] = ext = gather.extras(Tensor(k[gather.rows]), Tensor(v[gather.rows]))
+                ext.k.requires_grad = ext.v.requires_grad = leaves_need_grad
+        chunk_mask = batch.cur_mask[lo:hi]
+        with N.Tape() if denom is not None else contextlib.nullcontext() as tape:
+            logits, recs = model._current_rows(batch.cur_tokens[lo:hi], extras, gather,
+                                               collect_records)
+            if denom is not None and chunk_mask.sum() > 0:
+                ce = N.cross_entropy_masked(logits, batch.cur_targets[lo:hi], chunk_mask)
+                loss_chunk = N.scale(ce, float(chunk_mask.sum()) / denom)
+                N.backward(tape, loss_chunk)
+                total_loss += loss_chunk.item()
+        chunks.append(recs)
+        for li, ext in extras.items():
+            for leaf, buf in zip((ext.k, ext.v), grads[li]):
+                if leaf.grad is not None:
+                    np.add.at(buf, gather.rows, gather.window_grads(leaf.grad))
+        extras = ext = leaf = None  # this chunk's extras and grads go before the next's
+
+    if leaves_need_grad:
+        _push_prev_grads(model, prev_tokens, grads)
+    return total_loss, _merge_chunk_records(chunks)
 
 
-def _encode_values(model: Transformer, prev_tokens: np.ndarray,
-                   ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    if not len(prev_tokens):
-        return {}
-    return {li: (k.data, v.data) for li, (k, v) in model.encode_windows(prev_tokens).items()}
-
-
-def _push_prev_grads(model, prev_tokens, grad_k, grad_v) -> None:
+def _push_prev_grads(model: Transformer, prev_tokens: np.ndarray,
+                     grads: dict[int, tuple[np.ndarray, np.ndarray]]) -> None:
+    """Backpropagate each memory layer's (K, V) grads of the previous windows
+    through re-encodings of ``CHUNK_SLOTS`` windows at a time."""
     for lo in range(0, len(prev_tokens), CHUNK_SLOTS):
         hi = lo + CHUNK_SLOTS
         with N.Tape() as tape:
             kv = model.encode_windows(prev_tokens[lo:hi])
-            seeds = []
-            for li, (k_t, v_t) in kv.items():
-                seeds.append((k_t, grad_k[li][lo:hi]))
-                seeds.append((v_t, grad_v[li][lo:hi]))
-            N.backward_from(tape, seeds)
+            N.backward_from(tape, [(x, g[lo:hi]) for li, pair in kv.items()
+                                   for x, g in zip(pair, grads[li])])
 
 
 def _merge_chunk_records(chunks: list[list[AttentionRecord]]) -> list[AttentionRecord]:
@@ -871,13 +849,8 @@ def _merge_chunk_records(chunks: list[list[AttentionRecord]]) -> list[AttentionR
 def _cat_padded(arrays: list[np.ndarray]) -> np.ndarray:
     """Concatenate along axis 0, zero-padding the last axis to the widest."""
     c = max(a.shape[-1] for a in arrays)
-    out = []
-    for a in arrays:
-        if a.shape[-1] < c:
-            pad = [(0, 0)] * (a.ndim - 1) + [(0, c - a.shape[-1])]
-            a = np.pad(a, pad)
-        out.append(a)
-    return np.concatenate(out, axis=0)
+    return np.concatenate([np.pad(a, [(0, 0)] * (a.ndim - 1) + [(0, c - a.shape[-1])])
+                           for a in arrays])
 
 # ---------------------------------------------------------------------------
 # checkpoints
@@ -898,9 +871,9 @@ def save_checkpoint(path, cfg: ModelConfig, params: dict[str, Tensor]) -> None:
 
 
 def load_checkpoint(path, dtype=np.float32) -> tuple[ModelConfig, dict[str, Tensor]]:
-    """Read a FOTC file. Every parameter must have the shape its config
-    implies (``param_shapes``); anything else raises FormatError. A file
-    that cannot be read raises DataError."""
+    """Read a FOTC file. Its config must validate and every parameter must
+    have the shape the config implies (``param_shapes``); anything else
+    raises FormatError. A file that cannot be read raises DataError."""
     try:
         with open(path, "rb") as f:
             raw = f.read()
@@ -916,8 +889,9 @@ def load_checkpoint(path, dtype=np.float32) -> tuple[ModelConfig, dict[str, Tens
     off = 12
     try:
         cfg = ModelConfig.from_dict(json.loads(raw[off:off + blob_len].decode()))
+        cfg.validate()
         shapes = param_shapes(cfg)
-    except (ValueError, TypeError) as e:
+    except (ValueError, TypeError, ConfigError) as e:
         raise FormatError(f"{path}: bad config blob: {e}") from e
     off += blob_len
     params: dict[str, Tensor] = {}

@@ -12,11 +12,11 @@ import numpy as np
 from . import __version__
 from .analysis import EvalResult, write_metrics_csv
 from .config import TrainConfig, config_hash, emit_config
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, FotError, NumericError
 from .model import Transformer, crossbatch_grad_step, load_checkpoint, save_checkpoint
 from .numerics import Tensor
 from .pipeline import CrossbatchPipeline
-from .tasks import (DictTaskConfig, corpus_training_stream, dict_training_stream,
+from .tasks import (CorpusStream, DictTaskConfig, corpus_training_stream, dict_training_stream,
                     encode_bytes, gen_text_corpus, load_corpus)
 
 
@@ -154,7 +154,6 @@ def make_doc_stream(cfg: TrainConfig):
         return dict_training_stream(task, cfg.seed)
     if cfg.task == "text-synth":
         docs = gen_text_corpus(cfg.synth_docs, cfg.synth_doc_len, seed=cfg.seed)
-        from .tasks import CorpusStream
         stream = CorpusStream([encode_bytes(d) for d in docs], list(range(len(docs))))
         return corpus_training_stream(stream, loop=True)
     stream = load_corpus(cfg.corpus_path, cfg.min_doc_len, cfg.corpus_delimiter)
@@ -167,7 +166,8 @@ def train(cfg: TrainConfig, out_dir) -> TrainResult:
     Data steps whose loss mask is all zero advance the pipeline but consume
     no optimizer step. NaN/Inf loss aborts with a diagnostic dump. Each
     logged row is appended to metrics.csv as it is logged, so a failed run
-    keeps the rows logged before the failure.
+    keeps the rows logged before the failure; any FotError after the
+    manifest is first written marks it "failed" before it propagates.
     """
     cfg.validate()
     out = Path(out_dir)
@@ -185,61 +185,65 @@ def train(cfg: TrainConfig, out_dir) -> TrainResult:
     manifest.write(manifest_path)
     write_metrics_csv(metrics_path, [])
 
-    if cfg.init_checkpoint:
-        ck_cfg, params = load_checkpoint(cfg.init_checkpoint)
-        if ck_cfg != cfg.model:
-            raise ConfigError("init checkpoint geometry differs from model config")
-        model = Transformer(cfg.model, params=params)
-    else:
-        model = Transformer(cfg.model, seed=cfg.seed)
-
-    pipe = CrossbatchPipeline(make_doc_stream(cfg), cfg.b_s, cfg.model.local_ctx_len,
-                              cfg.schedule(), w=cfg.w, seed=cfg.seed)
-    optimizer = make_optimizer(cfg, model.params)
-
-    losses: list[float] = []
     opt_step = 0
-    skipped_in_row = 0
-    ended_early = ""
-    t0 = time.time()
-    while opt_step < cfg.steps:
-        try:
-            batch = pipe.next_batch()
-        except DataError:
-            ended_early = f"stream exhausted at step {opt_step}"
-            break
-        if batch.cur_mask.sum() == 0:
-            skipped_in_row += 1
-            if skipped_in_row > 1000:
-                raise DataError("1000 consecutive data steps carried no loss mask")
-            continue
+    try:
+        if cfg.init_checkpoint:
+            ck_cfg, params = load_checkpoint(cfg.init_checkpoint)
+            if ck_cfg != cfg.model:
+                raise ConfigError("init checkpoint geometry differs from model config")
+            model = Transformer(cfg.model, params=params)
+        else:
+            model = Transformer(cfg.model, seed=cfg.seed)
+
+        pipe = CrossbatchPipeline(make_doc_stream(cfg), cfg.b_s, cfg.model.local_ctx_len,
+                                  cfg.schedule(), w=cfg.w, seed=cfg.seed)
+        optimizer = make_optimizer(cfg, model.params)
+
+        losses: list[float] = []
         skipped_in_row = 0
-        plan = pipe.build_plan(opt_step, batch)
-        model.zero_grads()
-        loss, _ = crossbatch_grad_step(model, batch, plan, differentiable=not cfg.stop_gradient)
-        if not np.isfinite(loss):
-            diag = {"step": opt_step, "loss": float(loss),
-                    "grad_norms": {k: float(np.abs(p.grad).max()) if p.grad is not None else 0.0
-                                   for k, p in model.params.items()}}
-            (out / "diagnostic.json").write_text(json.dumps(diag, indent=2))
-            manifest.status = "failed"
-            manifest.note = "non-finite loss"
-            manifest.end_step = opt_step
-            manifest.write(manifest_path)
-            raise NumericError(f"non-finite loss {loss} at step {opt_step}")
-        clip_global_norm(model.params, cfg.grad_clip)
-        optimizer.step(inverse_sqrt_lr(opt_step, cfg.max_lr, cfg.min_lr, cfg.warmup_steps))
-        losses.append(loss)
-        if opt_step % max(1, cfg.log_every) == 0 or opt_step == cfg.steps - 1:
-            write_metrics_csv(metrics_path, [EvalResult(
-                run_id, "train_loss", "step", float(opt_step), loss, cfg.seed, chash)],
-                append=True)
-        if cfg.checkpoint_every and opt_step and opt_step % cfg.checkpoint_every == 0:
-            ck = out / f"step{opt_step:06d}.fotc"
-            save_checkpoint(ck, cfg.model, model.params)
-            manifest.checkpoint_files.append(str(ck))
-            manifest.write(manifest_path)
-        opt_step += 1
+        ended_early = ""
+        t0 = time.time()
+        while opt_step < cfg.steps:
+            try:
+                batch = pipe.next_batch()
+            except DataError:
+                ended_early = f"stream exhausted at step {opt_step}"
+                break
+            if batch.cur_mask.sum() == 0:
+                skipped_in_row += 1
+                if skipped_in_row > 1000:
+                    raise DataError("1000 consecutive data steps carried no loss mask")
+                continue
+            skipped_in_row = 0
+            plan = pipe.build_plan(opt_step, batch)
+            model.zero_grads()
+            loss, _ = crossbatch_grad_step(model, batch, plan,
+                                           differentiable=not cfg.stop_gradient)
+            if not np.isfinite(loss):
+                diag = {"step": opt_step, "loss": float(loss), "grad_norms": {
+                    k: float(np.abs(p.grad).max()) if p.grad is not None else 0.0
+                    for k, p in model.params.items()}}
+                (out / "diagnostic.json").write_text(json.dumps(diag, indent=2))
+                raise NumericError(f"non-finite loss {loss} at step {opt_step}")
+            clip_global_norm(model.params, cfg.grad_clip)
+            optimizer.step(inverse_sqrt_lr(opt_step, cfg.max_lr, cfg.min_lr, cfg.warmup_steps))
+            losses.append(loss)
+            if opt_step % max(1, cfg.log_every) == 0 or opt_step == cfg.steps - 1:
+                write_metrics_csv(metrics_path, [EvalResult(
+                    run_id, "train_loss", "step", float(opt_step), loss, cfg.seed, chash)],
+                    append=True)
+            if cfg.checkpoint_every and opt_step and opt_step % cfg.checkpoint_every == 0:
+                ck = out / f"step{opt_step:06d}.fotc"
+                save_checkpoint(ck, cfg.model, model.params)
+                manifest.checkpoint_files.append(str(ck))
+                manifest.write(manifest_path)
+            opt_step += 1
+    except FotError as e:
+        manifest.status = "failed"
+        manifest.end_step = opt_step
+        manifest.note = f"{type(e).__name__}: {e}"
+        manifest.write(manifest_path)
+        raise
 
     final_ck = out / "final.fotc"
     save_checkpoint(final_ck, cfg.model, model.params)

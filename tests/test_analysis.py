@@ -43,6 +43,18 @@ def test_per_layer_r_pools_every_record_of_the_layer():
     assert rep.per_layer_r == pytest.approx({0: 0.5, 2: 0.3})
 
 
+def test_records_of_different_widths_pad_their_contexts():
+    """A d=2 record beside a d=3 one: shares are averaged over the queries
+    with planned mass, the narrow record's missing context counting 0."""
+    narrow = synthetic_record([[[[0.2, 0.2], [0.0, 0.0]]]], [[1, -1]])  # 2nd query skipped
+    wide = synthetic_record([[[[0.1, 0.1, 0.2]]]], [[-1, 1, -1]], layer=1)
+    rep = A.positive_attention_mass([narrow, wide])
+    assert (rep.d, rep.n_queries, rep.n_skipped) == (3, 2, 1)
+    assert rep.r == pytest.approx((0.5 + 0.25) / 2)
+    assert rep.per_layer_r == pytest.approx({0: 0.5, 1: 0.25})
+    np.testing.assert_allclose(rep.per_context_share, [0.375, 0.375, 0.25])
+
+
 def test_r_requires_positive_context():
     pc = np.full((1, 1, 2, 2), 0.1)
     rec = synthetic_record(pc, [[-1, -1]])

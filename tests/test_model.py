@@ -254,10 +254,14 @@ def _force_chunks_of_two(monkeypatch):
     monkeypatch.setattr(model_mod, "CHUNK_SLOTS", 2)
 
 
-@pytest.mark.parametrize("integration,empty_slots",
-                         [("merged", ()), ("merged", (0, 1)), ("gated", (0, 1))],
-                         ids=["merged", "merged-empty_chunk", "gated-empty_chunk"])
-def test_chunked_grad_step_matches_full_tape(integration, empty_slots, monkeypatch):
+CHUNK_CASES = pytest.mark.parametrize(
+    "integration,empty_slots", [("merged", ()), ("merged", (0, 1)), ("gated", (0, 1))],
+    ids=["merged", "merged-empty_chunk", "gated-empty_chunk"])
+
+
+def _chunk_case(integration, empty_slots):
+    """A 3-layer model with two memory layers, six slots and a d=3 plan
+    whose ``empty_slots`` have no windows (slots 0, 1: all of chunk 0)."""
     rng = np.random.default_rng(8)
     cfg = tiny_cfg(n_layers=3, memory_layers=(1, 2), integration_mode=integration)
     model = Transformer(cfg, seed=9, dtype=np.float64)
@@ -265,8 +269,12 @@ def test_chunked_grad_step_matches_full_tape(integration, empty_slots, monkeypat
     for li in cfg.memory_layers:
         model.params[f"layers.{li}.gate_bias"].data[...] = 0.5
     batch = make_batch(rng, cfg, b=6)
-    plan = _without_windows(exposure_plan(6, 3), empty_slots)  # chunk 0 may have none
+    return model, batch, _without_windows(exposure_plan(6, 3), empty_slots)
 
+
+@CHUNK_CASES
+def test_chunked_grad_step_matches_full_tape(integration, empty_slots, monkeypatch):
+    model, batch, plan = _chunk_case(integration, empty_slots)
     model.zero_grads()
     loss_full, grads_full = _loss_of(model, batch, plan)
     model.zero_grads()
@@ -281,6 +289,22 @@ def test_chunked_grad_step_matches_full_tape(integration, empty_slots, monkeypat
         np.testing.assert_allclose(a, b_, atol=1e-10, err_msg=name)
 
 
+@CHUNK_CASES
+def test_chunked_records_match_forward_train(integration, empty_slots, monkeypatch):
+    """The chunked step and exposure_records, one loop with and without a
+    loss, merge their chunks' records into exactly forward_train's."""
+    model, batch, plan = _chunk_case(integration, empty_slots)
+    want = model.forward_train(batch, plan).records
+    _force_chunks_of_two(monkeypatch)
+    _, stepped = crossbatch_grad_step(model, batch, plan, collect_records=True)
+    for got in (stepped, exposure_records(model, batch, plan)):
+        assert [r.layer for r in got] == [r.layer for r in want]
+        for g, w in zip(got, want):
+            for name in ("mass_local", "per_context", "context_polarity"):
+                np.testing.assert_array_equal(getattr(g, name), getattr(w, name), err_msg=name)
+            assert g.gate == w.gate
+
+
 def test_chunked_extras_leaves_keep_their_grads(monkeypatch):
     """Backward frees the grads of intermediate tensors only: the chunked
     step reads the grads of its extras leaves after each chunk's backward."""
@@ -291,13 +315,13 @@ def test_chunked_extras_leaves_keep_their_grads(monkeypatch):
     batch = make_batch(rng, cfg, b=4)
     leaves = []
 
-    def spy(*args, **kw):
-        extras, gather = build(*args, **kw)
-        leaves.extend(t for ext in extras.values() for t in (ext.k, ext.v))
-        return extras, gather
+    def spy(gather, k, v):
+        ext = build(gather, k, v)
+        leaves.extend((ext.k, ext.v))
+        return ext
 
-    build = model_mod.build_extras_leaves
-    monkeypatch.setattr(model_mod, "build_extras_leaves", spy)
+    build = model_mod._Gather.extras
+    monkeypatch.setattr(model_mod._Gather, "extras", spy)
     model.zero_grads()
     _force_chunks_of_two(monkeypatch)
     crossbatch_grad_step(model, batch, exposure_plan(4, 2))
@@ -460,6 +484,19 @@ def test_checkpoint_truncation_and_magic(tmp_path):
     trunc.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(FormatError):
         load_checkpoint(trunc)
+
+
+@pytest.mark.parametrize("bad", [{"memory_layers": (5,)}, {"temperature_init": -1.0}],
+                         ids=["memory_layer_out_of_range", "negative_temperature"])
+def test_load_checkpoint_rejects_an_invalid_config_blob(bad, tmp_path):
+    """A blob whose config fails validation is a FormatError, even when
+    every parameter has the shape that config implies."""
+    cfg = tiny_cfg(**bad)
+    path = tmp_path / "c.fotc"
+    save_checkpoint(path, cfg, {name: Tensor(np.zeros(shape, np.float32))
+                                for name, shape in param_shapes(cfg).items()})
+    with pytest.raises(FormatError, match="bad config blob"):
+        load_checkpoint(path)
 
 
 def test_load_checkpoint_rejects_every_truncation_and_header_bit_flip(tmp_path):

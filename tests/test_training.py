@@ -149,6 +149,20 @@ def test_metrics_rows_reach_disk_before_a_failure(tmp_path, monkeypatch):
         train(small_train_cfg(steps=6, log_every=2), tmp_path / "run")
     rows = read_metrics_csv(tmp_path / "run" / "metrics.csv")
     assert [(r.metric, r.axis_value) for r in rows] == [("train_loss", 0.0), ("train_loss", 2.0)]
+    man = RunManifest.read(tmp_path / "run" / "manifest.json")
+    assert (man.status, man.end_step) == ("failed", 4)
+    assert man.note.startswith("NumericError: non-finite loss")
+    assert (tmp_path / "run" / "diagnostic.json").exists()
+
+
+def test_missing_init_checkpoint_marks_the_run_failed(tmp_path):
+    code, _, err = run_cli("train", "--preset", "dict-small", "--override",
+                           f"init_checkpoint={tmp_path / 'absent.fotc'}",
+                           "--out", str(tmp_path / "run"))
+    assert code == 3 and err.startswith("data error: ")
+    man = RunManifest.read(tmp_path / "run" / "manifest.json")
+    assert (man.status, man.end_step) == ("failed", 0)
+    assert man.note.startswith("DataError: cannot read checkpoint")
 
 
 def test_train_resumes_from_checkpoint(tmp_path):
