@@ -324,11 +324,10 @@ def _extra_logits(q: Tensor, k_ext: Tensor, extra_add: np.ndarray | None) -> Ten
     """q . k [B, H, T, E] against extras shared by every query ([B, H, E, Dh])
     or [B, H, T, k] against one set per query ([B, H, T, k, Dh])."""
     if k_ext.data.ndim == 4:
-        logits = N.matmul(q, N.transpose(k_ext, (0, 1, 3, 2)))
-    else:
-        b, h, t, dh = q.shape
-        logits = N.matmul(N.reshape(q, (b, h, t, 1, dh)), N.transpose(k_ext, (0, 1, 2, 4, 3)))
-        logits = N.reshape(logits, (b, h, t, k_ext.shape[3]))
+        return N.attention_logits(q, [k_ext], [extra_add])
+    b, h, t, dh = q.shape
+    logits = N.attention_logits(N.reshape(q, (b, h, t, 1, dh)), [k_ext], [None])
+    logits = N.reshape(logits, (b, h, t, k_ext.shape[3]))
     return logits if extra_add is None else N.add(logits, Tensor(extra_add))
 
 
@@ -357,19 +356,20 @@ def merged_softmax_attention(q: Tensor, local_kv: tuple[Tensor, Tensor],
     and inference shapes.
     """
     k_loc, v_loc = local_kv
-    logits_loc = N.add(N.matmul(q, N.transpose(k_loc, (0, 1, 3, 2))), Tensor(causal_add))
     if extra_kv is None:
-        probs = N.softmax_last_axis(logits_loc)
+        probs = N.softmax_last_axis(N.attention_logits(q, [k_loc], [causal_add]))
         return N.matmul(probs, v_loc), probs.data, None
     k_ext, v_ext = extra_kv
-    t_local = logits_loc.shape[-1]
-    probs = N.softmax_last_axis(N.concat_last_axis([logits_loc, _extra_logits(q, k_ext, extra_add)]))
-    n = probs.shape[-1]
-    if v_ext.data.ndim == 4:
+    t_local = k_loc.shape[-2]
+    if k_ext.data.ndim == 4:
+        probs = N.softmax_last_axis(
+            N.attention_logits(q, [k_loc, k_ext], [causal_add, extra_add]))
         out = N.matmul(probs, N.concat_axis([v_loc, v_ext], axis=-2))
-    else:  # per-query values cannot join the local ones in one matmul
+    else:  # per-query keys and values cannot join the local ones in one matmul
+        probs = N.softmax_last_axis(N.concat_last_axis(
+            [N.attention_logits(q, [k_loc], [causal_add]), _extra_logits(q, k_ext, extra_add)]))
         out = N.add(N.matmul(N.slice_last_axis(probs, 0, t_local), v_loc),
-                    _read_extras(N.slice_last_axis(probs, t_local, n), v_ext))
+                    _read_extras(N.slice_last_axis(probs, t_local, probs.shape[-1]), v_ext))
     return out, probs.data[..., :t_local], probs.data[..., t_local:]
 
 
@@ -815,7 +815,7 @@ def _chunked_step(model: Transformer, batch: TrainBatch, plan: CrossbatchPlan,
         for li, ext in extras.items():
             for leaf, buf in zip((ext.k, ext.v), grads[li]):
                 if leaf.grad is not None:
-                    np.add.at(buf, gather.rows, gather.window_grads(leaf.grad))
+                    buf += N.scatter_rows(gather.rows, gather.window_grads(leaf.grad), len(buf))
         extras = ext = leaf = None  # this chunk's extras and grads go before the next's
 
     if leaves_need_grad:

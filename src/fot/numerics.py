@@ -9,7 +9,9 @@ backward closure as a buffer the closure owns, and the node then drops its
 output and its closure, so intermediate grads and the forward arrays only
 that closure kept alive are freed as backward goes. A tape is single-use.
 Leaf tensors (those no recorded op produced, parameters among them) keep
-their grads.
+their grads. ``attention_logits`` writes the logits of several key sets,
+masks added, into one buffer, and its backward keeps q and the keys only,
+so its output is the one score-sized array it leaves on the tape.
 
 Reduction order is whatever numpy/BLAS uses, which is fixed per process and
 input shape, so forward passes are bit-deterministic across reruns.
@@ -21,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ShapeError, UsageError
+from .errors import DataError, ShapeError, UsageError
 
 _TAPE_STACK: list["Tape"] = []
 
@@ -187,6 +189,35 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
+def attention_logits(q: Tensor, keys: Sequence[Tensor],
+                     adds: Sequence[np.ndarray | None]) -> Tensor:
+    """q·kᵢᵀ + addᵢ (None: no mask) for each key set kᵢ [..., nᵢ, Dh], side by
+    side in one [..., T, Σnᵢ] buffer, with no transposed key copy. The keys'
+    leading dims broadcast against q's; backward keeps q and the keys only."""
+    if len(adds) != len(keys) or any(k.shape[-1] != q.shape[-1] for k in keys):
+        raise ShapeError(f"attention_logits: q {q.shape}, keys {[k.shape for k in keys]}")
+    lead = np.broadcast_shapes(q.shape[:-2], *(k.shape[:-2] for k in keys))
+    ends = np.cumsum([k.shape[-2] for k in keys]).tolist()
+    cols = [slice(hi - k.shape[-2], hi) for k, hi in zip(keys, ends)]
+    buf = np.empty(lead + (q.shape[-2], ends[-1]), dtype=q.data.dtype)
+    for k, add_i, c in zip(keys, adds, cols):
+        part = buf[..., c]
+        np.matmul(q.data, np.swapaxes(k.data, -1, -2), out=part)
+        if add_i is not None:
+            part += add_i
+
+    def bwd(g: np.ndarray) -> None:
+        if q.requires_grad:
+            dq = sum(np.matmul(g[..., c], k.data) for k, c in zip(keys, cols))
+            _accum(q, _unbroadcast(dq, q.shape), owned=True)
+        for k, c in zip(keys, cols):
+            if k.requires_grad:
+                gk = np.matmul(np.swapaxes(g[..., c], -1, -2), q.data)
+                _accum(k, _unbroadcast(gk, k.shape), owned=True)
+
+    return _record(Tensor(buf), (q, *keys), bwd)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     try:
         out = Tensor(a.data + b.data)
@@ -269,15 +300,20 @@ def slice_last_axis(x: Tensor, start: int, stop: int) -> Tensor:
     return _record(out, (x,), bwd)
 
 
+def scatter_rows(idx: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
+    """[n, ...] sums of the rows g[i] into rows idx[i]: one one-hot [n, len(idx)] GEMM."""
+    onehot = np.zeros((n, idx.size), dtype=g.dtype)
+    onehot[idx.reshape(-1), np.arange(idx.size)] = 1
+    return (onehot @ g.reshape(idx.size, -1)).reshape((n,) + g.shape[idx.ndim:])
+
+
 def take_rows(x: Tensor, indices) -> Tensor:
     idx = np.asarray(indices, dtype=np.int64)
     out = Tensor(x.data[idx])
 
     def bwd(g: np.ndarray) -> None:
         if x.requires_grad:
-            buf = np.zeros_like(x.data)
-            np.add.at(buf, idx, g)
-            _accum(x, buf, owned=True)
+            _accum(x, scatter_rows(idx, g, x.shape[0]), owned=True)
 
     return _record(out, (x,), bwd)
 
@@ -402,7 +438,11 @@ def rotary_encode(x: Tensor, positions, base: float = 10000.0) -> Tensor:
 
 
 def embedding(table: Tensor, ids) -> Tensor:
+    """Rows of ``table`` for token ``ids``; an id outside [0, vocab) is a DataError."""
     idx = np.asarray(ids, dtype=np.int64)
+    bad = idx[(idx < 0) | (idx >= len(table.data))]
+    if bad.size:
+        raise DataError(f"token id {bad[0]} is outside the vocabulary of {len(table.data)} ids")
     out = Tensor(table.data[idx])
 
     def bwd(g: np.ndarray) -> None:

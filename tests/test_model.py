@@ -7,7 +7,7 @@ import pytest
 
 from fot import model as model_mod
 from fot import numerics as N
-from fot.errors import FormatError, ShapeError, UsageError
+from fot.errors import DataError, FormatError, ShapeError, UsageError
 from fot.memstore import MemoryIndex
 from fot.model import (
     AttentionRecord, InferCache, ModelConfig, Transformer, crossbatch_grad_step,
@@ -342,6 +342,34 @@ def test_slot_logits_ignore_neighbour_plans(integration):
     logits = [model.forward_train(batch, plan).logits.data[1]
               for plan in (neighbour_has_window, empty_plan(2))]
     assert np.abs(logits[0] - logits[1]).max() <= 1e-10
+
+
+def test_merged_attention_tapes_two_score_sized_arrays():
+    """A merged memory layer with shared extras leaves exactly two arrays of
+    [b, H, T, E*T] size or more on its tape: the logits and the softmax."""
+    rng = np.random.default_rng(21)
+    cfg = tiny_cfg(head_dim=4, d_model=8)  # values stay smaller than the scores
+    model = Transformer(cfg, seed=22, dtype=np.float64)
+    b, h, t, dh, e = 3, cfg.n_heads, cfg.local_ctx_len, cfg.head_dim, 4
+
+    def leaf(*shape):
+        return Tensor(rng.standard_normal(shape), requires_grad=True)
+
+    pad_add = np.zeros((b, 1, 1, e * t))
+    pad_add[2, ..., t:] = N.MASK_VALUE
+    ext = model_mod._Extras(leaf(b, h, e * t, dh), leaf(b, h, e * t, dh), pad_add)
+    with N.Tape() as tape:
+        model._attend(1, leaf(b, h, t, dh), (leaf(b, h, t, dh), leaf(b, h, t, dh)),
+                      model._causal_add(t), ext, collect=False)
+    sizes = [node.out.data.size for node in tape._nodes]
+    assert sum(s >= b * h * t * e * t for s in sizes) == 2, sizes
+
+
+def test_token_ids_outside_the_vocabulary_are_data_errors():
+    model = Transformer(tiny_cfg(), seed=0)
+    for bad in (-1, model.cfg.vocab_size):
+        with pytest.raises(DataError, match=f"token id {bad} .* vocabulary of 13"):
+            model.forward_infer(np.array([bad]), None, 0)
 
 
 def test_finite_diff_through_memory_layer():

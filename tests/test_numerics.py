@@ -234,6 +234,37 @@ def test_fd_elementwise_and_shape_ops():
     _check(lambda: N.sum_all(N.mul(N.concat_axis([a, b], 0), w43)), [a, b])
 
 
+def test_fd_attention_logits_broadcast_keys_and_no_mask():
+    rng = np.random.default_rng(12)
+    q = t64(rng.standard_normal((2, 2, 3, 4)))
+    k_own = t64(rng.standard_normal((2, 2, 3, 4)))
+    k_shared = t64(rng.standard_normal((1, 2, 5, 4)))  # broadcast over the batch axis
+    add = rng.standard_normal((1, 1, 3, 3))  # a MASK_VALUE entry would swamp the probe
+    w = N.Tensor(rng.standard_normal((2, 2, 3, 8)))
+    _check(lambda: N.sum_all(N.mul(N.attention_logits(q, [k_own, k_shared], [add, None]), w)),
+           [q, k_own, k_shared])
+
+
+def test_attention_logits_equals_the_ops_it_replaces():
+    rng = np.random.default_rng(13)
+
+    def f32(*shape):
+        return N.Tensor(rng.standard_normal(shape).astype(np.float32))
+
+    q, k_loc, k_ext = f32(2, 3, 6, 8), f32(2, 3, 6, 8), f32(2, 3, 12, 8)
+    causal = N.causal_mask(6)[None, None]
+    pad = np.zeros((2, 1, 1, 12), np.float32)
+    pad[1, ..., 7:] = N.MASK_VALUE
+    composed = N.concat_last_axis([
+        N.add(N.matmul(q, N.transpose(k, (0, 1, 3, 2))), N.Tensor(add))
+        for k, add in ((k_loc, causal), (k_ext, pad))])
+    fused = N.attention_logits(q, [k_loc, k_ext], [causal, pad])
+    assert fused.shape == composed.shape == (2, 3, 6, 18)
+    np.testing.assert_allclose(fused.data, composed.data, rtol=0, atol=1e-6)
+    with pytest.raises(ShapeError):
+        N.attention_logits(q, [f32(2, 3, 6, 5)], [None])
+
+
 def test_fd_nonlinearities():
     rng = np.random.default_rng(9)
     x = t64(rng.standard_normal((2, 5)))

@@ -315,6 +315,17 @@ def test_cli_missing_checkpoint_is_data_error(argv, tmp_path):
     assert code == 3 and err.startswith("data error: ") and str(missing) in err
 
 
+def test_cli_eval_on_ids_outside_the_vocabulary_is_data_error(tmp_path):
+    """Byte-level synthetic text (ids up to 255) against a vocab-64 model."""
+    cfg = small_train_cfg().model
+    ck = tmp_path / "dict.fotc"
+    save_checkpoint(ck, cfg, Transformer(cfg).params)
+    code, _, err = run_cli("eval", "--checkpoint", str(ck), "--suite", "distraction",
+                           "--axis", "d=2", "--out", str(tmp_path / "d.csv"))
+    assert code == 3 and err.startswith("data error: token id ")
+    assert "vocabulary of 64 ids" in err
+
+
 CLI_EXIT_CODES = {ConfigError: 2, UsageError: 2, FormatError: 2, ShapeError: 2,
                   DataError: 3, NumericError: 4, CapacityError: 5}
 
