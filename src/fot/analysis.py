@@ -250,6 +250,8 @@ def dict_eval_accuracy(model: Transformer, task: DictTaskConfig, total_len: int,
     the final question window; use_memory=False gives the local-only baseline
     the whole document as one long context.
     """
+    if n_docs < 1:
+        raise UsageError(f"dict_eval_accuracy needs n_docs >= 1, got {n_docs}")
     cfg = model.cfg
     t = cfg.local_ctx_len
     rng = np.random.default_rng([seed, total_len])
@@ -320,14 +322,14 @@ def greedy_continuation(model: Transformer, prompt: np.ndarray, n_tokens: int,
             _ingest(memory, model.forward_infer(prompt[w * t:(w + 1) * t], memory, k).new_kv,
                     0, w * t)
     s = n_ingest * t
-    cache = InferCache(memory)
+    cache = InferCache(memory, t)
     new = prompt[s:]
     generated: list[int] = []
     for _ in range(n_tokens):
         if len(cache) == t:
             _ingest(memory, cache.memory_kv(), 0, s)
             s += t
-            cache = InferCache(memory)
+            cache = InferCache(memory, t)
         out = model.forward_infer(new, memory, k, cache=cache)
         generated.append(int(out.logits[-1].argmax()))
         new = np.asarray(generated[-1:], dtype=np.int64)
@@ -348,7 +350,9 @@ def passkey_accuracy(prompts, continuations) -> float:
                 break
         good += digits == p.answer
         n += 1
-    return good / n if n else 0.0
+    if n == 0:
+        raise UsageError("passkey_accuracy: no prompts")
+    return good / n
 
 
 # ---------------------------------------------------------------------------

@@ -194,19 +194,22 @@ class InferForward:
 
 
 class InferCache:
-    """The rows of one working window that ``forward_infer`` has already run.
+    """The rows of a sequence that the layer loop has already run.
 
     Per layer it holds the local attention keys (rotary applied where the
-    layer uses it) and the values; per memory layer also the pre-rotary keys
-    that go to memory. The cached rows retrieved from memory at the size it
-    had when the cache was created, so the cache is valid only while memory
-    keeps that size.
+    layer uses it) and the values of up to ``capacity`` rows; per memory
+    layer also the pre-rotary keys that go to memory. ``forward_infer``
+    fills one working window (capacity local_ctx_len) and ``forward_long`` a
+    whole sequence, block by block, without memory. The cached rows
+    retrieved from memory at the size it had when the cache was created, so
+    the cache is valid only while memory keeps that size.
     """
 
-    def __init__(self, memory: MemoryIndex | None):
+    def __init__(self, memory: MemoryIndex | None, capacity: int):
         self.memory_size = _memory_size(memory)
+        self.capacity = capacity
         self.n = 0
-        # layer -> [1, H, rows, Dh]; rows >= n, only the first n are valid
+        # layer -> [B, H, rows, Dh]; rows >= n, only the first n are valid
         self.keys: dict[int, np.ndarray] = {}
         self.values: dict[int, np.ndarray] = {}
         self.memory_keys: dict[int, np.ndarray] = {}
@@ -214,9 +217,8 @@ class InferCache:
     def __len__(self) -> int:
         return self.n
 
-    def _put(self, store: dict[int, np.ndarray], li: int, new: np.ndarray,
-             capacity: int) -> np.ndarray:
-        """Write ``new`` [1, H, t, Dh] after the cached rows; return all rows.
+    def _put(self, store: dict[int, np.ndarray], li: int, new: np.ndarray) -> np.ndarray:
+        """Write ``new`` [B, H, t, Dh] after the cached rows; return all rows.
 
         The first rows are kept as given, so a cache used for one call (every
         cache-less forward_infer) copies nothing; the first extension moves
@@ -228,7 +230,7 @@ class InferCache:
             return new
         hi = self.n + new.shape[2]
         if buf.shape[2] < hi:
-            grown = np.empty(new.shape[:2] + (capacity, new.shape[3]), new.dtype)
+            grown = np.empty(new.shape[:2] + (self.capacity, new.shape[3]), new.dtype)
             grown[:, :, :self.n] = buf
             buf = store[li] = grown
         buf[:, :, self.n:hi] = new
@@ -393,7 +395,6 @@ class Transformer:
         self.cfg = cfg
         self.dtype = np.dtype(dtype)
         self.params = params if params is not None else init_params(cfg, seed, dtype)
-        self._mask_cache: dict[int, np.ndarray] = {}
         # when set to a list, memory layers append their raw extras softmax
         # weights here: (layer, probs [b,H,T,E*T], window_context, polarity)
         self.debug_sink: list | None = None
@@ -405,13 +406,6 @@ class Transformer:
 
     def zero_grads(self) -> None:
         N.zero_grads(self.parameters())
-
-    def _causal_add(self, t: int) -> np.ndarray:
-        m = self._mask_cache.get(t)
-        if m is None:
-            m = N.causal_mask(t, dtype=self.dtype)[None, None]
-            self._mask_cache[t] = m
-        return m
 
     def _scaled_q(self, q: Tensor, li: int) -> Tensor:
         inv_tau = N.exp(N.scale(self.params[f"layers.{li}.log_tau"], -1.0))
@@ -460,15 +454,14 @@ class Transformer:
 
     def _local_kv(self, li: int, k: Tensor, v: Tensor, cache: InferCache | None,
                   ) -> tuple[Tensor, Tensor, np.ndarray]:
-        """Local keys and values of every row so far, and the new rows'
-        causal mask: the [new, all] slice when ``cache`` holds earlier rows."""
+        """Local keys and values of every row so far, and the new rows' causal
+        mask over them: [new, cached + new] when ``cache`` holds earlier rows."""
+        n0 = 0 if cache is None else len(cache)
+        causal = N.causal_mask(n0 + k.shape[2], self.dtype, n0)[None, None]
         if cache is None:
-            return k, v, self._causal_add(k.shape[2])
-        t_max = self.cfg.local_ctx_len
-        n0, n_all = len(cache), len(cache) + k.shape[2]
-        return (Tensor(cache._put(cache.keys, li, k.data, t_max)),
-                Tensor(cache._put(cache.values, li, v.data, t_max)),
-                self._causal_add(t_max)[:, :, n0:n_all, :n_all])
+            return k, v, causal
+        return (Tensor(cache._put(cache.keys, li, k.data)),
+                Tensor(cache._put(cache.values, li, v.data)), causal)
 
     # -- the layer loop ---------------------------------------------------------
 
@@ -515,7 +508,7 @@ class Transformer:
         q, k, v = self._attn_inputs(x, li)
         kv = (k, v)
         if cache is not None and li in self.cfg.memory_layers:
-            cache._put(cache.memory_keys, li, k.data, self.cfg.local_ctx_len)
+            cache._put(cache.memory_keys, li, k.data)
         if self._layer_rotary(li):
             q = N.rotary_encode(q, positions, self.cfg.rotary_base)
             k = N.rotary_encode(k, positions, self.cfg.rotary_base)
@@ -524,12 +517,15 @@ class Transformer:
         out, att = self._attend(li, self._scaled_q(q, li), (k, v), causal, ext, collect)
         return self._ff_block(self._attn_out(out, x, li), li), kv, att
 
-    def _forward(self, tokens: np.ndarray, positions: np.ndarray, extras_of,
-                 cache: InferCache | None, collect: bool):
+    def _forward(self, tokens: np.ndarray, extras_of, cache: InferCache | None, collect: bool):
         """Every layer over [b, t] tokens; memory layers also attend to
-        ``extras_of(li, q)``. Returns the logits and, when ``collect``,
-        (layer, local mass, extras weights, gate) per memory layer."""
+        ``extras_of(li, q)``. The rows sit at positions len(cache) onwards
+        (0 onwards without ``cache``) and ``cache`` then holds them too.
+        Returns the logits and, when ``collect``, (layer, local mass, extras
+        weights, gate) per memory layer."""
         mem = self.cfg.memory_layers
+        n0 = 0 if cache is None else len(cache)
+        positions = np.arange(n0, n0 + tokens.shape[1])
         x = N.embedding(self.params["embed"], tokens)
         atts = []
         for li in range(self.cfg.n_layers):
@@ -537,6 +533,8 @@ class Transformer:
                                     collect and li in mem)
             if att is not None:
                 atts.append((li, *att))
+        if cache is not None:
+            cache.n += tokens.shape[1]
         return self._logits(x), atts
 
     # -- previous-context encoding --------------------------------------------
@@ -570,9 +568,9 @@ class Transformer:
                       gather: _Gather | None, collect_records: bool,
                       ) -> tuple[Tensor, list[AttentionRecord]]:
         """Process current windows; memory layers attend to planned extras."""
-        b, t = tokens.shape
+        b = tokens.shape[0]
         sink = self.debug_sink
-        logits, atts = self._forward(tokens, np.arange(t), lambda li, q: extras.get(li), None,
+        logits, atts = self._forward(tokens, lambda li, q: extras.get(li), None,
                                      collect_records or sink is not None)
         records: list[AttentionRecord] = []
         for li, mass_local, p_ext, gate in atts:
@@ -635,7 +633,7 @@ class Transformer:
                 memory.n_heads != cfg.n_heads or memory.head_dim != cfg.head_dim):
             raise ShapeError("memory index geometry does not match the model")
         if cache is None:
-            cache = InferCache(memory)
+            cache = InferCache(memory, cfg.local_ctx_len)
         elif cache.memory_size != _memory_size(memory):
             raise UsageError(f"memory holds {_memory_size(memory)} entries, the cache was "
                              f"made at {cache.memory_size}; start a new cache")
@@ -643,7 +641,6 @@ class Transformer:
         if tokens.ndim != 1 or n0 + tokens.shape[0] > cfg.local_ctx_len:
             raise UsageError(f"forward_infer takes one window of <= {cfg.local_ctx_len} tokens; "
                              f"got {tokens.shape} after {n0} cached rows")
-        n_all = n0 + tokens.shape[0]
 
         def retrieve(li: int, q: Tensor) -> _Extras | None:
             kk = min(k, memory.layer_size(li) if memory is not None else 0)
@@ -654,9 +651,7 @@ class Transformer:
             top = memory.topk(li, q.data[0], kk)
             return _Extras(Tensor(top.keys[None]), Tensor(top.values[None]))
 
-        logits, atts = self._forward(tokens[None], np.arange(n0, n_all), retrieve, cache,
-                                     collect_records)
-        cache.n = n_all
+        logits, atts = self._forward(tokens[None], retrieve, cache, collect_records)
         new_kv = {li: (kk[:, n0:], vv[:, n0:]) for li, (kk, vv) in cache.memory_kv().items()}
         records = [AttentionRecord(li, mass_local, gate=gate, mass_memory=np.zeros_like(mass_local)
                                    if p_mem is None else p_mem.sum(-1))
@@ -666,46 +661,26 @@ class Transformer:
     # -- reference local-only forward -------------------------------------------
 
     def forward_long(self, tokens: np.ndarray) -> np.ndarray:
-        """Full-context causal forward with rotary positions 0..L-1.
+        """Full-context causal forward over [L] or [B, L] tokens, rotary
+        positions 0..L-1, with no external memory: the local-only baseline.
 
-        The local-only baseline's long-context evaluation path: attention is
-        computed in blocks of ``LONG_QUERY_BLOCK`` queries so L x L score
-        matrices never materialize. Memory layers behave per
-        mem_positional_mode (no rotary for "none"), but no external memory is
-        consulted. Over [B, T] windows of at most ``LONG_QUERY_BLOCK`` rows it
-        is the vanilla causal transformer, in one block.
+        The layer loop runs over blocks of ``LONG_QUERY_BLOCK`` rows, each
+        attending to the rows before it through one ``InferCache`` of L rows,
+        so no score or mask array is larger than a block's [rows, L]. Memory
+        layers behave per mem_positional_mode (no rotary for "none"). Over
+        [B, T] windows of at most ``LONG_QUERY_BLOCK`` rows it is the vanilla
+        causal transformer, in one block.
         """
-        cfg = self.cfg
         tokens = np.asarray(tokens, dtype=np.int64)
-        squeeze = tokens.ndim == 1
-        if squeeze:
-            tokens = tokens[None]
-        b, length = tokens.shape
-        positions = np.arange(length)
-        x = N.embedding(self.params["embed"], tokens)
-        for li in range(cfg.n_layers):
-            q, k, v = self._attn_inputs(x, li)
-            if self._layer_rotary(li):
-                q = N.rotary_encode(q, positions, cfg.rotary_base)
-                k = N.rotary_encode(k, positions, cfg.rotary_base)
-            qs = self._scaled_q(q, li)
-            outs = []
-            for lo in range(0, length, LONG_QUERY_BLOCK):
-                hi = min(lo + LONG_QUERY_BLOCK, length)
-                qc = Tensor(qs.data[:, :, lo:hi])
-                kc = Tensor(k.data[:, :, :hi])
-                vc = Tensor(v.data[:, :, :hi])
-                add = np.zeros((1, 1, hi - lo, hi), dtype=self.dtype)
-                cols = np.arange(hi)[None, :]
-                rows = np.arange(lo, hi)[:, None]
-                add[0, 0][cols > rows] = N.MASK_VALUE
-                out, _, _ = merged_softmax_attention(qc, (kc, vc), None, add)
-                outs.append(out.data)
-            out_full = Tensor(np.concatenate(outs, axis=2))
-            x = self._attn_out(out_full, x, li)
-            x = self._ff_block(x, li)
-        logits = self._logits(x)
-        return logits.data[0] if squeeze else logits.data
+        if tokens.ndim not in (1, 2) or tokens.size == 0:
+            raise UsageError(f"forward_long takes nonempty [L] or [B, L] tokens; got {tokens.shape}")
+        rows = np.atleast_2d(tokens)
+        length = rows.shape[1]
+        cache = InferCache(None, length)
+        logits = [self._forward(rows[:, lo:lo + LONG_QUERY_BLOCK], None, cache, False)[0].data
+                  for lo in range(0, length, LONG_QUERY_BLOCK)]
+        out = np.concatenate(logits, axis=1)
+        return out[0] if tokens.ndim == 1 else out
 
 
 # ---------------------------------------------------------------------------

@@ -528,10 +528,11 @@ def cross_entropy_masked(logits: Tensor, targets, mask) -> Tensor:
     return _record(out, (logits,), bwd)
 
 
-def causal_mask(n: int, dtype=np.float32) -> np.ndarray:
-    """[n, n] additive mask: 0 on/below the diagonal, MASK_VALUE above."""
-    m = np.zeros((n, n), dtype=dtype)
-    m[np.triu_indices(n, k=1)] = MASK_VALUE
+def causal_mask(n: int, dtype=np.float32, first: int = 0) -> np.ndarray:
+    """[n - first, n] additive mask of rows first..n-1 over columns 0..n-1:
+    0 where the column is at or before the row, MASK_VALUE after it."""
+    m = np.zeros((n - first, n), dtype=dtype)
+    m[np.arange(n) > np.arange(first, n)[:, None]] = MASK_VALUE
     return m
 
 

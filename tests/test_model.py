@@ -1,6 +1,7 @@
 """Transformer with memory attention: reductions, equivalences, formats."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +74,40 @@ def test_empty_memory_infer_equals_local_exactly():
 
 @pytest.mark.parametrize("integration", ["merged", "gated"])
 @pytest.mark.parametrize("mode", ["none", "as_first"])
+def test_forward_long_does_not_depend_on_its_block_size(mode, integration, monkeypatch):
+    rng = np.random.default_rng(23)
+    model = Transformer(tiny_cfg(mem_positional_mode=mode, integration_mode=integration), seed=24)
+    _randomize_head(model, rng)
+    toks = rng.integers(0, 13, size=(2, 29))
+    outs = []
+    for block in (3, 8, 64):
+        monkeypatch.setattr(model_mod, "LONG_QUERY_BLOCK", block)
+        outs.append(model.forward_long(toks))
+        np.testing.assert_array_equal(model.forward_long(toks[1]), outs[-1][1])
+    for out in outs[1:]:
+        np.testing.assert_allclose(out, outs[0], rtol=0, atol=1e-6)
+
+
+def test_forward_long_builds_no_length_squared_array():
+    model = Transformer(tiny_cfg(), seed=0)
+    toks = np.random.default_rng(0).integers(0, 13, size=4096)
+    tracemalloc.start()
+    try:
+        model.forward_long(toks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak  # one 4096 x 4096 float32 mask is 64 MiB
+
+
+@pytest.mark.parametrize("shape", [(0,), (2, 0), (1, 2, 3), ()])
+def test_forward_long_rejects_malformed_tokens(shape):
+    with pytest.raises(UsageError):
+        Transformer(tiny_cfg(), seed=0).forward_long(np.zeros(shape, np.int64))
+
+
+@pytest.mark.parametrize("integration", ["merged", "gated"])
+@pytest.mark.parametrize("mode", ["none", "as_first"])
 def test_train_infer_equivalence(mode, integration):
     """Memory holding exactly the previous window, k >= T, matches d=1/w=1."""
     rng = np.random.default_rng(2)
@@ -135,7 +170,7 @@ def _model_with_memory(integration="merged", mode="none"):
 def test_cached_chunks_match_full_window(integration, mode, k):
     model, memory, toks = _model_with_memory(integration, mode)
     full = model.forward_infer(toks, memory, k, collect_records=True)
-    cache = InferCache(memory)
+    cache = InferCache(memory, model.cfg.local_ctx_len)
     outs, lo = [], 0
     for n in (1, 1, 5, len(toks) - 7):
         outs.append(model.forward_infer(toks[lo:lo + n], memory, k, cache=cache,
@@ -157,13 +192,13 @@ def test_cached_chunks_match_full_window(integration, mode, k):
 
 def test_stale_cache_is_rejected():
     model, memory, toks = _model_with_memory()
-    cache = InferCache(memory)
+    cache = InferCache(memory, model.cfg.local_ctx_len)
     model.forward_infer(toks, memory, 4, cache=cache)
     with pytest.raises(UsageError):  # a full window takes no more rows
         model.forward_infer(toks[:1], memory, 4, cache=cache)
     assert len(cache) == len(toks)
 
-    cache = InferCache(memory)
+    cache = InferCache(memory, model.cfg.local_ctx_len)
     model.forward_infer(toks[:3], memory, 4, cache=cache)
     kk, vv = model.forward_infer(toks, None, 0).new_kv[1]
     memory.append_block(1, kk, vv, doc_id=1, positions=np.arange(12))
@@ -360,7 +395,7 @@ def test_merged_attention_tapes_two_score_sized_arrays():
     ext = model_mod._Extras(leaf(b, h, e * t, dh), leaf(b, h, e * t, dh), pad_add)
     with N.Tape() as tape:
         model._attend(1, leaf(b, h, t, dh), (leaf(b, h, t, dh), leaf(b, h, t, dh)),
-                      model._causal_add(t), ext, collect=False)
+                      N.causal_mask(t, np.float64)[None, None], ext, collect=False)
     sizes = [node.out.data.size for node in tape._nodes]
     assert sum(s >= b * h * t * e * t for s in sizes) == 2, sizes
 

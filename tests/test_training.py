@@ -377,13 +377,26 @@ def test_cli_gen_data_and_eval(tmp_path):
             "--override", "steps=2", "--override", "warmup_steps=1",
             "--override", "b_s=2", "--override", "d=2", "--out", str(out))
     csv_path = tmp_path / "m.csv"
-    code, stdout, err = run_cli("eval", "--checkpoint", str(out / "final.fotc"),
-                                "--suite", "dict", "--axis", "memory=64",
-                                "--n-docs", "1", "--k", "8", "--out", str(csv_path))
-    assert code == 0, err
-    from fot.analysis import read_metrics_csv
-    rows = read_metrics_csv(csv_path)
-    assert rows and rows[0].metric == "dict_accuracy"
+    # --no-memory reads a 320-token document as one context: two blocks of 256 rows
+    for axis, extra in (("memory=64", ["--k", "8"]), ("memory=288", ["--no-memory"])):
+        code, stdout, err = run_cli("eval", "--checkpoint", str(out / "final.fotc"),
+                                    "--suite", "dict", "--axis", axis, "--n-docs", "1",
+                                    *extra, "--out", str(csv_path))
+        assert code == 0, err
+        rows = read_metrics_csv(csv_path)
+        assert rows and rows[0].metric == "dict_accuracy"
+
+
+@pytest.mark.parametrize("n_docs", ["0", "-2"])
+@pytest.mark.parametrize("suite", ["dict", "passkey"])
+def test_cli_eval_without_documents_is_usage_error(suite, n_docs, tmp_path):
+    cfg = small_train_cfg().model
+    ck = tmp_path / "m.fotc"
+    save_checkpoint(ck, cfg, Transformer(cfg).params)
+    code, _, err = run_cli("eval", "--checkpoint", str(ck), "--suite", suite, "--axis", "x=64",
+                           "--n-docs", n_docs, "--out", str(tmp_path / "e.csv"))
+    assert code == 2 and "Traceback" not in err, err
+    assert not (tmp_path / "e.csv").exists()
 
 
 def test_cli_sweep_reduces_to_train(tmp_path):
