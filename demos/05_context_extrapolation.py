@@ -7,7 +7,7 @@ thousands of tokens, while the final 256-token question block stays fixed.
     fot train --preset dict-small --override steps=... --out runs/dict
     python3 demos/05_context_extrapolation.py runs/dict/final.fotc
 
-Without an argument it trains a throwaway model for a few steps just to show
+Without an argument it evaluates an untrained dict-small model, just to show
 the harness mechanics (accuracy will be near zero).
 """
 

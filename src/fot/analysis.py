@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DataError, FormatError, UsageError
 from .memstore import MemoryIndex
-from .model import AttentionRecord, InferCache, Transformer, _cat_padded, exposure_records
+from .model import AttentionRecord, InferCache, Transformer, _cat_padded, exposure_records, retriever
 from .pipeline import CrossbatchPipeline, DSchedule, SegmentSchedule, make_eval_exposure_plan
 from .tasks import DictTaskConfig, gen_dict_lookup
 
@@ -141,12 +141,23 @@ def _window_nll(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 def _ingest(memory: MemoryIndex, new_kv: dict[int, tuple[np.ndarray, np.ndarray]], doc_id: int,
-            start: int, take: int | None = None) -> None:
-    """Append the first ``take`` rows (default all) of each memory layer's
-    (K, V) [H, rows, Dh] to ``memory``, at positions ``start`` onwards."""
+            start: int) -> None:
+    """Append each memory layer's (K, V) [H, rows, Dh] to ``memory``, at
+    positions ``start`` onwards."""
     for li, (kk, vv) in new_kv.items():
-        n = kk.shape[1] if take is None else take
-        memory.append_block(li, kk[:, :n], vv[:, :n], doc_id, np.arange(start, start + n))
+        memory.append_block(li, kk, vv, doc_id, np.arange(start, start + kk.shape[1]))
+
+
+def _ingest_windows(model: Transformer, memory: MemoryIndex, tokens: np.ndarray, doc_id: int,
+                    k: int) -> None:
+    """Append ``tokens`` (positions 0 onwards) to ``memory`` window by window.
+    A memory layer stores projections of its own input, so a window runs only
+    up to the top memory layer (``encode_windows``), retrieving below it and
+    not there: the rows are bit for bit ``forward_infer``'s ``new_kv``."""
+    extras_of, t = retriever(memory, k), model.cfg.local_ctx_len
+    for s in range(0, len(tokens), t):
+        kv = model.encode_windows(tokens[None, s:s + t], extras_of)
+        _ingest(memory, {li: (kk.data[0], vv.data[0]) for li, (kk, vv) in kv.items()}, doc_id, s)
 
 
 @dataclass
@@ -192,11 +203,11 @@ def perplexity_eval(model: Transformer, docs, mode: str = "single_doc", *,
                 nll_sum += float(nll.sum())
                 n_tok += int(targets.shape[0])
             if memory is not None:
-                room = None if memory_token_cap is None else \
-                    max(0, memory_token_cap - memory.layer_size(min(cfg.memory_layers)))
-                take = window.shape[0] if room is None else min(room, window.shape[0])
-                if take > 0:
-                    _ingest(memory, out.new_kv, doc_id, s, take)
+                room = window.shape[0] if memory_token_cap is None else \
+                    memory_token_cap - memory.layer_size(min(cfg.memory_layers))
+                if room > 0:
+                    _ingest(memory, {li: (kk[:, :room], vv[:, :room])
+                                     for li, (kk, vv) in out.new_kv.items()}, doc_id, s)
         per_doc[int(doc_id)] = (nll_sum, n_tok)
         total += n_tok
         if token_budget is not None and total >= token_budget:
@@ -246,9 +257,10 @@ def dict_eval_accuracy(model: Transformer, task: DictTaskConfig, total_len: int,
                        use_memory: bool = True) -> AccuracyResult:
     """Dictionary-lookup accuracy at an extended context length.
 
-    use_memory=True streams definition windows into the kNN memory and scores
-    the final question window; use_memory=False gives the local-only baseline
-    the whole document as one long context.
+    use_memory=True streams definition windows into the kNN memory
+    (``_ingest_windows``) and scores the final question window against it;
+    use_memory=False gives the local-only baseline the whole document as one
+    long context.
     """
     if n_docs < 1:
         raise UsageError(f"dict_eval_accuracy needs n_docs >= 1, got {n_docs}")
@@ -256,17 +268,13 @@ def dict_eval_accuracy(model: Transformer, task: DictTaskConfig, total_len: int,
     t = cfg.local_ctx_len
     rng = np.random.default_rng([seed, total_len])
     rows = []
-    correct = 0
-    n_total = 0
     for di in range(n_docs):
         doc = gen_dict_lookup(task, "eval", total_len=total_len, rng=rng)
         q_start = total_len - t
         if use_memory:
             memory = MemoryIndex(cfg.memory_layers, cfg.n_heads, cfg.head_dim)
-            for s in range(0, q_start, t):
-                _ingest(memory, model.forward_infer(doc.tokens[s:s + t], memory, k).new_kv, di, s)
-            final = model.forward_infer(doc.tokens[q_start:], memory, k)
-            logits = final.logits
+            _ingest_windows(model, memory, doc.tokens[:q_start], di, k)
+            logits = model.forward_infer(doc.tokens[q_start:], memory, k).logits
         else:
             logits = model.forward_long(doc.tokens)[q_start:]
         oks = score_dict_window(logits, q_start, doc.queries)
@@ -274,9 +282,7 @@ def dict_eval_accuracy(model: Transformer, task: DictTaskConfig, total_len: int,
         for qi, (q, ok) in enumerate(zip(doc.queries, oks)):
             pred = tuple(int(preds[p - 1 - q_start]) for p in q.value_positions)
             rows.append((di, qi, pred, q.value, ok))
-            correct += ok
-            n_total += 1
-    return AccuracyResult(correct / n_total, n_total, rows)
+    return AccuracyResult(sum(row[-1] for row in rows) / len(rows), len(rows), rows)
 
 
 def dump_predictions(path, result: AccuracyResult) -> None:
@@ -305,32 +311,30 @@ def greedy_continuation(model: Transformer, prompt: np.ndarray, n_tokens: int,
                         *, k: int = 32) -> np.ndarray:
     """Greedy argmax continuation, streaming the prompt through memory.
 
-    Complete prompt windows are ingested into a fresh memory; generation
-    extends the final window and rolls it into memory whenever it fills.
-    Decoding is incremental: the working window's per-layer keys and values
-    stay in an ``InferCache``, so each new token runs one row.
+    Complete prompt windows are ingested into a fresh memory
+    (``_ingest_windows``); generation extends the final window and rolls its
+    rows' (K, V) into memory whenever it fills. Decoding is incremental: the
+    working window's per-layer keys and values stay in an ``InferCache``, so
+    each new token runs one row.
     """
     cfg = model.cfg
     t = cfg.local_ctx_len
     prompt = np.asarray(prompt, dtype=np.int64)
-    memory = MemoryIndex(cfg.memory_layers, cfg.n_heads, cfg.head_dim) \
-        if cfg.memory_layers else None
-
-    n_ingest = (prompt.shape[0] - 1) // t  # keep a nonempty working window
-    for w in range(n_ingest):
-        if memory is not None:
-            _ingest(memory, model.forward_infer(prompt[w * t:(w + 1) * t], memory, k).new_kv,
-                    0, w * t)
-    s = n_ingest * t
-    cache = InferCache(memory, t)
+    memory = MemoryIndex(cfg.memory_layers, cfg.n_heads, cfg.head_dim)
+    s = (prompt.shape[0] - 1) // t * t  # keep a nonempty working window
+    _ingest_windows(model, memory, prompt[:s], 0, k)
+    cache, rows = InferCache(memory, t), []
     new = prompt[s:]
     generated: list[int] = []
     for _ in range(n_tokens):
         if len(cache) == t:
-            _ingest(memory, cache.memory_kv(), 0, s)
+            for li in cfg.memory_layers:  # the full working window's rows go to memory
+                kk, vv = (np.concatenate([r[li][j] for r in rows], axis=1) for j in (0, 1))
+                memory.append_block(li, kk, vv, 0, np.arange(s, s + t))
             s += t
-            cache = InferCache(memory, t)
+            cache, rows = InferCache(memory, t), []
         out = model.forward_infer(new, memory, k, cache=cache)
+        rows.append(out.new_kv)
         generated.append(int(out.logits[-1].argmax()))
         new = np.asarray(generated[-1:], dtype=np.int64)
     return np.asarray(generated, dtype=np.int64)

@@ -197,12 +197,11 @@ class InferCache:
     """The rows of a sequence that the layer loop has already run.
 
     Per layer it holds the local attention keys (rotary applied where the
-    layer uses it) and the values of up to ``capacity`` rows; per memory
-    layer also the pre-rotary keys that go to memory. ``forward_infer``
-    fills one working window (capacity local_ctx_len) and ``forward_long`` a
-    whole sequence, block by block, without memory. The cached rows
-    retrieved from memory at the size it had when the cache was created, so
-    the cache is valid only while memory keeps that size.
+    layer uses it) and the values of up to ``capacity`` rows.
+    ``forward_infer`` fills one working window (capacity local_ctx_len) and
+    ``forward_long`` a whole sequence, block by block, without memory. The
+    cached rows retrieved from memory at the size it had when the cache was
+    created, so the cache is valid only while memory keeps that size.
     """
 
     def __init__(self, memory: MemoryIndex | None, capacity: int):
@@ -212,7 +211,6 @@ class InferCache:
         # layer -> [B, H, rows, Dh]; rows >= n, only the first n are valid
         self.keys: dict[int, np.ndarray] = {}
         self.values: dict[int, np.ndarray] = {}
-        self.memory_keys: dict[int, np.ndarray] = {}
 
     def __len__(self) -> int:
         return self.n
@@ -236,14 +234,23 @@ class InferCache:
         buf[:, :, self.n:hi] = new
         return buf[:, :, :hi]
 
-    def memory_kv(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """Pre-rotary (K, V) [H, n, Dh] of each memory layer, for append_block."""
-        return {li: (k[0, :, :self.n], self.values[li][0, :, :self.n])
-                for li, k in self.memory_keys.items()}
-
 
 def _memory_size(memory: MemoryIndex | None) -> int:
     return memory.size() if memory is not None else 0
+
+
+def retriever(memory: MemoryIndex | None, k: int):
+    """``extras_of`` giving each query [1, H, T, Dh] its exact top-k entries
+    of ``memory`` (None while the layer's store is empty, or k is 0)."""
+    def retrieve(li: int, q: Tensor) -> _Extras | None:
+        kk = min(k, memory.layer_size(li) if memory is not None else 0)
+        if kk == 0:
+            return None
+        # retrieval scores must match attention logits: use the same
+        # (possibly rotated) query against raw stored keys
+        top = memory.topk(li, q.data[0], kk)
+        return _Extras(Tensor(top.keys[None]), Tensor(top.values[None]))
+    return retrieve
 
 
 @dataclass
@@ -507,8 +514,6 @@ class Transformer:
         """
         q, k, v = self._attn_inputs(x, li)
         kv = (k, v)
-        if cache is not None and li in self.cfg.memory_layers:
-            cache._put(cache.memory_keys, li, k.data)
         if self._layer_rotary(li):
             q = N.rotary_encode(q, positions, self.cfg.rotary_base)
             k = N.rotary_encode(k, positions, self.cfg.rotary_base)
@@ -517,45 +522,44 @@ class Transformer:
         out, att = self._attend(li, self._scaled_q(q, li), (k, v), causal, ext, collect)
         return self._ff_block(self._attn_out(out, x, li), li), kv, att
 
-    def _forward(self, tokens: np.ndarray, extras_of, cache: InferCache | None, collect: bool):
-        """Every layer over [b, t] tokens; memory layers also attend to
-        ``extras_of(li, q)``. The rows sit at positions len(cache) onwards
-        (0 onwards without ``cache``) and ``cache`` then holds them too.
-        Returns the logits and, when ``collect``, (layer, local mass, extras
-        weights, gate) per memory layer."""
+    def _forward(self, tokens: np.ndarray, extras_of, cache: InferCache | None, collect: bool,
+                 stop: int | None = None):
+        """Every layer (those below ``stop``, if given) over [b, t] tokens;
+        memory layers also attend to ``extras_of(li, q)``. The rows sit at
+        positions len(cache) onwards (0 onwards without ``cache``) and
+        ``cache`` then holds them too. Returns the logits (with ``stop``, the
+        residual stream there), when ``collect`` (layer, local mass, extras
+        weights, gate) per memory layer, and the memory layers' (K, V)."""
         mem = self.cfg.memory_layers
         n0 = 0 if cache is None else len(cache)
         positions = np.arange(n0, n0 + tokens.shape[1])
         x = N.embedding(self.params["embed"], tokens)
-        atts = []
-        for li in range(self.cfg.n_layers):
-            x, _, att = self._layer(x, li, positions, cache, extras_of if li in mem else None,
-                                    collect and li in mem)
+        atts, kvs = [], {}
+        for li in range(self.cfg.n_layers if stop is None else stop):
+            x, kv, att = self._layer(x, li, positions, cache, extras_of if li in mem else None,
+                                     collect and li in mem)
+            if li in mem:
+                kvs[li] = kv
             if att is not None:
                 atts.append((li, *att))
         if cache is not None:
             cache.n += tokens.shape[1]
-        return self._logits(x), atts
+        return (self._logits(x) if stop is None else x), atts, kvs
 
     # -- previous-context encoding --------------------------------------------
 
-    def encode_windows(self, tokens: np.ndarray) -> dict[int, tuple[Tensor, Tensor]]:
-        """Run plain causal layers over [N, T] windows up to the last memory
-        layer; returns the pre-rotary (K, V) head tensors at each memory layer.
+    def encode_windows(self, tokens: np.ndarray, extras_of=None) -> dict[int, tuple[Tensor, Tensor]]:
+        """Run causal layers over [N, T] windows up to the last memory layer;
+        returns the pre-rotary (K, V) head tensors at each memory layer.
 
-        On an active tape the returned tensors are differentiable nodes.
+        Memory layers below the last one attend to ``extras_of(li, q)``, if
+        given, as in ``_forward``. On an active tape the returned tensors are
+        differentiable nodes.
         """
-        cfg = self.cfg
-        if not cfg.memory_layers:
+        if not self.cfg.memory_layers:
             return {}
-        positions = np.arange(tokens.shape[1])
-        x = N.embedding(self.params["embed"], tokens)
-        out: dict[int, tuple[Tensor, Tensor]] = {}
-        top = max(cfg.memory_layers)
-        for li in range(top):
-            x, kv, _ = self._layer(x, li, positions)
-            if li in cfg.memory_layers:
-                out[li] = kv
+        top = max(self.cfg.memory_layers)
+        x, _, out = self._forward(tokens, extras_of, None, False, stop=top)
         # nothing above the last memory layer consumes these rows, so only
         # their key/value projections are needed there
         h = N.rms_norm(x, self.params[f"layers.{top}.ln1"])
@@ -570,8 +574,8 @@ class Transformer:
         """Process current windows; memory layers attend to planned extras."""
         b = tokens.shape[0]
         sink = self.debug_sink
-        logits, atts = self._forward(tokens, lambda li, q: extras.get(li), None,
-                                     collect_records or sink is not None)
+        logits, atts, _ = self._forward(tokens, lambda li, q: extras.get(li), None,
+                                        collect_records or sink is not None)
         records: list[AttentionRecord] = []
         for li, mass_local, p_ext, gate in atts:
             if p_ext is None:  # no planned contexts anywhere
@@ -641,18 +645,9 @@ class Transformer:
         if tokens.ndim != 1 or n0 + tokens.shape[0] > cfg.local_ctx_len:
             raise UsageError(f"forward_infer takes one window of <= {cfg.local_ctx_len} tokens; "
                              f"got {tokens.shape} after {n0} cached rows")
-
-        def retrieve(li: int, q: Tensor) -> _Extras | None:
-            kk = min(k, memory.layer_size(li) if memory is not None else 0)
-            if kk == 0:
-                return None
-            # retrieval scores must match attention logits: use the same
-            # (possibly rotated) query against raw stored keys
-            top = memory.topk(li, q.data[0], kk)
-            return _Extras(Tensor(top.keys[None]), Tensor(top.values[None]))
-
-        logits, atts = self._forward(tokens[None], retrieve, cache, collect_records)
-        new_kv = {li: (kk[:, n0:], vv[:, n0:]) for li, (kk, vv) in cache.memory_kv().items()}
+        logits, atts, kvs = self._forward(tokens[None], retriever(memory, k), cache,
+                                          collect_records)
+        new_kv = {li: (kk.data[0], vv.data[0]) for li, (kk, vv) in kvs.items()}
         records = [AttentionRecord(li, mass_local, gate=gate, mass_memory=np.zeros_like(mass_local)
                                    if p_mem is None else p_mem.sum(-1))
                    for li, mass_local, p_mem, gate in atts]

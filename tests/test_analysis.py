@@ -7,7 +7,7 @@ from fot import analysis as A
 from fot import model as model_mod
 from fot.errors import UsageError
 from fot.memstore import MemoryIndex
-from fot.model import AttentionRecord, ModelConfig, Transformer
+from fot.model import AttentionRecord, InferCache, ModelConfig, Transformer
 from fot.tasks import DictTaskConfig, PasskeyTaskConfig, gen_passkey, gen_text_corpus, encode_bytes
 
 
@@ -255,6 +255,179 @@ def test_greedy_continuation_matches_full_recompute():
             window.append(want[-1])
     assert s == 4 * t and len(set(want)) > 1  # two rolls, a nontrivial sequence
     np.testing.assert_array_equal(A.greedy_continuation(model, prompt, n_tokens, k=k), want)
+
+
+# ---------------------------------------------------------------------------
+# ingest: memory windows against a full-forward reference
+# ---------------------------------------------------------------------------
+
+class _KeptIndex(MemoryIndex):
+    """A memory index that lists its instances, so a test can read the
+    memory an evaluation built."""
+    made: list = []
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.made.append(self)
+
+
+def _ingest_model(memory_layers, integration="merged", mode="none"):
+    cfg = ModelConfig(n_layers=3, d_model=32, n_heads=2, head_dim=16, ff_dim=64,
+                      vocab_size=256, memory_layers=memory_layers, local_ctx_len=16,
+                      integration_mode=integration, mem_positional_mode=mode,
+                      init_scheme="structured")
+    model = Transformer(cfg, seed=21)
+    for li in memory_layers:
+        model.params[f"layers.{li}.gate_bias"].data[...] = 0.4
+    return model
+
+
+def _memory_contents(memory):
+    """Each memory layer's stored keys, values, doc ids and positions."""
+    out = {}
+    for li in memory.memory_layers:
+        s, n = memory._store(li), memory.layer_size(li)
+        out[li] = (s.keys[:, :n], s.values[:, :n], s.doc_ids[:n], s.positions[:n])
+    return out
+
+
+def _assert_same_memory(got, want):
+    got, want = _memory_contents(got), _memory_contents(want)
+    assert got.keys() == want.keys()
+    for li in want:
+        for a, b in zip(got[li], want[li]):
+            np.testing.assert_array_equal(a, b)
+
+
+def _forward_infer_ingest(model, memory, windows, doc_id, k):
+    """The reference ingest: one full forward_infer per (start, tokens)
+    window, of which only the memory layers' new (K, V) are kept."""
+    for s, window in windows:
+        for li, (kk, vv) in model.forward_infer(window, memory, k).new_kv.items():
+            memory.append_block(li, kk, vv, doc_id, np.arange(s, s + kk.shape[1]))
+
+
+INGEST_CASES = [(layers, integration, mode) for layers in ((1,), (1, 2))
+                for integration in ("merged", "gated") for mode in ("none", "as_first")]
+
+
+@pytest.mark.parametrize("layers,integration,mode", INGEST_CASES)
+def test_dict_eval_ingest_matches_full_forward_ingest(layers, integration, mode, monkeypatch):
+    """Definition windows reach memory bit for bit as a forward_infer per
+    window would put them there, so the final window's logits and every
+    scored row are the same too."""
+    model = _ingest_model(layers, integration, mode)
+    t, k, total, n_docs = model.cfg.local_ctx_len, 4, 5 * model.cfg.local_ctx_len, 2
+    task = DictTaskConfig(doc_len=2 * t)
+    monkeypatch.setattr(A, "MemoryIndex", _KeptIndex)
+    monkeypatch.setattr(_KeptIndex, "made", [])
+    calls, infer = [], model.forward_infer
+
+    def spy(tokens, memory, k, **kw):
+        out = infer(tokens, memory, k, **kw)
+        calls.append((memory, out.logits))
+        return out
+
+    monkeypatch.setattr(model, "forward_infer", spy)
+    res = A.dict_eval_accuracy(model, task, total, n_docs=n_docs, k=k, seed=1)
+
+    from fot.tasks import gen_dict_lookup
+    rng = np.random.default_rng([1, total])
+    rows = []
+    assert len(_KeptIndex.made) == n_docs
+    for di in range(n_docs):
+        doc = gen_dict_lookup(task, "eval", total_len=total, rng=rng)
+        q_start = total - t
+        memory = MemoryIndex(layers, model.cfg.n_heads, model.cfg.head_dim)
+        _forward_infer_ingest(model, memory, [(s, doc.tokens[s:s + t])
+                                              for s in range(0, q_start, t)], di, k)
+        _assert_same_memory(_KeptIndex.made[di], memory)
+        logits = infer(doc.tokens[q_start:], memory, k).logits
+        got = [lg for m, lg in calls if m is _KeptIndex.made[di]][-1]
+        np.testing.assert_array_equal(got, logits)
+        oks = A.score_dict_window(logits, q_start, doc.queries)
+        preds = logits.argmax(axis=-1)
+        rows += [(di, qi, tuple(int(preds[p - 1 - q_start]) for p in q.value_positions),
+                  q.value, ok) for qi, (q, ok) in enumerate(zip(doc.queries, oks))]
+    assert res.rows == rows
+
+
+@pytest.mark.parametrize("layers,integration,mode", INGEST_CASES)
+def test_greedy_ingest_matches_full_forward_ingest(layers, integration, mode, monkeypatch):
+    """Prompt windows reach memory as a forward_infer per window would put
+    them there; decoding (across one roll) then emits the same ids, and the
+    rolled window's rows are the ones its incremental calls returned."""
+    model = _ingest_model(layers, integration, mode)
+    t, k = model.cfg.local_ctx_len, 4
+    prompt = encode_bytes(gen_text_corpus(1, 200, seed=11)[0])[:3 * t + 5]
+    n_tokens = t
+    monkeypatch.setattr(A, "MemoryIndex", _KeptIndex)
+    monkeypatch.setattr(_KeptIndex, "made", [])
+    calls, infer = [], model.forward_infer
+
+    def spy(tokens, memory, k, **kw):
+        out = infer(tokens, memory, k, **kw)
+        calls.append(out.logits)
+        return out
+
+    monkeypatch.setattr(model, "forward_infer", spy)
+    got = A.greedy_continuation(model, prompt, n_tokens, k=k)
+    working = calls[-n_tokens]  # one call per token, the first over the working window
+
+    memory = MemoryIndex(layers, model.cfg.n_heads, model.cfg.head_dim)
+    _forward_infer_ingest(model, memory, [(s, prompt[s:s + t]) for s in range(0, 3 * t, t)], 0, k)
+    cache, new, want, rows, first = InferCache(memory, t), prompt[3 * t:], [], [], None
+    for _ in range(n_tokens):
+        if len(cache) == t:
+            for li in layers:
+                kk, vv = (np.concatenate([r[li][j] for r in rows], axis=1) for j in (0, 1))
+                memory.append_block(li, kk, vv, 0, np.arange(3 * t, 4 * t))
+            cache, rows = InferCache(memory, t), []
+        out = infer(new, memory, k, cache=cache)
+        first = out.logits if first is None else first
+        rows.append(out.new_kv)
+        want.append(int(out.logits[-1].argmax()))
+        new = np.asarray(want[-1:])
+    assert memory.layer_size(1) == 4 * t  # the working window rolled once
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(working, first)
+    (kept,) = _KeptIndex.made
+    _assert_same_memory(kept, memory)
+
+
+def test_ingest_retrieves_nothing_at_the_top_memory_layer(monkeypatch):
+    """Ingest runs up to the top memory layer's projections: layers below it
+    retrieve, the top one never does."""
+    calls, topk = [], MemoryIndex.topk
+
+    def spy(self, layer, queries, k):
+        calls.append((layer, self.layer_size(layer)))
+        return topk(self, layer, queries, k)
+
+    monkeypatch.setattr(MemoryIndex, "topk", spy)
+    t = 16
+    prompt = encode_bytes(gen_text_corpus(1, 200, seed=12)[0])[:3 * t + 5]
+    A.greedy_continuation(_ingest_model((1,)), prompt, 1, k=4)
+    assert calls == [(1, 3 * t)]  # the working window only
+    calls.clear()
+    A.greedy_continuation(_ingest_model((1, 2)), prompt, 1, k=4)
+    # the 2nd and 3rd prompt windows retrieve at layer 1 (the 1st meets an
+    # empty memory); then the working window at both layers
+    assert calls == [(1, t), (1, 2 * t), (1, 3 * t), (2, 3 * t)]
+
+
+def test_dict_eval_at_256k_tokens(monkeypatch):
+    """One 262,144-token document on dict-small: every definition window
+    reaches memory and the question window is scored."""
+    from fot.config import get_preset
+    model = Transformer(get_preset("dict-small").model, seed=0)
+    t, total = model.cfg.local_ctx_len, 262_144
+    monkeypatch.setattr(A, "MemoryIndex", _KeptIndex)
+    monkeypatch.setattr(_KeptIndex, "made", [])
+    res = A.dict_eval_accuracy(model, DictTaskConfig(doc_len=2 * t), total, n_docs=1, k=32)
+    (memory,) = _KeptIndex.made
+    assert all(memory.layer_size(li) == total - t for li in model.cfg.memory_layers)
+    assert res.n_queries > 0
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,13 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# demo -> a line of its output that only a complete run prints; demos 03 and
-# 05 train models and take minutes, so they are run by hand
+# demo -> a line of its output that only a complete run prints; demo 03
+# trains a model and takes minutes, so it is run by hand
 DEMOS = {
     "01_tensor_engine": "softmax(x xT) chain: max relative error",
     "02_memory_index": "reloaded index returns identical results",
     "04_distraction_metric": "per-context share at d=8",
+    "05_context_extrapolation": "(the local-only baseline path",
     "06_perplexity_and_scores": "query aligned with its key",
 }
 

@@ -183,7 +183,6 @@ def test_cached_chunks_match_full_window(integration, mode, k):
         for j, want in enumerate((kk, vv)):
             got = np.concatenate([o.new_kv[li][j] for o in outs], axis=1)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
-            np.testing.assert_allclose(cache.memory_kv()[li][j], want, rtol=0, atol=1e-6)
     for i, rec in enumerate(full.records):
         for name in ("mass_local", "mass_memory"):
             got = np.concatenate([getattr(o.records[i], name) for o in outs], axis=-1)
