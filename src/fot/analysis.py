@@ -13,19 +13,15 @@ memory index.
 from __future__ import annotations
 
 import csv
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, FormatError, UsageError
+from .errors import DataError, UsageError
 from .memstore import MemoryIndex
 from .model import AttentionRecord, InferCache, Transformer, _cat_padded, exposure_records, retriever
 from .pipeline import CrossbatchPipeline, DSchedule, SegmentSchedule, make_eval_exposure_plan
 from .tasks import DictTaskConfig, gen_dict_lookup
-
-WEIGHTS_MAGIC = b"FOTW"
-WEIGHTS_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +316,8 @@ def greedy_continuation(model: Transformer, prompt: np.ndarray, n_tokens: int,
     cfg = model.cfg
     t = cfg.local_ctx_len
     prompt = np.asarray(prompt, dtype=np.int64)
+    if prompt.shape[0] == 0:
+        raise UsageError("greedy_continuation needs a nonempty prompt")
     memory = MemoryIndex(cfg.memory_layers, cfg.n_heads, cfg.head_dim)
     s = (prompt.shape[0] - 1) // t * t  # keep a nonempty working window
     _ingest_windows(model, memory, prompt[:s], 0, k)
@@ -327,10 +325,9 @@ def greedy_continuation(model: Transformer, prompt: np.ndarray, n_tokens: int,
     new = prompt[s:]
     generated: list[int] = []
     for _ in range(n_tokens):
-        if len(cache) == t:
-            for li in cfg.memory_layers:  # the full working window's rows go to memory
-                kk, vv = (np.concatenate([r[li][j] for r in rows], axis=1) for j in (0, 1))
-                memory.append_block(li, kk, vv, 0, np.arange(s, s + t))
+        if len(cache) == t:  # the full working window's rows go to memory
+            _ingest(memory, {li: tuple(np.concatenate([r[li][j] for r in rows], axis=1)
+                                       for j in (0, 1)) for li in cfg.memory_layers}, 0, s)
             s += t
             cache, rows = InferCache(memory, t), []
         out = model.forward_infer(new, memory, k, cache=cache)
@@ -399,55 +396,17 @@ def read_metrics_csv(path) -> list[EvalResult]:
 
 
 # ---------------------------------------------------------------------------
-# raw attention-weight dumps
+# raw attention weights
 # ---------------------------------------------------------------------------
 
-def dump_weights(path, sink: list) -> None:
-    """Binary FOTW dump of raw extras softmax weights captured via debug_sink.
-
-    With ``load_weights`` and ``r_from_weights`` this is a test oracle: it
-    re-derives r from the raw weights, independently of AttentionRecord."""
-    with open(path, "wb") as f:
-        f.write(WEIGHTS_MAGIC)
-        f.write(struct.pack("<II", WEIGHTS_VERSION, len(sink)))
-        for layer, probs, win_ctx, polarity in sink:
-            b, h, t, e = probs.shape
-            c = polarity.shape[1]
-            f.write(struct.pack("<IIIIII", layer, b, h, t, e, c))
-            f.write(probs.astype("<f4").tobytes())
-            f.write(win_ctx.astype("<i8").tobytes())
-            f.write(polarity.astype("<i8").tobytes())
-
-
-def load_weights(path) -> list:
-    """Read a ``dump_weights`` file (a test oracle; see there)."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:4] != WEIGHTS_MAGIC:
-        raise FormatError(f"{path}: bad magic {raw[:4]!r}")
-    version, count = struct.unpack_from("<II", raw, 4)
-    if version != WEIGHTS_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    off = 12
-    out = []
-    for _ in range(count):
-        layer, b, h, t, e, c = struct.unpack_from("<IIIIII", raw, off)
-        off += 24
-        probs = np.frombuffer(raw, "<f4", b * h * t * e, off).reshape(b, h, t, e)
-        off += 4 * b * h * t * e
-        n_win = e // t if t else 0
-        win_ctx = np.frombuffer(raw, "<i8", b * n_win, off).reshape(b, n_win)
-        off += 8 * b * n_win
-        polarity = np.frombuffer(raw, "<i8", b * c, off).reshape(b, c)
-        off += 8 * b * c
-        out.append((layer, probs, win_ctx, polarity))
-    return out
-
-
-def r_from_weights(dumped) -> float:
-    """Recompute the mean positive attention mass straight from raw weights."""
+def r_from_weights(weights) -> float:
+    """Recompute the mean positive attention mass from raw extras softmax
+    weights, bucketing them per context here rather than through the model's
+    ``_bucket_record``. A test oracle: ``weights`` lists (layer, probs
+    [b, H, T, E*T], window context ids [b, E], context polarity [b, C]) per
+    memory layer."""
     records = []
-    for layer, probs, win_ctx, polarity in dumped:
+    for layer, probs, win_ctx, polarity in weights:
         b, h, t, e = probs.shape
         n_win = win_ctx.shape[1]
         per_window = probs.reshape(b, h, t, n_win, -1).sum(axis=-1)

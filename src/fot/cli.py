@@ -1,7 +1,7 @@
 """Command-line entry points: train, eval, sweep, gen-data, inspect.
 
 Exit codes: 0 success, 2 config, usage, format or shape error, 3 data error,
-4 numeric failure, 5 capacity exceeded.
+4 numeric failure.
 FOT_NUM_WORKERS caps sweep parallelism.
 """
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import analysis, tasks
 from .config import TrainConfig, apply_overrides, config_hash, emit_config, get_preset, parse_config
-from .errors import CapacityError, ConfigError, DataError, FotError, NumericError
+from .errors import ConfigError, DataError, FotError, NumericError
 from .model import CHECKPOINT_VERSION, Transformer, load_checkpoint, param_count
 from .tasks import DictTaskConfig, PasskeyTaskConfig
 from .training import train
@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 # (error class, exit code, message prefix); the first class that matches wins
 EXIT_CODES = ((DataError, 3, "data error"), (NumericError, 4, "numeric failure"),
-              (CapacityError, 5, "capacity exceeded"), (FotError, 2, "config error"))
+              (FotError, 2, "config error"))
 
 
 def main(argv=None) -> int:

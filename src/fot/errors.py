@@ -1,7 +1,7 @@
 """Exception taxonomy shared across the package.
 
 Exit-code mapping lives in the CLI: ConfigError, UsageError, FormatError and
-ShapeError -> 2, DataError -> 3, NumericError -> 4, CapacityError -> 5.
+ShapeError -> 2, DataError -> 3, NumericError -> 4.
 """
 
 
@@ -27,10 +27,6 @@ class DataError(FotError):
 
 class NumericError(FotError):
     """A numeric invariant broke (NaN/Inf, failed check)."""
-
-
-class CapacityError(FotError):
-    """An append-only store hit its hard capacity cap."""
 
 
 class FormatError(FotError):

@@ -1,7 +1,7 @@
 """Append-only exact maximum-inner-product index of (key, value) pairs.
 
 Each memory layer has one store, and all its heads hold the same tokens: keys
-and values are [H, cap, head_dim], each token's doc id and position [cap].
+and values are float32 [H, n, head_dim], each token's doc id and position [n].
 Search is a full scan per head: one matmul for the scores, then exact top-k
 selection with ties broken by lower column, which is the older entry (appends
 go to the end and ``reset_doc`` keeps order). No approximation anywhere.
@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, FormatError, NumericError, ShapeError
+from .errors import FormatError, NumericError, ShapeError
 
 MAGIC = b"FOTM"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 _GROUP = 16  # most columns per group in the top-k bound
 
 
@@ -46,10 +46,10 @@ class _LayerStore:
 
     __slots__ = ("keys", "values", "doc_ids", "positions", "size")
 
-    def __init__(self, n_heads: int, head_dim: int, dtype):
+    def __init__(self, n_heads: int, head_dim: int):
         # grown on first write, so a loaded header alone allocates nothing
-        self.keys = np.empty((n_heads, 0, head_dim), dtype=dtype)
-        self.values = np.empty((n_heads, 0, head_dim), dtype=dtype)
+        self.keys = np.empty((n_heads, 0, head_dim), dtype=np.float32)
+        self.values = np.empty((n_heads, 0, head_dim), dtype=np.float32)
         self.doc_ids = np.empty(0, dtype=np.int64)
         self.positions = np.empty(0, dtype=np.int64)
         self.size = 0
@@ -90,15 +90,11 @@ class _LayerStore:
 class MemoryIndex:
     """Exact top-k (key, value) store for the memory attention layers."""
 
-    def __init__(self, memory_layers, n_heads: int, head_dim: int,
-                 capacity: int | None = None, dtype=np.float32):
+    def __init__(self, memory_layers, n_heads: int, head_dim: int):
         self.memory_layers = tuple(sorted(memory_layers))
         self.n_heads = n_heads
         self.head_dim = head_dim
-        self.capacity = capacity
-        self.dtype = np.dtype(dtype)
-        self._stores = {layer: _LayerStore(n_heads, head_dim, self.dtype)
-                        for layer in self.memory_layers}
+        self._stores = {layer: _LayerStore(n_heads, head_dim) for layer in self.memory_layers}
 
     def _store(self, layer: int, head: int = 0) -> _LayerStore:
         if layer not in self._stores or not 0 <= head < self.n_heads:
@@ -111,8 +107,8 @@ class MemoryIndex:
                      doc_id: int, positions) -> int:
         """Append one window's pairs for all heads: keys/values are [H, T, head_dim]."""
         s = self._store(layer)
-        keys = np.asarray(keys, dtype=self.dtype)
-        values = np.asarray(values, dtype=self.dtype)
+        keys = np.asarray(keys, dtype=np.float32)
+        values = np.asarray(values, dtype=np.float32)
         if keys.shape != values.shape or keys.ndim != 3 or \
                 keys.shape[0] != self.n_heads or keys.shape[2] != self.head_dim:
             raise ShapeError(f"append_block expects [H={self.n_heads}, T, {self.head_dim}], got {keys.shape}")
@@ -120,8 +116,6 @@ class MemoryIndex:
         pos = np.asarray(positions, dtype=np.int64)
         if pos.shape != (t,):
             raise ShapeError(f"positions {pos.shape} vs window length {t}")
-        if self.capacity is not None and self.size() + t * self.n_heads > self.capacity:
-            raise CapacityError(f"memory capacity {self.capacity} exceeded")
         s.put(keys, values, doc_id, pos)
         return self.size()
 
@@ -164,14 +158,14 @@ class MemoryIndex:
         ties go to the lower insertion index.
         """
         s = self._store(layer)
-        queries = np.asarray(queries, dtype=self.dtype)
+        queries = np.asarray(queries, dtype=np.float32)
         if queries.ndim != 3 or queries.shape[0] != self.n_heads or queries.shape[2] != self.head_dim:
             raise ShapeError(f"topk expects queries [H={self.n_heads}, Q, {self.head_dim}], got {queries.shape}")
         h_count, q_count, n = queries.shape[0], queries.shape[1], s.size
         kk = min(k, n)
         hqk, dh = (h_count, q_count, kk), (self.head_dim,)
-        res = TopkResult(indices=np.empty(hqk, np.int64), scores=np.empty(hqk, self.dtype),
-                         keys=np.empty(hqk + dh, self.dtype), values=np.empty(hqk + dh, self.dtype),
+        res = TopkResult(indices=np.empty(hqk, np.int64), scores=np.empty(hqk, np.float32),
+                         keys=np.empty(hqk + dh, np.float32), values=np.empty(hqk + dh, np.float32),
                          doc_ids=np.empty(hqk, np.int64), positions=np.empty(hqk, np.int64), k=kk)
         if kk == 0:
             return res
@@ -215,7 +209,6 @@ class MemoryIndex:
             f.write(struct.pack("<IIII", FORMAT_VERSION, len(self.memory_layers),
                                 self.n_heads, self.head_dim))
             f.write(struct.pack(f"<{len(self.memory_layers)}I", *self.memory_layers))
-            f.write(struct.pack("<q", -1 if self.capacity is None else self.capacity))
             for layer, s in self._stores.items():
                 f.write(struct.pack("<Iq", layer, s.size))
                 f.write(s.keys[:, : s.size].astype("<f4").tobytes())
@@ -249,12 +242,11 @@ class MemoryIndex:
         if version != FORMAT_VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
         layers = unpack(f"<{n_layers}I")
-        (capacity,) = unpack("<q")
         # one 12-byte record header per layer must follow: this bounds what
         # the index below allocates by the file's size
         if len(set(layers)) != n_layers or 12 * n_layers > len(raw) - off:
             raise FormatError(f"{path}: layers {layers} do not fit the file")
-        idx = cls(layers, n_heads, head_dim, capacity=None if capacity < 0 else capacity)
+        idx = cls(layers, n_heads, head_dim)
         unread = dict(idx._stores)
         for _ in range(n_layers):
             layer, size = unpack("<Iq")
@@ -267,8 +259,6 @@ class MemoryIndex:
             s.put(keys, values, array("<i8", size), array("<i8", size))
         if off != len(raw):
             raise FormatError(f"{path}: {len(raw) - off} trailing bytes")
-        if idx.capacity is not None and idx.size() > idx.capacity:
-            raise FormatError(f"{path}: {idx.size()} entries exceed capacity {idx.capacity}")
         return idx
 
 def _exact_topk_rows(scores: np.ndarray, k: int) -> np.ndarray:

@@ -43,7 +43,6 @@ class ModelConfig:
     memory_layers: tuple[int, ...] = (2,)
     local_ctx_len: int = 256
     qk_normalize: bool = True
-    temperature_init: float = 1.0
     mem_positional_mode: str = "none"      # "none" | "as_first"
     integration_mode: str = "merged"       # "merged" | "gated"
     rotary_base: float = 10000.0
@@ -54,8 +53,6 @@ class ModelConfig:
             raise ConfigError(f"d_model {self.d_model} != n_heads*head_dim {self.n_heads * self.head_dim}")
         if any(not 0 <= m < self.n_layers for m in self.memory_layers):
             raise ConfigError(f"memory_layers {self.memory_layers} outside [0, {self.n_layers})")
-        if self.temperature_init <= 0:
-            raise ConfigError("temperature_init must be > 0")
         if self.head_dim % 2:
             raise ConfigError("head_dim must be even for rotary encoding")
         if self.mem_positional_mode not in ("none", "as_first"):
@@ -133,11 +130,9 @@ def init_params(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> dict[str, 
             arr = p["embed"].data.T.copy()
         elif kind in ("ln1", "ln2", "final_ln"):
             arr = np.ones(shape, dtype=dtype)
-        elif kind == "log_tau":
-            arr = np.full(shape, np.log(cfg.temperature_init), dtype=dtype)
         else:
-            # biases, gate biases; a zero-init head keeps an untrained
-            # model's predictive distribution uniform
+            # biases, gate biases, log temperatures (tau = 1); a zero-init
+            # head keeps an untrained model's predictive distribution uniform
             arr = np.zeros(shape, dtype=dtype)
         p[name] = Tensor(arr, requires_grad=True)
     assert sum(t.data.size for t in p.values()) == param_count(cfg)
@@ -402,9 +397,6 @@ class Transformer:
         self.cfg = cfg
         self.dtype = np.dtype(dtype)
         self.params = params if params is not None else init_params(cfg, seed, dtype)
-        # when set to a list, memory layers append their raw extras softmax
-        # weights here: (layer, probs [b,H,T,E*T], window_context, polarity)
-        self.debug_sink: list | None = None
 
     # -- plumbing ------------------------------------------------------------
 
@@ -573,9 +565,7 @@ class Transformer:
                       ) -> tuple[Tensor, list[AttentionRecord]]:
         """Process current windows; memory layers attend to planned extras."""
         b = tokens.shape[0]
-        sink = self.debug_sink
-        logits, atts, _ = self._forward(tokens, lambda li, q: extras.get(li), None,
-                                        collect_records or sink is not None)
+        logits, atts, _ = self._forward(tokens, lambda li, q: extras.get(li), None, collect_records)
         records: list[AttentionRecord] = []
         for li, mass_local, p_ext, gate in atts:
             if p_ext is None:  # no planned contexts anywhere
@@ -583,11 +573,8 @@ class Transformer:
                     li, mass_local, per_context=np.zeros(mass_local.shape + (0,), self.dtype),
                     context_polarity=np.zeros((b, 0), dtype=np.int64)))
                 continue
-            if sink is not None and gate is None:
-                sink.append((li, p_ext.copy(), gather.window_context.copy(),
-                             gather.polarity.copy()))
             records.append(_bucket_record(li, mass_local, p_ext, gather, gate))
-        return logits, records if collect_records else []
+        return logits, records
 
     def forward_train(self, batch: TrainBatch, plan: CrossbatchPlan, *,
                       differentiable: bool = True,

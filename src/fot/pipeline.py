@@ -39,13 +39,22 @@ class DSchedule:
     switch_step: int = 0
     choices: tuple[int, ...] = (2, 128)
 
-    def validate(self) -> None:
-        if self.kind not in ("constant", "staged", "random"):
+    def validate(self, b_s: int) -> None:
+        """Every d the schedule can yield must lie in [0, b_s]: one positive
+        context plus d - 1 negatives from the other b_s - 1 slots."""
+        if self.kind == "constant":
+            yields = [("d", self.d)]
+        elif self.kind == "staged":
+            yields = [("d_small", self.d_small)] * (self.switch_step > 0) + [("d_large", self.d_large)]
+        elif self.kind == "random":
+            if not self.choices:
+                raise ConfigError("random d-schedule needs choices")
+            yields = [("d_choices", d) for d in self.choices]
+        else:
             raise ConfigError(f"unknown d-schedule kind {self.kind!r}")
-        if self.kind == "constant" and self.d < 0:
-            raise ConfigError("d must be >= 0")
-        if self.kind == "random" and not self.choices:
-            raise ConfigError("random d-schedule needs choices")
+        for key, d in yields:
+            if not 0 <= d <= b_s:
+                raise ConfigError(f"{key} = {d} is outside [0, b_S = {b_s}]")
 
 
 def d_schedule_value(schedule: DSchedule, step: int, seed: int = 0) -> int:
@@ -71,8 +80,8 @@ class SegmentSchedule:
     segments: tuple[tuple[float, int, int], ...] | None = None
 
     def validate(self, b_s: int, w: int) -> None:
-        self.d_schedule.validate()
         if self.segments is None:
+            self.d_schedule.validate(b_s)
             return
         total = sum(f for f, _, _ in self.segments)
         if abs(total - 1.0) > 1e-9:

@@ -24,7 +24,11 @@ from .errors import ConfigError, DataError
 KEY_TOKEN = 61
 VALUE_TOKEN = 62
 QUERY_TOKEN = 63
-PAD_TOKEN = 60
+PAD_TOKEN = 60  # ids 0..59 carry key/value content
+KEY_LEN = 4
+VAL_LEN = 4
+RECORD_LEN = 2 + KEY_LEN + VAL_LEN
+PASSKEY_DIGITS = 5
 
 BYTE_VOCAB = 256
 DEFAULT_DOC_DELIMITER = "<<<DOC>>>"
@@ -32,25 +36,12 @@ DEFAULT_DOC_DELIMITER = "<<<DOC>>>"
 
 @dataclass
 class DictTaskConfig:
-    key_len: int = 4
-    val_len: int = 4
     doc_len: int = 512
-    def_fraction: float = 0.5
     seed: int = 0
-
-    @property
-    def record_len(self) -> int:
-        return 2 + self.key_len + self.val_len
-
-    @property
-    def content_vocab(self) -> int:
-        return PAD_TOKEN  # ids 0..59 carry key/value content
 
     def validate(self) -> None:
         if self.doc_len % 2:
             raise ConfigError("doc_len must be even (definition half + query half)")
-        if not 0 < self.def_fraction < 1:
-            raise ConfigError("def_fraction must be in (0, 1)")
 
 
 @dataclass
@@ -88,11 +79,11 @@ def _fill_records(buf: np.ndarray, mask: np.ndarray, start: int, length: int,
     buf[pos:start + length] = PAD_TOKEN
 
 
-def _draw_distinct_keys(rng: np.random.Generator, n: int, key_len: int, hi: int) -> list[tuple[int, ...]]:
+def _draw_distinct_keys(rng: np.random.Generator, n: int) -> list[tuple[int, ...]]:
     keys: list[tuple[int, ...]] = []
     seen = set()
     while len(keys) < n:
-        cand = tuple(int(t) for t in rng.integers(0, hi, size=key_len))
+        cand = tuple(int(t) for t in rng.integers(0, PAD_TOKEN, size=KEY_LEN))
         if cand in seen:
             continue  # duplicate definition: retry with a fresh key
         seen.add(cand)
@@ -105,16 +96,15 @@ def gen_dict_lookup(cfg: DictTaskConfig, mode: str = "train", *,
                     rng: np.random.Generator | None = None) -> DictDoc:
     """One dictionary-lookup document.
 
-    train: first def_fraction of doc_len holds definitions, the rest queries.
-    eval:  definitions fill all but the final question block (one window of
-           doc_len * def_fraction tokens) of a total_len-token document, so the
-           number of questions stays fixed while the context grows.
+    train: the first half of doc_len holds definitions, the rest queries.
+    eval:  definitions fill all but the final question block (doc_len / 2
+           tokens) of a total_len-token document, so the number of questions
+           stays fixed while the context grows.
     """
     cfg.validate()
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    rec = cfg.record_len
-    q_block = int(round(cfg.doc_len * (1 - cfg.def_fraction)))
+    q_block = cfg.doc_len // 2
     if mode == "train":
         length = cfg.doc_len
         def_span = cfg.doc_len - q_block
@@ -131,17 +121,17 @@ def gen_dict_lookup(cfg: DictTaskConfig, mode: str = "train", *,
         if def_span % win:
             raise ConfigError("total_len must align definition windows "
                               f"(multiple of {win} plus {q_block})")
-        n_defs = (def_span // win) * (win // rec)
+        n_defs = (def_span // win) * (win // RECORD_LEN)
     else:
-        n_defs = def_span // rec
-    n_queries = q_block // rec
+        n_defs = def_span // RECORD_LEN
+    n_queries = q_block // RECORD_LEN
     if n_defs < 1 or n_queries < 1:
         raise ConfigError("document too short for a single record per section")
     if n_queries > n_defs:
         raise ConfigError(f"{n_queries} queries but only {n_defs} defined keys")
 
-    keys = _draw_distinct_keys(rng, n_defs, cfg.key_len, cfg.content_vocab)
-    values = [tuple(int(t) for t in rng.integers(0, cfg.content_vocab, size=cfg.val_len))
+    keys = _draw_distinct_keys(rng, n_defs)
+    values = [tuple(int(t) for t in rng.integers(0, PAD_TOKEN, size=VAL_LEN))
               for _ in range(n_defs)]
     definitions = dict(zip(keys, values))
 
@@ -155,7 +145,7 @@ def gen_dict_lookup(cfg: DictTaskConfig, mode: str = "train", *,
     if mode == "train":
         _fill_records(tokens, mask, 0, def_span, def_records, None)
     else:
-        per_win = win // rec
+        per_win = win // RECORD_LEN
         for i in range(def_span // win):
             _fill_records(tokens, mask, i * win, win,
                           def_records[i * per_win:(i + 1) * per_win], None)
@@ -166,10 +156,11 @@ def gen_dict_lookup(cfg: DictTaskConfig, mode: str = "train", *,
     return DictDoc(tokens, mask, definitions, queries)
 
 
-def parse_dict_doc(tokens: np.ndarray, key_len: int = 4, val_len: int = 4):
+def parse_dict_doc(tokens: np.ndarray):
     """Independent oracle: re-parse an emitted document into (definitions,
     queries) by scanning for record markers. Used to cross-check the
     generator, so it shares no code with it beyond the token ids."""
+    key_len, val_len = 4, 4
     rec = 2 + key_len + val_len
     defs: dict[tuple[int, ...], tuple[int, ...]] = {}
     queries: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
@@ -220,7 +211,6 @@ _PASSKEY_QUESTION = "What is the pass key? The pass key is"
 @dataclass
 class PasskeyTaskConfig:
     prompt_len: int = 1024          # bytes
-    n_digits: int = 5
     passkey: str | None = None      # fixed digits; None draws per prompt
     seed: int = 0
 
@@ -236,7 +226,7 @@ def gen_passkey(cfg: PasskeyTaskConfig, rng: np.random.Generator | None = None) 
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     key = cfg.passkey if cfg.passkey is not None else \
-        "".join(str(int(d)) for d in rng.integers(0, 10, size=cfg.n_digits))
+        "".join(str(int(d)) for d in rng.integers(0, 10, size=PASSKEY_DIGITS))
     key_sentence = _PASSKEY_SENTENCE.format(key=key)
     needed = cfg.prompt_len - len(key_sentence) - len(_PASSKEY_QUESTION)
     if needed < 0:

@@ -229,6 +229,11 @@ def test_greedy_continuation_shape():
     assert cont.shape == (4,) and (cont >= 0).all() and (cont < 256).all()
 
 
+def test_greedy_continuation_rejects_an_empty_prompt():
+    with pytest.raises(UsageError, match="nonempty prompt"):
+        A.greedy_continuation(byte_model(), np.array([], np.int64), 3)
+
+
 def test_greedy_continuation_matches_full_recompute():
     """Incremental decoding emits the ids of re-running the whole working
     window for every token, across rolls of the window into memory."""
@@ -451,7 +456,7 @@ def test_untrained_exposure_r_near_uniform(monkeypatch):
     assert rep.n_queries >= 500
 
 
-def test_r_matches_raw_weight_dump(tmp_path):
+def test_r_matches_raw_weight_dump(monkeypatch):
     cfg = ModelConfig(n_layers=2, d_model=16, n_heads=2, head_dim=8, ff_dim=32,
                       vocab_size=64, memory_layers=(1,), local_ctx_len=8)
     model = Transformer(cfg, seed=9)
@@ -461,15 +466,17 @@ def test_r_matches_raw_weight_dump(tmp_path):
         rng.integers(0, 64, (4, 8)), rng.integers(0, 64, (4, 8)), np.ones((4, 8)),
         rng.integers(0, 64, (4, 1, 8)), np.ones((4, 1), bool), np.arange(4), 0)
     plan = make_eval_exposure_plan(4, 3, batch.unit_ids)
-    model.debug_sink = []
+    captured = []  # the raw extras softmax weights each record is bucketed from
+    bucket = model_mod._bucket_record
+
+    def capture(li, mass_local, p_ext, gather, gate):
+        captured.append((li, p_ext.copy(), gather.window_context.copy(), gather.polarity.copy()))
+        return bucket(li, mass_local, p_ext, gather, gate)
+    monkeypatch.setattr(model_mod, "_bucket_record", capture)
     fwd = model.forward_train(batch, plan)
-    sink = model.debug_sink
-    model.debug_sink = None
+    assert len(captured) == len(fwd.records) == 1
     r_records = A.positive_attention_mass(fwd.records).r
-    path = tmp_path / "w.fotw"
-    A.dump_weights(path, sink)
-    r_raw = A.r_from_weights(A.load_weights(path))
-    assert abs(r_records - r_raw) <= 1e-6
+    assert abs(r_records - A.r_from_weights(captured)) <= 1e-6
 
 
 def test_metrics_csv_roundtrip(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fot.errors import CapacityError, FormatError, NumericError, ShapeError
+from fot.errors import FormatError, NumericError, ShapeError
 from fot.memstore import MAGIC, MemoryIndex, brute_force_topk
 
 
@@ -197,14 +197,6 @@ def test_monotone_growth_without_resets():
     assert sizes == sorted(sizes) and sizes[-1] == 15
 
 
-def test_capacity_cap_is_hard():
-    idx = MemoryIndex([0], 1, 4, capacity=4)
-    k = np.ones((1, 4, 4), dtype=np.float32)
-    idx.append_block(0, k, k, 0, np.arange(4))
-    with pytest.raises(CapacityError):
-        idx.append_block(0, k[:, :1], k[:, :1], 0, [9])
-
-
 def test_geometry_mismatch_rejected():
     idx = make_index()
     ones = np.ones((2, 2, 8), np.float32)
@@ -238,7 +230,7 @@ def test_neighborhood_window():
 
 def test_dump_load_roundtrip(tmp_path):
     rng = np.random.default_rng(4)
-    idx = MemoryIndex([2, 3], n_heads=2, head_dim=8, capacity=1000)  # layer 3 stays empty
+    idx = MemoryIndex([2, 3], n_heads=2, head_dim=8)  # layer 3 stays empty
     for doc in range(3):
         keys = rng.standard_normal((2, 6, 8)).astype(np.float32)
         idx.append_block(2, keys, rng.standard_normal((2, 6, 8)), doc_id=doc,
@@ -247,7 +239,7 @@ def test_dump_load_roundtrip(tmp_path):
     path = tmp_path / "mem.fotm"
     idx.dump(path)
     back = MemoryIndex.load(path)
-    assert (back.size(), back.capacity, back.stats()) == (idx.size(), 1000, idx.stats())
+    assert (back.size(), back.stats()) == (idx.size(), idx.stats())
     q = rng.standard_normal((2, 3, 8)).astype(np.float32)
     for layer in (2, 3):
         a, b = idx.topk(layer, q, 4), back.topk(layer, q, 4)
@@ -272,18 +264,27 @@ def test_load_rejects_version_1(tmp_path):
         MemoryIndex.load(p)
 
 
+def test_load_rejects_version_2(tmp_path):
+    # an empty one-layer, one-head index in the version-2 layout: geometry,
+    # layer ids and an i64 capacity, then per-layer (layer, size) records
+    p = tmp_path / "v2.fotm"
+    p.write_bytes(MAGIC + struct.pack("<IIIIIqIq", 2, 1, 1, 4, 0, -1, 0, 0))
+    with pytest.raises(FormatError, match="version 2"):
+        MemoryIndex.load(p)
+
+
 def test_load_rejects_every_truncation_and_header_bit_flip(tmp_path):
     rng = np.random.default_rng(6)
-    idx = MemoryIndex([2, 3], n_heads=2, head_dim=4, capacity=100)  # layer 3 stays empty
+    idx = MemoryIndex([2, 3], n_heads=2, head_dim=4)  # layer 3 stays empty
     keys = rng.standard_normal((2, 3, 4)).astype(np.float32)
     idx.append_block(2, keys, -keys, doc_id=1, positions=np.arange(3))
     path = tmp_path / "mem.fotm"
     idx.dump(path)
     raw = path.read_bytes()
-    # header fields with no free value: magic, version, geometry, layer ids,
-    # then every layer's (layer, size); the capacity at bytes 28-36 is free
+    # every header byte: magic, version, geometry and layer ids (bytes 0-27),
+    # then every layer's (layer, size) record
     header = [*range(0, 28)]
-    off = 36
+    off = 28
     for _ in range(2):
         size = struct.unpack_from("<q", raw, off + 4)[0]
         header += range(off, off + 12)

@@ -1,5 +1,6 @@
 """Transformer with memory attention: reductions, equivalences, formats."""
 
+import json
 import struct
 import tracemalloc
 
@@ -511,8 +512,6 @@ def test_config_validation():
         ModelConfig(d_model=20, n_heads=3, head_dim=8).validate()
     with pytest.raises(Exception):
         tiny_cfg(memory_layers=(9,)).validate()
-    with pytest.raises(Exception):
-        tiny_cfg(temperature_init=0.0).validate()
 
 
 def test_param_count_formula():
@@ -548,8 +547,8 @@ def test_checkpoint_truncation_and_magic(tmp_path):
         load_checkpoint(trunc)
 
 
-@pytest.mark.parametrize("bad", [{"memory_layers": (5,)}, {"temperature_init": -1.0}],
-                         ids=["memory_layer_out_of_range", "negative_temperature"])
+@pytest.mark.parametrize("bad", [{"memory_layers": (5,)}],
+                         ids=["memory_layer_out_of_range"])
 def test_load_checkpoint_rejects_an_invalid_config_blob(bad, tmp_path):
     """A blob whose config fails validation is a FormatError, even when
     every parameter has the shape that config implies."""
@@ -557,6 +556,22 @@ def test_load_checkpoint_rejects_an_invalid_config_blob(bad, tmp_path):
     path = tmp_path / "c.fotc"
     save_checkpoint(path, cfg, {name: Tensor(np.zeros(shape, np.float32))
                                 for name, shape in param_shapes(cfg).items()})
+    with pytest.raises(FormatError, match="bad config blob"):
+        load_checkpoint(path)
+
+
+def test_load_checkpoint_rejects_a_blob_with_temperature_init(tmp_path):
+    """Configs no longer carry a temperature setting (log_tau starts at 0),
+    so a blob that still holds one is not a config this code can load."""
+    cfg = tiny_cfg()
+    path = tmp_path / "c.fotc"
+    save_checkpoint(path, cfg, init_params(cfg, seed=1))
+    raw = path.read_bytes()
+    (blob_len,) = struct.unpack_from("<I", raw, 8)
+    blob = json.loads(raw[12:12 + blob_len])
+    blob["temperature_init"] = 1.0
+    new = json.dumps(blob, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(raw[:8] + struct.pack("<I", len(new)) + new + raw[12 + blob_len:])
     with pytest.raises(FormatError, match="bad config blob"):
         load_checkpoint(path)
 

@@ -158,6 +158,27 @@ def test_segment_fractions_must_resolve():
         CrossbatchPipeline(doc_stream([np.arange(8)]), 8, 4, seg, w=1)
 
 
+@pytest.mark.parametrize("sched,key", [
+    (DSchedule("constant", d=5), "d = 5"),
+    (DSchedule("constant", d=-1), "d = -1"),
+    (DSchedule("staged", d_small=6, d_large=4, switch_step=1), "d_small = 6"),
+    (DSchedule("staged", d_small=2, d_large=64), "d_large = 64"),
+    (DSchedule("random", choices=(2, 128)), "d_choices = 128"),
+], ids=["constant", "negative", "staged_small", "staged_large", "random"])
+def test_pipeline_rejects_a_d_outside_0_to_b_s(sched, key):
+    """d counts one positive plus d - 1 negatives from the other slots."""
+    with pytest.raises(ConfigError, match=f"{key} is outside \\[0, b_S = 4\\]"):
+        simple_pipeline([np.arange(8)], b_s=4, schedule=SegmentSchedule(sched))
+
+
+def test_pipeline_accepts_every_d_from_0_to_b_s():
+    for d in range(5):
+        simple_pipeline([np.arange(8)], b_s=4, schedule=SegmentSchedule(DSchedule("constant", d=d)))
+    # d_small is never drawn when the switch is at step 0
+    staged = DSchedule("staged", d_small=9, d_large=4, switch_step=0)
+    simple_pipeline([np.arange(8)], b_s=4, schedule=SegmentSchedule(staged))
+
+
 def test_d_schedule_staged_boundary():
     s = DSchedule("staged", d_small=2, d_large=64, switch_step=450_000)
     assert d_schedule_value(s, 449_999) == 2

@@ -31,7 +31,7 @@ def test_dict_record_format():
 def test_dict_mask_sums_to_queries_times_val_len():
     cfg = DictTaskConfig(seed=2)
     doc = gen_dict_lookup(cfg)
-    assert doc.loss_mask.sum() == len(doc.queries) * cfg.val_len
+    assert doc.loss_mask.sum() == len(doc.queries) * tasks.VAL_LEN
     assert len(doc.queries) == 25  # 256-token block of 10-token records
 
 

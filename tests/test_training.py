@@ -1,6 +1,7 @@
 """Training loop, optimizers, schedule, config round-trip, CLI."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ from fot import training
 from fot.analysis import read_metrics_csv
 from fot.config import (TrainConfig, apply_overrides, config_hash, emit_config,
                         get_preset, parse_config)
-from fot.errors import (CapacityError, ConfigError, DataError, FormatError, FotError,
+from fot.errors import (ConfigError, DataError, FormatError, FotError,
                         NumericError, ShapeError, UsageError)
 from fot.model import (CHECKPOINT_VERSION, ModelConfig, Transformer, load_checkpoint,
                        save_checkpoint)
@@ -209,11 +210,14 @@ def test_config_overrides():
 
 
 BAD_SETTINGS = [("override", "schedule=x"), ("override", "model.validate=1"),
-                ("config", "[train]\nchunk_slots = 8\n"), ("config", "[train]\nprecision = f32\n")]
+                ("config", "[train]\nchunk_slots = 8\n"), ("config", "[train]\nprecision = f32\n"),
+                ("override", "model.temperature_init=1.0"),
+                ("config", "[model]\ntemperature_init = 1.0\n")]
 
 
 @pytest.mark.parametrize("source,text", BAD_SETTINGS,
-                         ids=["method", "model_method", "chunk_slots", "precision"])
+                         ids=["method", "model_method", "chunk_slots", "precision",
+                              "temperature_init_override", "temperature_init_config"])
 def test_setting_names_only_fields(source, text, tmp_path):
     """A key naming a method or a removed field is a ConfigError, not a crash."""
     with pytest.raises(ConfigError):
@@ -327,7 +331,7 @@ def test_cli_eval_on_ids_outside_the_vocabulary_is_data_error(tmp_path):
 
 
 CLI_EXIT_CODES = {ConfigError: 2, UsageError: 2, FormatError: 2, ShapeError: 2,
-                  DataError: 3, NumericError: 4, CapacityError: 5}
+                  DataError: 3, NumericError: 4}
 
 
 @pytest.mark.parametrize("exc", FotError.__subclasses__(), ids=lambda c: c.__name__)
@@ -340,6 +344,33 @@ def test_cli_maps_every_error_to_its_exit_code(exc, monkeypatch):
     code, _, err = run_cli("inspect", "--checkpoint", "unused.fotc")
     assert code == CLI_EXIT_CODES[exc]
     assert err.endswith(": boom\n") and "Traceback" not in err
+
+
+def test_documented_exit_codes_match_the_cli():
+    """The exit codes the ``fot.cli`` and ``fot.errors`` docstrings list are
+    the ones ``cli.EXIT_CODES`` maps to, plus 0 for success."""
+    from fot import cli, errors
+
+    codes = {code for _, code, _ in cli.EXIT_CODES}
+    listed = cli.__doc__.split("Exit codes:")[1].split(".")[0]
+    assert {int(c) for c in re.findall(r"\b\d+\b", listed)} == codes | {0}
+    documented = {name: int(code) for names, code in re.findall(r"([^>]*)-> (\d+)", errors.__doc__)
+                  for name in re.findall(r"\w+Error", names)}
+    assert documented == {exc.__name__: CLI_EXIT_CODES[exc] for exc in FotError.__subclasses__()}
+    assert set(documented.values()) == codes
+
+
+@pytest.mark.parametrize("override,key", [("d=17", "d = 17"), ("d_kind=random", "d_choices = 128"),
+                                          ("d_kind=staged", "d_large = 64")],
+                         ids=["constant", "random", "staged"])
+def test_cli_train_rejects_a_d_above_b_s(override, key, tmp_path):
+    """The dict-small preset has b_S 16; d_choices (2,128) and d_large 64 are
+    the random and staged schedules' defaults."""
+    code, _, err = run_cli("train", "--preset", "dict-small", "--override", override,
+                           "--out", str(tmp_path / "run"))
+    assert code == 2 and err.startswith("config error: ") and "Traceback" not in err
+    assert key in err and "b_S = 16" in err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("argv", [
