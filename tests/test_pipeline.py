@@ -1,8 +1,11 @@
 """Crossbatch pipeline: slots, units, plans, schedules."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from fot.config import TrainConfig
 from fot.errors import ConfigError, DataError
 from fot.pipeline import (
     CrossbatchPipeline, DSchedule, SegmentSchedule, d_schedule_value,
@@ -238,3 +241,28 @@ def test_eval_exposure_plan_shape():
     ws = plan.per_slot[6]
     assert [w.source_slot for w in ws] == [6, 7, 0, 1]
     assert [w.context_id for w in ws] == [1, 2, 3, 4]
+
+
+# sha256 prefixes of the plans below; any change to a plan changes them
+PINNED_PLANS = {"constant": "e97691ba394b3f4e", "random": "dc593164068ec213",
+                "segments": "a2f0941135d25e93", "staged": "4492382f3349e8bf"}
+
+SCHEDULE_SETTINGS = {
+    "constant": dict(d_kind="constant", d=3),
+    "staged": dict(d_kind="staged", d_small=2, d_large=5, d_switch_step=3),
+    "random": dict(d_kind="random", d_choices="0,1,4,8"),
+    "segments": dict(d_kind="segments", segments="0.25:0:0,0.25:1:1,0.25:2:1,0.25:3:0"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEDULE_SETTINGS))
+def test_plans_are_pinned(kind):
+    """Six steps of plans over documents of mixed lengths, per schedule kind
+    as a train config builds it."""
+    cfg = TrainConfig(b_s=8, w=3, seed=4, **SCHEDULE_SETTINGS[kind])
+    rng = np.random.default_rng(11)
+    docs = [rng.integers(0, 50, size=int(n)) for n in rng.integers(3, 30, size=60)]
+    pipe = CrossbatchPipeline(doc_stream(docs), cfg.b_s, 4, cfg.schedule(), w=cfg.w, seed=cfg.seed)
+    plans = [pipe.next()[1] for _ in range(6)]
+    text = repr([(p.per_slot, p.n_contexts, p.source_unit) for p in plans])
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == PINNED_PLANS[kind]

@@ -1,5 +1,7 @@
 """Task generators: dictionary lookup, passkey, corpora."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from fot import tasks
 from fot.errors import ConfigError, DataError
 from fot.tasks import (
-    DictTaskConfig, PasskeyTaskConfig, find_passkey, gen_dict_lookup,
+    DictTaskConfig, PasskeyTaskConfig, dict_training_stream, find_passkey, gen_dict_lookup,
     gen_passkey, gen_text_corpus, load_corpus, parse_dict_doc, save_corpus,
 )
 
@@ -173,3 +175,29 @@ def test_dict_generator_purity(seed):
     t1 = gen_dict_lookup(cfg).tokens
     t2 = gen_dict_lookup(cfg).tokens
     assert (t1 == t2).all()
+
+
+# sha256 prefixes of generator output; any change to a document changes them
+PINNED_TRAIN_DOCS = ['64b15df95c2ba553', '6e68c3157603da10', '195e58d64684e7fb']
+PINNED_EVAL_DOC = ('22277f5c97b30a1e', '8c3697b572a904a9')
+
+
+def _doc_digest(tokens, mask) -> str:
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(tokens, dtype=np.int64).tobytes())
+    h.update(np.ascontiguousarray(mask, dtype=np.float64).tobytes())
+    return h.hexdigest()[:16]
+
+
+def test_dict_training_stream_is_pinned():
+    """The first documents of a seeded training stream, token and mask bytes."""
+    stream = dict_training_stream(DictTaskConfig(doc_len=512), 3)
+    got = [_doc_digest(*next(stream)) for _ in range(3)]
+    assert got == PINNED_TRAIN_DOCS
+
+
+def test_dict_eval_document_is_pinned():
+    """One 1280-token evaluation document: tokens, mask and query positions."""
+    doc = gen_dict_lookup(DictTaskConfig(doc_len=512, seed=7), "eval", total_len=1280)
+    positions = np.concatenate([q.value_positions for q in doc.queries])
+    assert (_doc_digest(doc.tokens, doc.loss_mask), _doc_digest(positions, [])) == PINNED_EVAL_DOC
