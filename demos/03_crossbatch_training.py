@@ -18,7 +18,6 @@ from fot.analysis import dict_eval_accuracy
 from fot.config import get_preset
 from fot.model import Transformer, crossbatch_grad_step
 from fot.pipeline import CrossbatchPipeline
-from fot.tasks import DictTaskConfig
 from fot.training import Adam, clip_global_norm, inverse_sqrt_lr, make_doc_stream
 
 STEPS = int(sys.argv[1]) if len(sys.argv) > 1 else 120
@@ -53,7 +52,7 @@ while step < STEPS:
               f"local {rec.mass_local.mean():.3f}  positive {pos:.3f}  negative {neg:.3f}")
     step += 1
 
-acc = dict_eval_accuracy(model, DictTaskConfig(doc_len=512), 512, n_docs=4, k=32, seed=7)
+acc = dict_eval_accuracy(model, 512, n_docs=4, k=32, seed=7)
 print(f"\nafter {STEPS} steps ({time.time()-t0:.0f}s): "
       f"train-length accuracy {acc.accuracy:.3f} over {acc.n_queries} queries")
 print("(see demos/05 for a fully trained model and long-memory evaluation)")

@@ -16,7 +16,6 @@ import sys
 from fot.analysis import dict_eval_accuracy
 from fot.config import get_preset
 from fot.model import Transformer, load_checkpoint
-from fot.tasks import DictTaskConfig
 
 if len(sys.argv) > 1:
     cfg, params = load_checkpoint(sys.argv[1])
@@ -26,11 +25,10 @@ else:
     print("no checkpoint given; using an untrained dict-small model")
     model = Transformer(get_preset("dict-small").model, seed=0)
 
-task = DictTaskConfig(doc_len=2 * model.cfg.local_ctx_len)
 t = model.cfg.local_ctx_len
 print(f"\n{'memory tokens':>14} {'accuracy':>9} {'queries':>8}")
 for memory in (t, 4 * t, 16 * t, 64 * t):
-    res = dict_eval_accuracy(model, task, memory + t, n_docs=2, k=32, seed=0)
+    res = dict_eval_accuracy(model, memory + t, n_docs=2, k=32, seed=0)
     print(f"{memory:>14} {res.accuracy:>9.3f} {res.n_queries:>8}")
 print("\n(the local-only baseline path: pass use_memory=False to"
       " dict_eval_accuracy, which runs one long rotary context instead)")

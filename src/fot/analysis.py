@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DataError, UsageError
 from .memstore import MemoryIndex
 from .model import AttentionRecord, InferCache, Transformer, _cat_padded, exposure_records, retriever
-from .pipeline import CrossbatchPipeline, DSchedule, SegmentSchedule, make_eval_exposure_plan
+from .pipeline import CrossbatchPipeline, DSchedule, make_eval_exposure_plan
 from .tasks import DictTaskConfig, gen_dict_lookup
 
 
@@ -78,8 +78,7 @@ def distraction_eval(model: Transformer, doc_iter, d: int, *,
     """
     if d < 2:
         raise UsageError("exposure needs d >= 2 (one positive plus negatives)")
-    pipe = CrossbatchPipeline(doc_iter, d, model.cfg.local_ctx_len,
-                              SegmentSchedule(DSchedule("constant", d=0)), w=1)
+    pipe = CrossbatchPipeline(doc_iter, d, model.cfg.local_ctx_len, DSchedule("constant", d=d), w=1)
     collected: list[AttentionRecord] = []
     n_queries = 0
     for _ in range(max_batches):
@@ -225,22 +224,6 @@ def perplexity_eval(model: Transformer, docs, mode: str = "single_doc", *,
 # task accuracy
 # ---------------------------------------------------------------------------
 
-def score_dict_window(window_logits: np.ndarray, window_start: int, queries) -> list[bool]:
-    """Teacher-forced check: argmax at each answer position must equal the
-    defined value token, for all value tokens of the query."""
-    preds = window_logits.argmax(axis=-1)
-    out = []
-    for q in queries:
-        ok = True
-        for offset, tok in zip(q.value_positions, q.value):
-            row = offset - 1 - window_start  # logits at p-1 predict token p
-            if row < 0 or row >= preds.shape[0] or preds[row] != tok:
-                ok = False
-                break
-        out.append(ok)
-    return out
-
-
 @dataclass
 class AccuracyResult:
     accuracy: float
@@ -248,36 +231,38 @@ class AccuracyResult:
     rows: list[tuple[int, int, tuple, tuple, bool]]  # (doc, query, pred, true, ok)
 
 
-def dict_eval_accuracy(model: Transformer, task: DictTaskConfig, total_len: int,
-                       *, n_docs: int = 8, k: int = 32, seed: int = 0,
-                       use_memory: bool = True) -> AccuracyResult:
+def dict_eval_accuracy(model: Transformer, total_len: int, *, n_docs: int = 8, k: int = 32,
+                       seed: int = 0, use_memory: bool = True) -> AccuracyResult:
     """Dictionary-lookup accuracy at an extended context length.
 
-    use_memory=True streams definition windows into the kNN memory
-    (``_ingest_windows``) and scores the final question window against it;
-    use_memory=False gives the local-only baseline the whole document as one
-    long context.
+    Documents are built with doc_len = 2 * local_ctx_len, so their question
+    block is exactly the final window. use_memory=True streams the
+    definition windows into the kNN memory (``_ingest_windows``) and scores
+    the final window against it; use_memory=False gives the local-only
+    baseline the whole document as one long context. A query is right when
+    the teacher-forced argmax at every value token is that token.
     """
     if n_docs < 1:
         raise UsageError(f"dict_eval_accuracy needs n_docs >= 1, got {n_docs}")
     cfg = model.cfg
     t = cfg.local_ctx_len
+    task = DictTaskConfig(doc_len=2 * t)
     rng = np.random.default_rng([seed, total_len])
+    q_start = total_len - t
     rows = []
     for di in range(n_docs):
-        doc = gen_dict_lookup(task, "eval", total_len=total_len, rng=rng)
-        q_start = total_len - t
+        doc = gen_dict_lookup(task, total_len, rng)
         if use_memory:
             memory = MemoryIndex(cfg.memory_layers, cfg.n_heads, cfg.head_dim)
             _ingest_windows(model, memory, doc.tokens[:q_start], di, k)
             logits = model.forward_infer(doc.tokens[q_start:], memory, k).logits
         else:
             logits = model.forward_long(doc.tokens)[q_start:]
-        oks = score_dict_window(logits, q_start, doc.queries)
         preds = logits.argmax(axis=-1)
-        for qi, (q, ok) in enumerate(zip(doc.queries, oks)):
-            pred = tuple(int(preds[p - 1 - q_start]) for p in q.value_positions)
-            rows.append((di, qi, pred, q.value, ok))
+        for qi, q in enumerate(doc.queries):
+            # logits at row p - 1 predict token p
+            pred = tuple(int(p) for p in preds[q.value_positions - 1 - q_start])
+            rows.append((di, qi, pred, q.value, pred == q.value))
     return AccuracyResult(sum(row[-1] for row in rows) / len(rows), len(rows), rows)
 
 

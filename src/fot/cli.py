@@ -17,8 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, tasks
-from .config import TrainConfig, apply_overrides, config_hash, emit_config, get_preset, parse_config
-from .errors import ConfigError, DataError, FotError, NumericError
+from .config import (TrainConfig, _decode, apply_overrides, config_hash, emit_config, get_preset,
+                     parse_config)
+from .errors import ConfigError, DataError, FormatError, FotError, NumericError, ShapeError, UsageError
 from .model import CHECKPOINT_VERSION, Transformer, load_checkpoint, param_count
 from .tasks import DictTaskConfig, PasskeyTaskConfig
 from .training import train
@@ -73,11 +74,9 @@ def cmd_eval(args) -> int:
     rows: list[analysis.EvalResult] = []
     for v in axis_vals:
         if args.suite == "dict":
-            task = DictTaskConfig(doc_len=2 * model.cfg.local_ctx_len)
             total = int(v) + model.cfg.local_ctx_len
-            res = analysis.dict_eval_accuracy(
-                model, task, total, n_docs=args.n_docs, k=args.k, seed=args.seed,
-                use_memory=not args.no_memory)
+            res = analysis.dict_eval_accuracy(model, total, n_docs=args.n_docs, k=args.k,
+                                              seed=args.seed, use_memory=not args.no_memory)
             rows.append(analysis.EvalResult(run_id, "dict_accuracy", axis_name, v,
                                             res.accuracy, args.seed, chash))
         elif args.suite == "passkey":
@@ -139,9 +138,9 @@ def cmd_sweep(args) -> int:
         grid[key.strip()] = vals.split(",")
     keys = sorted(grid)
     cells = list(itertools.product(*(grid[k] for k in keys)))
+    workers = _decode(os.environ.get("FOT_NUM_WORKERS", "1"), int, "FOT_NUM_WORKERS")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    workers = int(os.environ.get("FOT_NUM_WORKERS", "1"))
     jobs = []
     for i, cell in enumerate(cells):
         overrides = [f"{k}={v}" for k, v in zip(keys, cell)]
@@ -282,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 # (error class, exit code, message prefix); the first class that matches wins
 EXIT_CODES = ((DataError, 3, "data error"), (NumericError, 4, "numeric failure"),
-              (FotError, 2, "config error"))
+              (FormatError, 2, "format error"), (UsageError, 2, "usage error"),
+              (ShapeError, 2, "shape error"), (FotError, 2, "config error"))
 
 
 def main(argv=None) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 from .model import ModelConfig
-from .pipeline import DSchedule, SegmentSchedule
+from .pipeline import DSchedule
 from .tasks import DEFAULT_DOC_DELIMITER
 
 
@@ -72,28 +72,9 @@ class TrainConfig:
             raise ConfigError("b_s, w, steps must be positive")
         self.schedule().validate(self.b_s, self.w)
 
-    def schedule(self) -> SegmentSchedule:
-        if self.d_kind == "segments":
-            if not self.segments:
-                raise ConfigError("d_kind=segments needs a segments spec")
-            segs = []
-            for part in self.segments.split(","):
-                try:
-                    frac, pos, neg = part.split(":")
-                    segs.append((float(frac), int(pos), int(neg)))
-                except ValueError as e:
-                    raise ConfigError(f"segments part {part!r} is not frac:pos:neg") from e
-            return SegmentSchedule(DSchedule("constant", d=0), tuple(segs))
-        if self.d_kind == "random":
-            choices = _parse_ints(self.d_choices, "d_choices")
-            return SegmentSchedule(DSchedule("random", choices=choices))
-        if self.d_kind == "staged":
-            return SegmentSchedule(DSchedule("staged", d_small=self.d_small,
-                                             d_large=self.d_large,
-                                             switch_step=self.d_switch_step))
-        if self.d_kind == "constant":
-            return SegmentSchedule(DSchedule("constant", d=self.d))
-        raise ConfigError(f"unknown d_kind {self.d_kind!r}")
+    def schedule(self) -> DSchedule:
+        return DSchedule(self.d_kind, self.d, self.d_small, self.d_large, self.d_switch_step,
+                         _parse_ints(self.d_choices, "d_choices"), _parse_segments(self.segments))
 
 
 _BOOLS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
@@ -122,6 +103,15 @@ def _parse_ints(raw: str, name: str) -> tuple[int, ...]:
         return tuple(int(x) for x in raw.split(",") if x.strip() != "")
     except ValueError as e:
         raise ConfigError(f"{name}: expected comma-separated integers, got {raw!r}") from e
+
+
+def _parse_segments(raw: str) -> tuple[tuple[float, int, int], ...]:
+    """Comma-separated frac:pos:neg triples; empty parts are skipped."""
+    try:
+        return tuple((float(f), int(p), int(n)) for f, p, n in
+                     (part.split(":") for part in raw.split(",") if part.strip() != ""))
+    except ValueError as e:
+        raise ConfigError(f"segments: expected comma-separated frac:pos:neg, got {raw!r}") from e
 
 
 def _assign(cfg: TrainConfig, key: str, raw: str) -> None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, NumericError, ShapeError
+from .errors import DataError, FormatError, NumericError, ShapeError
 
 MAGIC = b"FOTM"
 FORMAT_VERSION = 3
@@ -218,8 +218,11 @@ class MemoryIndex:
 
     @classmethod
     def load(cls, path) -> "MemoryIndex":
-        with open(path, "rb") as f:
-            raw = f.read()
+        try:
+            with open(path, "rb") as f:
+                raw = f.read()
+        except OSError as e:
+            raise DataError(f"cannot read memory index {path}: {e.strerror}") from e
         if raw[:4] != MAGIC:
             raise FormatError(f"{path}: bad magic {raw[:4]!r}")
         off = 4

@@ -237,6 +237,9 @@ def _memory_size(memory: MemoryIndex | None) -> int:
 def retriever(memory: MemoryIndex | None, k: int):
     """``extras_of`` giving each query [1, H, T, Dh] its exact top-k entries
     of ``memory`` (None while the layer's store is empty, or k is 0)."""
+    if k < 0:
+        raise UsageError(f"k must be >= 0, got {k}")
+
     def retrieve(li: int, q: Tensor) -> _Extras | None:
         kk = min(k, memory.layer_size(li) if memory is not None else 0)
         if kk == 0:
@@ -617,8 +620,6 @@ class Transformer:
         afterwards, and attention records.
         """
         cfg = self.cfg
-        if k < 0:
-            raise UsageError("k must be >= 0")
         tokens = np.asarray(tokens, dtype=np.int64)
         if memory is not None and cfg.memory_layers and (
                 memory.n_heads != cfg.n_heads or memory.head_dim != cfg.head_dim):

@@ -4,7 +4,8 @@ Documents are pinned to batch slots. Each step every slot emits one
 local-context window as "current"; the windows it emitted before stay
 available as previous contexts. The plan for a step lists, per slot, which
 previous-context windows (own document: positive; other slots' documents:
-negative) the memory layers should attend to.
+negative) the memory layers should attend to, as one ``DSchedule`` sets:
+a d per step, or fixed segments of the batch with their own counts.
 
 Short documents are concatenated into "units" that span at least w+1
 windows; unit ids act as document ids everywhere downstream.
@@ -13,7 +14,7 @@ windows; unit ids act as document ids everywhere downstream.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,16 +22,22 @@ from .errors import ConfigError, DataError, UsageError
 
 
 # ---------------------------------------------------------------------------
-# d-schedules and segment schedules
+# schedules
 # ---------------------------------------------------------------------------
 
 @dataclass
 class DSchedule:
-    """Step-indexed crossbatch dimension.
+    """Step-indexed crossbatch composition.
 
     kind "constant": always d.
     kind "staged":   d_small before switch_step, d_large from it on.
     kind "random":   seeded per-step choice from ``choices``.
+    These give every slot one positive context of w windows plus d - 1
+    modular negatives of w windows each.
+
+    kind "segments": fractions of the batch with explicit
+    (fraction, num_positives, num_negatives); a negative is its source
+    slot's most recent window.
     """
     kind: str = "constant"
     d: int = 1
@@ -38,10 +45,30 @@ class DSchedule:
     d_large: int = 64
     switch_step: int = 0
     choices: tuple[int, ...] = (2, 128)
+    segments: tuple[tuple[float, int, int], ...] = ()
 
-    def validate(self, b_s: int) -> None:
+    def validate(self, b_s: int, w: int) -> None:
         """Every d the schedule can yield must lie in [0, b_s]: one positive
-        context plus d - 1 negatives from the other b_s - 1 slots."""
+        context plus d - 1 negatives from the other b_s - 1 slots. Segments
+        must cover the batch in whole slots, within w positives and b_s - 1
+        negatives each."""
+        if self.kind == "segments":
+            total = sum(f for f, _, _ in self.segments)
+            if abs(total - 1.0) > 1e-9:
+                raise ConfigError(f"segment fractions sum to {total}, not 1")
+            slots = 0
+            for frac, n_pos, n_neg in self.segments:
+                n = frac * b_s
+                if abs(n - round(n)) > 1e-9:
+                    raise ConfigError(f"segment fraction {frac} does not resolve to whole slots of {b_s}")
+                slots += round(n)
+                if n_pos > w:
+                    raise ConfigError(f"segment wants {n_pos} positives but w={w}")
+                if n_neg > b_s - 1:
+                    raise ConfigError(f"segment wants {n_neg} negatives but b_S={b_s}")
+            if slots != b_s:
+                raise ConfigError("segments do not cover the batch")
+            return
         if self.kind == "constant":
             yields = [("d", self.d)]
         elif self.kind == "staged":
@@ -64,40 +91,10 @@ def d_schedule_value(schedule: DSchedule, step: int, seed: int = 0) -> int:
         return schedule.d
     if schedule.kind == "staged":
         return schedule.d_small if step < schedule.switch_step else schedule.d_large
+    if schedule.kind != "random":
+        raise UsageError(f"a {schedule.kind!r} schedule has no single d")
     rng = np.random.default_rng([seed, step])
     return int(schedule.choices[rng.integers(0, len(schedule.choices))])
-
-
-@dataclass
-class SegmentSchedule:
-    """Per-slot crossbatch composition.
-
-    Either uniform (one positive context of w windows plus d-1 modular
-    negatives for every slot, with d from the d-schedule), or segmented:
-    fractions of the batch with explicit (num_positives, num_negatives).
-    """
-    d_schedule: DSchedule = field(default_factory=DSchedule)
-    segments: tuple[tuple[float, int, int], ...] | None = None
-
-    def validate(self, b_s: int, w: int) -> None:
-        if self.segments is None:
-            self.d_schedule.validate(b_s)
-            return
-        total = sum(f for f, _, _ in self.segments)
-        if abs(total - 1.0) > 1e-9:
-            raise ConfigError(f"segment fractions sum to {total}, not 1")
-        slots = 0
-        for frac, n_pos, n_neg in self.segments:
-            n = frac * b_s
-            if abs(n - round(n)) > 1e-9:
-                raise ConfigError(f"segment fraction {frac} does not resolve to whole slots of {b_s}")
-            slots += round(n)
-            if n_pos > w:
-                raise ConfigError(f"segment wants {n_pos} positives but w={w}")
-            if n_neg > b_s - 1:
-                raise ConfigError(f"segment wants {n_neg} negatives but b_S={b_s}")
-        if slots != b_s:
-            raise ConfigError("segments do not cover the batch")
 
 
 def uniform_negative_slots(slot: int, d: int, b_s: int) -> list[int]:
@@ -221,7 +218,7 @@ class CrossbatchPipeline:
     """Single-producer iterator over TrainBatch + CrossbatchPlan pairs."""
 
     def __init__(self, doc_iter, b_s: int, ctx_len: int,
-                 schedule: SegmentSchedule, w: int = 1, seed: int = 0):
+                 schedule: DSchedule, w: int = 1, seed: int = 0):
         if b_s < 1 or ctx_len < 2 or w < 1:
             raise ConfigError("need b_S >= 1, ctx_len >= 2, w >= 1")
         schedule.validate(b_s, w)
@@ -285,15 +282,15 @@ class CrossbatchPipeline:
         units: list[list[int]] = []
         n_ctx: list[int] = []
 
-        if sched.segments is None:
-            d = d_schedule_value(sched.d_schedule, step, self.seed)
-            comp = [(self.w, d - 1) if d > 0 else (0, 0)] * self.b_s
-            neg_windows = self.w  # uniform mode: negatives expose their whole C_prev
-        else:
+        if sched.kind == "segments":
             comp = []
             for frac, n_pos, n_neg in sched.segments:
                 comp.extend([(n_pos, n_neg)] * round(frac * self.b_s))
-            neg_windows = 1  # segment mode: one most-recent window per negative
+            neg_windows = 1  # one most-recent window per negative
+        else:
+            d = d_schedule_value(sched, step, self.seed)
+            comp = [(self.w, d - 1) if d > 0 else (0, 0)] * self.b_s
+            neg_windows = self.w  # negatives expose their whole C_prev
 
         for slot in range(self.b_s):
             n_pos, n_neg = comp[slot]

@@ -7,7 +7,8 @@ tokens. Dictionary documents follow the record format
     <q> k1 k2 k3 k4 <v> v1 v2 v3 v4        (query; loss on v1..v4 only)
 
 with special ids at the top of the vocab and a pad id right below them so
-that 10-token records tile fixed-size windows.
+that 10-token records tile fixed-size windows. One layout serves training
+and evaluation: whole definition windows, then one question window.
 """
 
 from __future__ import annotations
@@ -61,8 +62,9 @@ class DictDoc:
 
 def _fill_records(buf: np.ndarray, mask: np.ndarray, start: int, length: int,
                   records: list[tuple[int, tuple[int, ...], tuple[int, ...]]],
-                  queries_out: list[DictQuery] | None) -> None:
-    """Write whole records into buf[start:start+length], pad the remainder."""
+                  queries_out: list[DictQuery]) -> None:
+    """Write whole records into buf[start:start+length], pad the remainder;
+    each query record is appended to ``queries_out``."""
     pos = start
     for marker, key, value in records:
         buf[pos] = marker
@@ -73,8 +75,7 @@ def _fill_records(buf: np.ndarray, mask: np.ndarray, start: int, length: int,
         if marker == QUERY_TOKEN:
             vpos = np.arange(vstart + 1, vstart + 1 + len(value))
             mask[vpos] = 1.0
-            if queries_out is not None:
-                queries_out.append(DictQuery(key, value, vpos))
+            queries_out.append(DictQuery(key, value, vpos))
         pos += 2 + len(key) + len(value)
     buf[pos:start + length] = PAD_TOKEN
 
@@ -91,44 +92,28 @@ def _draw_distinct_keys(rng: np.random.Generator, n: int) -> list[tuple[int, ...
     return keys
 
 
-def gen_dict_lookup(cfg: DictTaskConfig, mode: str = "train", *,
-                    total_len: int | None = None,
+def gen_dict_lookup(cfg: DictTaskConfig, total_len: int | None = None,
                     rng: np.random.Generator | None = None) -> DictDoc:
-    """One dictionary-lookup document.
+    """One dictionary-lookup document of ``total_len`` tokens (default doc_len).
 
-    train: the first half of doc_len holds definitions, the rest queries.
-    eval:  definitions fill all but the final question block (doc_len / 2
-           tokens) of a total_len-token document, so the number of questions
-           stays fixed while the context grows.
+    Definitions fill whole windows of doc_len / 2 tokens up to a final
+    question block of doc_len / 2 tokens, so the number of questions stays
+    fixed while the context grows. At total_len = doc_len this is a training
+    document: one definition window, then the questions.
     """
     cfg.validate()
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    q_block = cfg.doc_len // 2
-    if mode == "train":
-        length = cfg.doc_len
-        def_span = cfg.doc_len - q_block
-    elif mode == "eval":
-        if total_len is None or total_len <= q_block:
-            raise ConfigError("eval mode needs total_len > question block")
-        length = total_len
-        def_span = total_len - q_block
-    else:
-        raise ConfigError(f"unknown dict mode {mode!r}")
-
-    win = cfg.doc_len - q_block
-    if mode == "eval":
-        if def_span % win:
-            raise ConfigError("total_len must align definition windows "
-                              f"(multiple of {win} plus {q_block})")
-        n_defs = (def_span // win) * (win // RECORD_LEN)
-    else:
-        n_defs = def_span // RECORD_LEN
-    n_queries = q_block // RECORD_LEN
-    if n_defs < 1 or n_queries < 1:
+    win = cfg.doc_len // 2
+    per_win = win // RECORD_LEN
+    if per_win < 1:
         raise ConfigError("document too short for a single record per section")
-    if n_queries > n_defs:
-        raise ConfigError(f"{n_queries} queries but only {n_defs} defined keys")
+    length = cfg.doc_len if total_len is None else total_len
+    if length < cfg.doc_len or length % win:
+        raise ConfigError(f"total_len {length} is not doc_len {cfg.doc_len} plus a "
+                          f"multiple of the {win}-token definition window")
+    n_wins = length // win - 1
+    n_defs = n_wins * per_win
 
     keys = _draw_distinct_keys(rng, n_defs)
     values = [tuple(int(t) for t in rng.integers(0, PAD_TOKEN, size=VAL_LEN))
@@ -139,20 +124,14 @@ def gen_dict_lookup(cfg: DictTaskConfig, mode: str = "train", *,
     mask = np.zeros(length, dtype=np.float64)
     queries: list[DictQuery] = []
 
-    # definition region: whole windows of def-records in eval mode keep every
-    # window shaped exactly like a training definition window
     def_records = [(KEY_TOKEN, k, definitions[k]) for k in keys]
-    if mode == "train":
-        _fill_records(tokens, mask, 0, def_span, def_records, None)
-    else:
-        per_win = win // RECORD_LEN
-        for i in range(def_span // win):
-            _fill_records(tokens, mask, i * win, win,
-                          def_records[i * per_win:(i + 1) * per_win], None)
+    for i in range(n_wins):
+        _fill_records(tokens, mask, i * win, win,
+                      def_records[i * per_win:(i + 1) * per_win], queries)
 
-    picked = rng.permutation(n_defs)[:n_queries]
+    picked = rng.permutation(n_defs)[:per_win]
     q_records = [(QUERY_TOKEN, keys[i], definitions[keys[i]]) for i in picked]
-    _fill_records(tokens, mask, def_span, q_block, q_records, queries)
+    _fill_records(tokens, mask, n_wins * win, win, q_records, queries)
     return DictDoc(tokens, mask, definitions, queries)
 
 
@@ -188,7 +167,7 @@ def dict_training_stream(cfg: DictTaskConfig, seed: int):
     """Infinite iterator of (tokens, loss_mask) documents for the pipeline."""
     rng = np.random.default_rng([seed, cfg.seed])
     while True:
-        doc = gen_dict_lookup(cfg, "train", rng=rng)
+        doc = gen_dict_lookup(cfg, rng=rng)
         yield doc.tokens, doc.loss_mask
 
 

@@ -153,7 +153,7 @@ def _dict_doc_iter(seed: int, n_docs: int = 4096):
     task = DictTaskConfig(doc_len=512)
     from fot.tasks import gen_dict_lookup
     for _ in range(n_docs):
-        doc = gen_dict_lookup(task, "train", rng=rng)
+        doc = gen_dict_lookup(task, rng=rng)
         yield doc.tokens, doc.loss_mask
 
 

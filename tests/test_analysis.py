@@ -186,23 +186,29 @@ def test_ppl_empty_stream_errors():
 # accuracies
 # ---------------------------------------------------------------------------
 
-def test_score_dict_window_oracle_model():
-    cfg = DictTaskConfig(seed=6)
-    from fot.tasks import gen_dict_lookup
-    doc = gen_dict_lookup(cfg)
-    t = 256
-    q_start = 256
-    logits = np.zeros((t, 64))
-    # oracle: place probability 1 on the true next token everywhere
-    for p in range(q_start, 512 - 1):
-        logits[p - q_start] = 0
-        logits[p - q_start, doc.tokens[p + 1]] = 100.0
-    oks = A.score_dict_window(logits, q_start, doc.queries)
-    assert all(oks)
-    # chance level: uniform logits answer nothing
-    uniform = np.zeros((t, 64))
-    oks_u = A.score_dict_window(uniform, q_start, doc.queries)
-    assert sum(oks_u) == 0
+def _next_token_logits(tokens: np.ndarray, vocab: int) -> np.ndarray:
+    """Oracle logits: row p puts all its mass on token p + 1."""
+    logits = np.zeros((len(tokens), vocab))
+    logits[np.arange(len(tokens) - 1), tokens[1:]] = 100.0
+    return logits
+
+
+def test_dict_eval_accuracy_oracle_and_uniform_logits(monkeypatch):
+    """Teacher-forced scoring on both paths: next-token logits answer every
+    query, uniform logits (argmax 0) none."""
+    cfg = ModelConfig(n_layers=1, d_model=16, n_heads=2, head_dim=8, ff_dim=32,
+                      vocab_size=64, memory_layers=(0,), local_ctx_len=32)
+    model = Transformer(cfg, seed=0)
+    for logits_of, want in ((lambda toks: _next_token_logits(toks, 64), 1.0),
+                            (lambda toks: np.zeros((len(toks), 64)), 0.0)):
+        monkeypatch.setattr(model, "forward_long", logits_of)
+        monkeypatch.setattr(model, "forward_infer",
+                            lambda toks, memory, k: model_mod.InferForward(logits_of(toks), {}, []))
+        for use_memory in (True, False):
+            res = A.dict_eval_accuracy(model, 4 * 32, n_docs=3, k=4, use_memory=use_memory)
+            assert res.accuracy == want and res.n_queries == 3 * 3
+            for _doc, _qi, pred, true, ok in res.rows:
+                assert ok == (pred == true) and pred == (true if want else (0,) * 4)
 
 
 def test_accuracy_dump_and_recount(tmp_path):
@@ -334,14 +340,14 @@ def test_dict_eval_ingest_matches_full_forward_ingest(layers, integration, mode,
         return out
 
     monkeypatch.setattr(model, "forward_infer", spy)
-    res = A.dict_eval_accuracy(model, task, total, n_docs=n_docs, k=k, seed=1)
+    res = A.dict_eval_accuracy(model, total, n_docs=n_docs, k=k, seed=1)
 
     from fot.tasks import gen_dict_lookup
     rng = np.random.default_rng([1, total])
     rows = []
     assert len(_KeptIndex.made) == n_docs
     for di in range(n_docs):
-        doc = gen_dict_lookup(task, "eval", total_len=total, rng=rng)
+        doc = gen_dict_lookup(task, total, rng)
         q_start = total - t
         memory = MemoryIndex(layers, model.cfg.n_heads, model.cfg.head_dim)
         _forward_infer_ingest(model, memory, [(s, doc.tokens[s:s + t])
@@ -350,10 +356,10 @@ def test_dict_eval_ingest_matches_full_forward_ingest(layers, integration, mode,
         logits = infer(doc.tokens[q_start:], memory, k).logits
         got = [lg for m, lg in calls if m is _KeptIndex.made[di]][-1]
         np.testing.assert_array_equal(got, logits)
-        oks = A.score_dict_window(logits, q_start, doc.queries)
         preds = logits.argmax(axis=-1)
-        rows += [(di, qi, tuple(int(preds[p - 1 - q_start]) for p in q.value_positions),
-                  q.value, ok) for qi, (q, ok) in enumerate(zip(doc.queries, oks))]
+        for qi, q in enumerate(doc.queries):
+            pred = tuple(int(preds[p - 1 - q_start]) for p in q.value_positions)
+            rows.append((di, qi, pred, q.value, pred == q.value))
     assert res.rows == rows
 
 
@@ -429,7 +435,7 @@ def test_dict_eval_at_256k_tokens(monkeypatch):
     t, total = model.cfg.local_ctx_len, 262_144
     monkeypatch.setattr(A, "MemoryIndex", _KeptIndex)
     monkeypatch.setattr(_KeptIndex, "made", [])
-    res = A.dict_eval_accuracy(model, DictTaskConfig(doc_len=2 * t), total, n_docs=1, k=32)
+    res = A.dict_eval_accuracy(model, total, n_docs=1, k=32)
     (memory,) = _KeptIndex.made
     assert all(memory.layer_size(li) == total - t for li in model.cfg.memory_layers)
     assert res.n_queries > 0

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fot.errors import FormatError, NumericError, ShapeError
+from fot.errors import DataError, FormatError, NumericError, ShapeError
 from fot.memstore import MAGIC, MemoryIndex, brute_force_topk
 
 
@@ -246,6 +246,11 @@ def test_dump_load_roundtrip(tmp_path):
         assert a.k == b.k == (4 if layer == 2 else 0)
         for name in ("indices", "scores", "keys", "values", "doc_ids", "positions"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+def test_load_of_a_missing_file_is_data_error(tmp_path):
+    with pytest.raises(DataError, match="cannot read memory index"):
+        MemoryIndex.load(tmp_path / "missing.fotm")
 
 
 def test_load_rejects_bad_magic(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from fot.config import TrainConfig
 from fot.errors import ConfigError, DataError
 from fot.pipeline import (
-    CrossbatchPipeline, DSchedule, SegmentSchedule, d_schedule_value,
+    CrossbatchPipeline, DSchedule, d_schedule_value,
     make_eval_exposure_plan, uniform_negative_slots,
 )
 
@@ -20,7 +20,7 @@ def doc_stream(docs):
 
 
 def simple_pipeline(docs, b_s=1, ctx=4, w=1, schedule=None, seed=0):
-    schedule = schedule or SegmentSchedule(DSchedule("constant", d=1))
+    schedule = schedule or DSchedule("constant", d=1)
     return CrossbatchPipeline(doc_stream(docs), b_s, ctx, schedule, w=w, seed=seed)
 
 
@@ -100,7 +100,7 @@ def test_uniform_modular_negatives():
 
 def test_plan_d1_w1_is_own_previous_window():
     docs = [np.arange(i * 100, i * 100 + 12) for i in range(4)]
-    pipe = simple_pipeline(docs, b_s=4, ctx=4, schedule=SegmentSchedule(DSchedule("constant", d=1)))
+    pipe = simple_pipeline(docs, b_s=4, ctx=4, schedule=DSchedule("constant", d=1))
     pipe.next_batch()
     batch, plan = pipe.next()
     for slot in range(4):
@@ -112,7 +112,7 @@ def test_plan_d1_w1_is_own_previous_window():
 
 def test_plan_uniform_d4():
     docs = [np.arange(i * 100, i * 100 + 16) for i in range(8)]
-    pipe = simple_pipeline(docs, b_s=8, ctx=4, schedule=SegmentSchedule(DSchedule("constant", d=4)))
+    pipe = simple_pipeline(docs, b_s=8, ctx=4, schedule=DSchedule("constant", d=4))
     pipe.next_batch()
     batch, plan = pipe.next()
     ws = plan.per_slot[6]
@@ -123,17 +123,14 @@ def test_plan_uniform_d4():
 
 def test_plan_first_step_has_no_positives():
     docs = [np.arange(12) for _ in range(2)]
-    pipe = simple_pipeline(docs, b_s=2, ctx=4, schedule=SegmentSchedule(DSchedule("constant", d=2)))
+    pipe = simple_pipeline(docs, b_s=2, ctx=4, schedule=DSchedule("constant", d=2))
     batch, plan = pipe.next()
     assert plan.per_slot == [[], []]  # nobody has a previous window yet
     assert plan.n_contexts == [0, 0]
 
 
 def test_segment_schedule_longllama_quarters():
-    seg = SegmentSchedule(
-        DSchedule("constant", d=1),
-        segments=((0.25, 0, 0), (0.25, 1, 1), (0.25, 2, 1), (0.25, 3, 0)),
-    )
+    seg = DSchedule("segments", segments=((0.25, 0, 0), (0.25, 1, 1), (0.25, 2, 1), (0.25, 3, 0)))
     docs = [np.arange(i * 1000, i * 1000 + 40) for i in range(8)]
     pipe = CrossbatchPipeline(doc_stream(docs), 8, 4, seg, w=3)
     for _ in range(3):  # accumulate 3 previous windows everywhere
@@ -150,13 +147,13 @@ def test_segment_schedule_longllama_quarters():
 
 
 def test_segment_positives_capped_by_w():
-    seg = SegmentSchedule(DSchedule(), segments=((1.0, 3, 0),))
+    seg = DSchedule("segments", segments=((1.0, 3, 0),))
     with pytest.raises(ConfigError):
         CrossbatchPipeline(doc_stream([np.arange(8)]), 1, 4, seg, w=1)
 
 
 def test_segment_fractions_must_resolve():
-    seg = SegmentSchedule(DSchedule(), segments=((0.3, 0, 0), (0.7, 1, 0)))
+    seg = DSchedule("segments", segments=((0.3, 0, 0), (0.7, 1, 0)))
     with pytest.raises(ConfigError):
         CrossbatchPipeline(doc_stream([np.arange(8)]), 8, 4, seg, w=1)
 
@@ -171,15 +168,15 @@ def test_segment_fractions_must_resolve():
 def test_pipeline_rejects_a_d_outside_0_to_b_s(sched, key):
     """d counts one positive plus d - 1 negatives from the other slots."""
     with pytest.raises(ConfigError, match=f"{key} is outside \\[0, b_S = 4\\]"):
-        simple_pipeline([np.arange(8)], b_s=4, schedule=SegmentSchedule(sched))
+        simple_pipeline([np.arange(8)], b_s=4, schedule=sched)
 
 
 def test_pipeline_accepts_every_d_from_0_to_b_s():
     for d in range(5):
-        simple_pipeline([np.arange(8)], b_s=4, schedule=SegmentSchedule(DSchedule("constant", d=d)))
+        simple_pipeline([np.arange(8)], b_s=4, schedule=DSchedule("constant", d=d))
     # d_small is never drawn when the switch is at step 0
     staged = DSchedule("staged", d_small=9, d_large=4, switch_step=0)
-    simple_pipeline([np.arange(8)], b_s=4, schedule=SegmentSchedule(staged))
+    simple_pipeline([np.arange(8)], b_s=4, schedule=staged)
 
 
 def test_d_schedule_staged_boundary():
@@ -206,7 +203,7 @@ def test_plan_positive_negative_unit_identity():
     rng = np.random.default_rng(1)
     docs = [rng.integers(0, 9, size=rng.integers(8, 25)) for _ in range(12)]
     pipe = simple_pipeline(docs, b_s=3, ctx=4,
-                           schedule=SegmentSchedule(DSchedule("constant", d=3)))
+                           schedule=DSchedule("constant", d=3))
     while True:
         try:
             batch, plan = pipe.next()
@@ -224,7 +221,7 @@ def test_pipeline_determinism():
     def run():
         docs = [np.arange(i, i + 16) for i in range(6)]
         pipe = simple_pipeline(docs, b_s=2, ctx=4, seed=5,
-                               schedule=SegmentSchedule(DSchedule("random", choices=(1, 2))))
+                               schedule=DSchedule("random", choices=(1, 2)))
         out = []
         try:
             while True:

@@ -57,7 +57,7 @@ def test_dict_no_duplicate_keys_and_function_property():
 
 def test_dict_eval_mode_grows_definitions_only():
     cfg = DictTaskConfig(seed=4)
-    doc = gen_dict_lookup(cfg, "eval", total_len=1024 + 256)
+    doc = gen_dict_lookup(cfg, total_len=1024 + 256)
     assert doc.tokens.shape == (1280,)
     defs, queries = parse_dict_doc(doc.tokens)
     assert len(defs) == 4 * 25       # four definition windows
@@ -71,7 +71,7 @@ def test_dict_eval_mode_grows_definitions_only():
 
 def test_dict_eval_rejects_misaligned_total_len():
     with pytest.raises(ConfigError):
-        gen_dict_lookup(DictTaskConfig(), "eval", total_len=300)
+        gen_dict_lookup(DictTaskConfig(), total_len=300)
 
 
 def test_dict_value_positions_point_at_values():
@@ -198,6 +198,6 @@ def test_dict_training_stream_is_pinned():
 
 def test_dict_eval_document_is_pinned():
     """One 1280-token evaluation document: tokens, mask and query positions."""
-    doc = gen_dict_lookup(DictTaskConfig(doc_len=512, seed=7), "eval", total_len=1280)
+    doc = gen_dict_lookup(DictTaskConfig(doc_len=512, seed=7), total_len=1280)
     positions = np.concatenate([q.value_positions for q in doc.queries])
     assert (_doc_digest(doc.tokens, doc.loss_mask), _doc_digest(positions, [])) == PINNED_EVAL_DOC

@@ -303,7 +303,7 @@ def test_cli_bad_checkpoint_exit_code(tmp_path):
     bad = tmp_path / "bad.fotc"
     bad.write_bytes(b"XXXXgarbage")
     code, _, err = run_cli("inspect", "--checkpoint", str(bad))
-    assert code == 2 and "config error" in err
+    assert code == 2 and err.startswith("format error: ") and "bad magic" in err
     code, _, err = run_cli("inspect", "--checkpoint", str(tmp_path / "missing.fotc"))
     assert code == 3
 
@@ -332,6 +332,8 @@ def test_cli_eval_on_ids_outside_the_vocabulary_is_data_error(tmp_path):
 
 CLI_EXIT_CODES = {ConfigError: 2, UsageError: 2, FormatError: 2, ShapeError: 2,
                   DataError: 3, NumericError: 4}
+CLI_LABELS = {ConfigError: "config error", UsageError: "usage error", FormatError: "format error",
+              ShapeError: "shape error", DataError: "data error", NumericError: "numeric failure"}
 
 
 @pytest.mark.parametrize("exc", FotError.__subclasses__(), ids=lambda c: c.__name__)
@@ -343,7 +345,7 @@ def test_cli_maps_every_error_to_its_exit_code(exc, monkeypatch):
     monkeypatch.setattr(cli, "cmd_inspect", fail)
     code, _, err = run_cli("inspect", "--checkpoint", "unused.fotc")
     assert code == CLI_EXIT_CODES[exc]
-    assert err.endswith(": boom\n") and "Traceback" not in err
+    assert err == f"{CLI_LABELS[exc]}: boom\n"
 
 
 def test_documented_exit_codes_match_the_cli():
@@ -388,6 +390,27 @@ def test_cli_bad_config_value_is_config_error(argv, tmp_path):
     code, _, err = run_cli(*(a.format(tmp=tmp_path / "out", ck=ck) for a in argv))
     assert code == 2 and err.startswith("config error: ") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_sweep_rejects_a_bad_worker_count(monkeypatch, tmp_path):
+    monkeypatch.setenv("FOT_NUM_WORKERS", "two")
+    code, _, err = run_cli("sweep", "--preset", "desk", "--grid", "d=1,2",
+                           "--out", str(tmp_path / "sweep"))
+    assert code == 2 and err == "config error: FOT_NUM_WORKERS: expected an integer, got 'two'\n"
+    assert not (tmp_path / "sweep").exists()
+
+
+@pytest.mark.parametrize("suite,axis", [("dict", "memory=16"), ("passkey", "len=96")])
+def test_cli_eval_rejects_a_negative_k(suite, axis, tmp_path):
+    """k is checked where retrieval is set up, before any window is ingested."""
+    cfg = ModelConfig(n_layers=3, d_model=16, n_heads=2, head_dim=8, ff_dim=32,
+                      vocab_size=256, memory_layers=(1, 2), local_ctx_len=16)
+    ck = tmp_path / "m.fotc"
+    save_checkpoint(ck, cfg, Transformer(cfg, seed=0).params)
+    code, _, err = run_cli("eval", "--checkpoint", str(ck), "--suite", suite, "--axis", axis,
+                           "--k", "-1", "--n-docs", "1", "--out", str(tmp_path / "e.csv"))
+    assert code == 2 and err == "usage error: k must be >= 0, got -1\n"
+    assert not (tmp_path / "e.csv").exists()
 
 
 def test_cli_gen_data_and_eval(tmp_path):
