@@ -61,21 +61,29 @@ def _parse_axis(spec: str) -> tuple[str, list[float]]:
         raise ConfigError(f"axis spec {spec!r} is not name=v1,v2,...")
     name, vals = spec.split("=", 1)
     try:
-        return name.strip(), [float(v) for v in vals.split(",")]
+        values = [float(v) for v in vals.split(",")]
     except ValueError as e:
         raise ConfigError(f"axis spec {spec!r}: values must be numbers") from e
+    bad = [v for v in values if not v.is_integer()]  # every suite counts tokens or windows
+    if bad:
+        raise ConfigError(f"axis spec {spec!r}: {bad[0]:g} is not a whole number")
+    return name.strip(), values
 
 
 def cmd_eval(args) -> int:
     axis_name, axis_vals = _parse_axis(args.axis)
     model, ck_path = _load_model(args.checkpoint)
+    t = model.cfg.local_ctx_len
+    bad = [v for v in axis_vals if v <= 0 or v % t] if args.suite == "dict" else []
+    if bad:
+        raise ConfigError(f"{axis_name} must be a positive multiple of {t} (local_ctx_len), "
+                          f"got {bad[0]:g}")
     chash = config_hash(TrainConfig(model=model.cfg))
     run_id = f"eval-{Path(ck_path).stem}"
     rows: list[analysis.EvalResult] = []
     for v in axis_vals:
         if args.suite == "dict":
-            total = int(v) + model.cfg.local_ctx_len
-            res = analysis.dict_eval_accuracy(model, total, n_docs=args.n_docs, k=args.k,
+            res = analysis.dict_eval_accuracy(model, int(v) + t, n_docs=args.n_docs, k=args.k,
                                               seed=args.seed, use_memory=not args.no_memory)
             rows.append(analysis.EvalResult(run_id, "dict_accuracy", axis_name, v,
                                             res.accuracy, args.seed, chash))

@@ -4,14 +4,17 @@ Tensors wrap numpy arrays (float32 for training, float64 for verification).
 Ops record onto the innermost active ``Tape``; with no tape active they run
 as plain numpy forward computations, which is how all inference paths run.
 
+The tape holds grad slots, not tensors: a tape node holds the ``GradSlot``
+of its op's output, and its backward closure the input slots plus only the
+arrays that backward reads (matmul its operands, softmax its output, add
+none). A forward array lives while the caller or such a closure holds it.
+
 Backward consumes its tape: each node's output grad is handed to its
 backward closure as a buffer the closure owns, and the node then drops its
-output and its closure, so intermediate grads and the forward arrays only
+slot and its closure, so intermediate grads and the forward arrays only
 that closure kept alive are freed as backward goes. A tape is single-use.
 Leaf tensors (those no recorded op produced, parameters among them) keep
-their grads. ``attention_logits`` writes the logits of several key sets,
-masks added, into one buffer, and its backward keeps q and the keys only,
-so its output is the one score-sized array it leaves on the tape.
+their grads.
 
 Reduction order is whatever numpy/BLAS uses, which is fixed per process and
 input shape, so forward passes are bit-deterministic across reruns.
@@ -30,22 +33,35 @@ _TAPE_STACK: list["Tape"] = []
 # Large negative logit used for masking; exp(x - max) underflows to exactly
 # 0.0 for masked entries, so masked keys get softmax weight 0 and zero grad.
 MASK_VALUE = -1e9
+_FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
+
+
+class GradSlot:
+    """A tensor's grad and requires_grad, shared with its tape node and consumers' closures."""
+
+    __slots__ = ("grad", "requires_grad")
+
+    def __init__(self, requires_grad: bool):
+        self.grad, self.requires_grad = None, requires_grad
 
 
 class Tensor:
-    """A dense float array plus an optional gradient buffer."""
+    """A dense float array plus the ``GradSlot`` behind its grad."""
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "slot")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
-        if arr.dtype not in (np.float32, np.float64):
+        if arr.dtype not in _FLOATS:
             arr = arr.astype(np.float64 if dtype is None else dtype)
         if dtype is not None:
             arr = arr.astype(dtype, copy=False)
         self.data: np.ndarray = arr
-        self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad
+        self.slot = GradSlot(requires_grad)
+
+    grad = property(lambda t: t.slot.grad, lambda t, g: setattr(t.slot, "grad", g))
+    requires_grad = property(lambda t: t.slot.requires_grad,
+                             lambda t, flag: setattr(t.slot, "requires_grad", flag))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -63,10 +79,10 @@ class Tensor:
 
 
 class _Node:
-    __slots__ = ("out", "backward")
+    __slots__ = ("slot", "backward")
 
-    def __init__(self, out: Tensor, backward: Callable[[np.ndarray], None]):
-        self.out = out
+    def __init__(self, slot: GradSlot, backward: Callable[[np.ndarray], None]):
+        self.slot = slot
         self.backward = backward
 
 
@@ -96,27 +112,23 @@ class Tape:
         return len(self._nodes)
 
 
-def active_tape() -> Tape | None:
-    """The innermost tape ops currently record onto, if any."""
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
-
-
-def _accum(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
-    """Add g into t.grad. ``owned`` promises no other tensor will adopt g
-    (it is freshly allocated, or the grad buffer backward handed to the
-    calling closure, or a view of either), so the first contribution can
-    adopt it without copying."""
-    if t.grad is None:
-        t.grad = g if owned else np.array(g, dtype=t.data.dtype)
+def _accum(s: GradSlot, g: np.ndarray, copy_as=None) -> None:
+    """Add g into s.grad. Unless ``copy_as`` (a dtype) asks for a copy, no
+    other slot will adopt g (it is freshly allocated, or the grad buffer
+    backward handed to the calling closure, or a view of either), so the
+    first contribution adopts it without copying."""
+    if s.grad is None:
+        s.grad = g if copy_as is None else np.array(g, dtype=copy_as)
     else:
-        t.grad += g
+        s.grad += g
 
 
 def _record(out: Tensor, inputs: Sequence[Tensor], backward: Callable[[np.ndarray], None]) -> Tensor:
-    tape = active_tape()
-    if tape is not None and any(i.requires_grad for i in inputs):
-        out.requires_grad = True
-        tape._nodes.append(_Node(out, backward))
+    """Tape ``backward``, a closure over input slots and the arrays it reads."""
+    tape = _TAPE_STACK[-1] if _TAPE_STACK else None
+    if tape is not None and any(i.slot.requires_grad for i in inputs):
+        out.slot.requires_grad = True
+        tape._nodes.append(_Node(out.slot, backward))
     return out
 
 
@@ -141,12 +153,12 @@ def backward_from(tape: Tape, seeds: Sequence[tuple[Tensor, np.ndarray]]) -> Non
     for t, g in seeds:
         if g.shape != t.data.shape:
             raise ShapeError(f"seed grad shape {g.shape} != tensor shape {t.data.shape}")
-        _accum(t, g.astype(t.data.dtype, copy=False))
+        _accum(t.slot, g.astype(t.data.dtype, copy=False), copy_as=t.data.dtype)
     tape._consumed = True
     for node in reversed(tape._nodes):
-        out, bwd = node.out, node.backward
-        node.out = node.backward = None
-        g, out.grad = out.grad, None
+        slot, bwd = node.slot, node.backward
+        node.slot = node.backward = None
+        g, slot.grad = slot.grad, None
         if g is not None:
             bwd(g)  # g is the closure's to keep or overwrite
 
@@ -176,15 +188,14 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim < 2 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul: {a.shape} x {b.shape}")
-    out = Tensor(np.matmul(a.data, b.data))
+    ad, bd, sa, sb = a.data, b.data, a.slot, b.slot
+    out = Tensor(np.matmul(ad, bd))
 
     def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape),
-                   owned=True)
-        if b.requires_grad:
-            _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape),
-                   owned=True)
+        if sa.requires_grad:
+            _accum(sa, _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape))
+        if sb.requires_grad:
+            _accum(sb, _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape))
 
     return _record(out, (a, b), bwd)
 
@@ -193,44 +204,49 @@ def attention_logits(q: Tensor, keys: Sequence[Tensor],
                      adds: Sequence[np.ndarray | None]) -> Tensor:
     """q·kᵢᵀ + addᵢ (None: no mask) for each key set kᵢ [..., nᵢ, Dh], side by
     side in one [..., T, Σnᵢ] buffer, with no transposed key copy. The keys'
-    leading dims broadcast against q's; backward keeps q and the keys only."""
+    leading dims broadcast against q's; backward reads q and the keys only, so
+    the buffer goes when its caller drops it."""
     if len(adds) != len(keys) or any(k.shape[-1] != q.shape[-1] for k in keys):
         raise ShapeError(f"attention_logits: q {q.shape}, keys {[k.shape for k in keys]}")
     lead = np.broadcast_shapes(q.shape[:-2], *(k.shape[:-2] for k in keys))
     ends = np.cumsum([k.shape[-2] for k in keys]).tolist()
     cols = [slice(hi - k.shape[-2], hi) for k, hi in zip(keys, ends)]
-    buf = np.empty(lead + (q.shape[-2], ends[-1]), dtype=q.data.dtype)
-    for k, add_i, c in zip(keys, adds, cols):
+    qd, sq, kds, sks = q.data, q.slot, [k.data for k in keys], [k.slot for k in keys]
+    buf = np.empty(lead + (q.shape[-2], ends[-1]), dtype=qd.dtype)
+    for kd, add_i, c in zip(kds, adds, cols):
         part = buf[..., c]
-        np.matmul(q.data, np.swapaxes(k.data, -1, -2), out=part)
+        np.matmul(qd, np.swapaxes(kd, -1, -2), out=part)
         if add_i is not None:
             part += add_i
 
     def bwd(g: np.ndarray) -> None:
-        if q.requires_grad:
-            dq = sum(np.matmul(g[..., c], k.data) for k, c in zip(keys, cols))
-            _accum(q, _unbroadcast(dq, q.shape), owned=True)
-        for k, c in zip(keys, cols):
-            if k.requires_grad:
-                gk = np.matmul(np.swapaxes(g[..., c], -1, -2), q.data)
-                _accum(k, _unbroadcast(gk, k.shape), owned=True)
+        if sq.requires_grad:
+            dq = sum(np.matmul(g[..., c], kd) for kd, c in zip(kds, cols))
+            _accum(sq, _unbroadcast(dq, qd.shape))
+        for kd, sk, c in zip(kds, sks, cols):
+            if sk.requires_grad:
+                gk = np.matmul(np.swapaxes(g[..., c], -1, -2), qd)
+                _accum(sk, _unbroadcast(gk, kd.shape))
 
     return _record(Tensor(buf), (q, *keys), bwd)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    ad, bd = a.data, b.data
     try:
-        out = Tensor(a.data + b.data)
+        out = Tensor(ad + bd)
     except ValueError as e:
         raise ShapeError(f"add: {a.shape} + {b.shape}") from e
+    sa, sb, a_shape, b_shape = a.slot, b.slot, ad.shape, bd.shape
+    a_dtype, b_dtype = ad.dtype, bd.dtype
 
     def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            ga = _unbroadcast(g, a.data.shape)
-            _accum(a, ga, owned=ga is not g or g.dtype == a.data.dtype)
-        if b.requires_grad:
-            gb = _unbroadcast(g, b.data.shape)
-            _accum(b, gb, owned=gb is not g)
+        if sa.requires_grad:
+            ga = _unbroadcast(g, a_shape)
+            _accum(sa, ga, None if ga is not g or g.dtype == a_dtype else a_dtype)
+        if sb.requires_grad:
+            gb = _unbroadcast(g, b_shape)
+            _accum(sb, gb, None if gb is not g else b_dtype)
 
     return _record(out, (a, b), bwd)
 
@@ -240,22 +256,24 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         out = Tensor(a.data * b.data)
     except ValueError as e:
         raise ShapeError(f"mul: {a.shape} * {b.shape}") from e
+    ad, bd, sa, sb = a.data, b.data, a.slot, b.slot
 
     def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.data.shape), owned=True)
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.data.shape), owned=True)
+        if sa.requires_grad:
+            _accum(sa, _unbroadcast(g * bd, ad.shape))
+        if sb.requires_grad:
+            _accum(sb, _unbroadcast(g * ad, bd.shape))
 
     return _record(out, (a, b), bwd)
 
 
 def scale(x: Tensor, s: float) -> Tensor:
-    out = Tensor(x.data * x.data.dtype.type(s))
+    sx, factor = x.slot, x.data.dtype.type(s)
+    out = Tensor(x.data * factor)
 
     def bwd(g: np.ndarray) -> None:
-        if x.requires_grad:
-            _accum(x, g * x.data.dtype.type(s), owned=True)
+        if sx.requires_grad:
+            _accum(sx, g * factor)
 
     return _record(out, (x,), bwd)
 
@@ -267,15 +285,15 @@ def concat_axis(parts: Sequence[Tensor], axis: int) -> Tensor:
         out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
     except ValueError as e:
         raise ShapeError(f"concat axis {axis}: {[p.shape for p in parts]}") from e
-    widths = [p.shape[axis] for p in parts]
+    widths, slots = [p.shape[axis] for p in parts], [p.slot for p in parts]
 
     def bwd(g: np.ndarray) -> None:
         off = 0
         sl = [slice(None)] * g.ndim
-        for p, w in zip(parts, widths):
-            if p.requires_grad:
+        for sp, w in zip(slots, widths):
+            if sp.requires_grad:
                 sl[axis] = slice(off, off + w)
-                _accum(p, g[tuple(sl)], owned=True)
+                _accum(sp, g[tuple(sl)])
             off += w
 
     return _record(out, tuple(parts), bwd)
@@ -289,13 +307,13 @@ def concat_last_axis(parts: Sequence[Tensor]) -> Tensor:
 
 
 def slice_last_axis(x: Tensor, start: int, stop: int) -> Tensor:
-    out = Tensor(x.data[..., start:stop].copy())
+    out, sx, x_shape, x_dtype = Tensor(x.data[..., start:stop].copy()), x.slot, x.shape, x.dtype
 
     def bwd(g: np.ndarray) -> None:
-        if x.requires_grad:
-            buf = np.zeros_like(x.data)
+        if sx.requires_grad:
+            buf = np.zeros(x_shape, x_dtype)
             buf[..., start:stop] = g
-            _accum(x, buf, owned=True)
+            _accum(sx, buf)
 
     return _record(out, (x,), bwd)
 
@@ -309,11 +327,11 @@ def scatter_rows(idx: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
 
 def take_rows(x: Tensor, indices) -> Tensor:
     idx = np.asarray(indices, dtype=np.int64)
-    out = Tensor(x.data[idx])
+    out, sx, n = Tensor(x.data[idx]), x.slot, x.shape[0]
 
     def bwd(g: np.ndarray) -> None:
-        if x.requires_grad:
-            _accum(x, scatter_rows(idx, g, x.shape[0]), owned=True)
+        if sx.requires_grad:
+            _accum(sx, scatter_rows(idx, g, n))
 
     return _record(out, (x,), bwd)
 
@@ -323,10 +341,11 @@ def reshape(x: Tensor, shape) -> Tensor:
         out = Tensor(x.data.reshape(shape))
     except ValueError as e:
         raise ShapeError(f"reshape {x.shape} -> {shape}") from e
+    sx, x_shape = x.slot, x.data.shape
 
     def bwd(g: np.ndarray) -> None:
-        if x.requires_grad:
-            _accum(x, g.reshape(x.data.shape), owned=True)
+        if sx.requires_grad:
+            _accum(sx, g.reshape(x_shape))
 
     return _record(out, (x,), bwd)
 
@@ -334,11 +353,11 @@ def reshape(x: Tensor, shape) -> Tensor:
 def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     out = Tensor(np.ascontiguousarray(x.data.transpose(axes)))
-    inv = tuple(np.argsort(axes))
+    inv, sx = tuple(np.argsort(axes)), x.slot
 
     def bwd(g: np.ndarray) -> None:
-        if x.requires_grad:
-            _accum(x, g.transpose(inv), owned=True)
+        if sx.requires_grad:
+            _accum(sx, g.transpose(inv))
 
     return _record(out, (x,), bwd)
 
@@ -353,14 +372,14 @@ def softmax_last_axis(x: Tensor) -> Tensor:
     np.exp(z, out=z)
     y = z
     y /= y.sum(axis=-1, keepdims=True)
-    out = Tensor(y)
+    out, sx = Tensor(y), x.slot
 
     def bwd(g: np.ndarray) -> None:
-        if x.requires_grad:
+        if sx.requires_grad:
             dot = (g * y).sum(axis=-1, keepdims=True)
             g -= dot
             g *= y
-            _accum(x, g, owned=True)
+            _accum(sx, g)
 
     return _record(out, (x,), bwd)
 
@@ -368,33 +387,33 @@ def softmax_last_axis(x: Tensor) -> Tensor:
 def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
     if gain.shape != (x.shape[-1],):
         raise ShapeError(f"rms_norm gain {gain.shape} vs last dim {x.shape[-1]}")
-    n = x.shape[-1]
-    ms = (x.data * x.data).mean(axis=-1, keepdims=True) + x.data.dtype.type(eps)
+    n, xd, gd, sx, sg = x.shape[-1], x.data, gain.data, x.slot, gain.slot
+    ms = (xd * xd).mean(axis=-1, keepdims=True) + xd.dtype.type(eps)
     inv = ms ** -0.5
-    xn = x.data * inv
-    out = Tensor(xn * gain.data)
+    xn = xd * inv
+    out = Tensor(xn * gd)
 
     def bwd(g: np.ndarray) -> None:
-        if gain.requires_grad:
+        if sg.requires_grad:
             red = tuple(range(g.ndim - 1))
-            _accum(gain, (g * xn).sum(axis=red), owned=True)
-        if x.requires_grad:
-            u = g * gain.data
-            dot = (u * x.data).sum(axis=-1, keepdims=True)
-            _accum(x, inv * (u - x.data * (dot / (n * ms))), owned=True)
+            _accum(sg, (g * xn).sum(axis=red))
+        if sx.requires_grad:
+            u = g * gd
+            dot = (u * xd).sum(axis=-1, keepdims=True)
+            _accum(sx, inv * (u - xd * (dot / (n * ms))))
 
     return _record(out, (x, gain), bwd)
 
 
 def l2_normalize_last_axis(x: Tensor, eps: float = 1e-6) -> Tensor:
-    r = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True) + x.data.dtype.type(eps))
-    y = x.data / r
-    out = Tensor(y)
+    xd, sx = x.data, x.slot
+    r = np.sqrt((xd * xd).sum(axis=-1, keepdims=True) + xd.dtype.type(eps))
+    out = Tensor(xd / r)
 
     def bwd(g: np.ndarray) -> None:
-        if x.requires_grad:
-            s = (g * x.data).sum(axis=-1, keepdims=True)
-            _accum(x, g / r - x.data * (s / (r * r * r)), owned=True)
+        if sx.requires_grad:
+            s = (g * xd).sum(axis=-1, keepdims=True)
+            _accum(sx, g / r - xd * (s / (r * r * r)))
 
     return _record(out, (x,), bwd)
 
@@ -423,16 +442,16 @@ def rotary_encode(x: Tensor, positions, base: float = 10000.0) -> Tensor:
     out_arr = np.empty_like(x.data)
     out_arr[..., 0::2] = xe * cos - xo * sin
     out_arr[..., 1::2] = xe * sin + xo * cos
-    out = Tensor(out_arr)
+    out, sx, x_shape, x_dtype = Tensor(out_arr), x.slot, x.shape, x.dtype
 
     def bwd(g: np.ndarray) -> None:
-        if x.requires_grad:
+        if sx.requires_grad:
             ge = g[..., 0::2]
             go = g[..., 1::2]
-            buf = np.empty_like(x.data)
+            buf = np.empty(x_shape, x_dtype)
             buf[..., 0::2] = ge * cos + go * sin
             buf[..., 1::2] = -ge * sin + go * cos
-            _accum(x, buf, owned=True)
+            _accum(sx, buf)
 
     return _record(out, (x,), bwd)
 
@@ -443,56 +462,58 @@ def embedding(table: Tensor, ids) -> Tensor:
     bad = idx[(idx < 0) | (idx >= len(table.data))]
     if bad.size:
         raise DataError(f"token id {bad[0]} is outside the vocabulary of {len(table.data)} ids")
-    out = Tensor(table.data[idx])
+    out, st, t_shape, t_dtype = Tensor(table.data[idx]), table.slot, table.shape, table.dtype
 
     def bwd(g: np.ndarray) -> None:
-        if table.requires_grad:
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, idx, g)
+        if st.requires_grad:
+            if st.grad is None:
+                st.grad = np.zeros(t_shape, t_dtype)
+            np.add.at(st.grad, idx, g)
 
     return _record(out, (table,), bwd)
 
 
 def sigmoid(x: Tensor) -> Tensor:
     y = 1.0 / (1.0 + np.exp(-x.data))
-    out = Tensor(y)
+    out, sx = Tensor(y), x.slot
 
     def bwd(g: np.ndarray) -> None:
-        if x.requires_grad:
-            _accum(x, g * y * (1.0 - y), owned=True)
+        if sx.requires_grad:
+            _accum(sx, g * y * (1.0 - y))
 
     return _record(out, (x,), bwd)
 
 
 def silu(x: Tensor) -> Tensor:
-    sig = 1.0 / (1.0 + np.exp(-x.data))
-    out = Tensor(x.data * sig)
+    xd, sx = x.data, x.slot
+    sig = 1.0 / (1.0 + np.exp(-xd))
+    out = Tensor(xd * sig)
 
     def bwd(g: np.ndarray) -> None:
-        if x.requires_grad:
-            _accum(x, g * sig * (1.0 + x.data * (1.0 - sig)), owned=True)
+        if sx.requires_grad:
+            _accum(sx, g * sig * (1.0 + xd * (1.0 - sig)))
 
     return _record(out, (x,), bwd)
 
 
 def exp(x: Tensor) -> Tensor:
     y = np.exp(x.data)
-    out = Tensor(y)
+    out, sx = Tensor(y), x.slot
 
     def bwd(g: np.ndarray) -> None:
-        if x.requires_grad:
-            _accum(x, g * y, owned=True)
+        if sx.requires_grad:
+            _accum(sx, g * y)
 
     return _record(out, (x,), bwd)
 
 
 def sum_all(x: Tensor) -> Tensor:
     out = Tensor(np.asarray(x.data.sum(), dtype=x.data.dtype))
+    sx, x_shape, x_dtype = x.slot, x.shape, x.dtype
 
     def bwd(g: np.ndarray) -> None:
-        if x.requires_grad:
-            _accum(x, np.full_like(x.data, g.reshape(-1)[0]), owned=True)
+        if sx.requires_grad:
+            _accum(sx, np.full(x_shape, g.reshape(-1)[0], x_dtype))
 
     return _record(out, (x,), bwd)
 
@@ -515,15 +536,15 @@ def cross_entropy_masked(logits: Tensor, targets, mask) -> Tensor:
     lse = np.log(np.exp(z).sum(axis=-1))
     picked = np.take_along_axis(z, tgt[..., None], axis=-1)[..., 0]
     nll = (lse - picked) * m
-    out = Tensor(np.asarray(nll.sum() / denom, dtype=logits.data.dtype))
+    out, sl = Tensor(np.asarray(nll.sum() / denom, dtype=logits.data.dtype)), logits.slot
 
     def bwd(g: np.ndarray) -> None:
-        if logits.requires_grad:
+        if sl.requires_grad:
             p = np.exp(z - lse[..., None])
             flat = p.reshape(-1, p.shape[-1])
             flat[np.arange(flat.shape[0]), tgt.reshape(-1)] -= 1.0
             p *= (m / denom * g.reshape(-1)[0])[..., None]
-            _accum(logits, p, owned=True)
+            _accum(sl, p)
 
     return _record(out, (logits,), bwd)
 

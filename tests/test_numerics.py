@@ -393,6 +393,39 @@ def test_backward_releases_consumed_nodes():
     assert len(tape) == recorded
 
 
+def test_tape_keeps_only_the_arrays_backward_reads():
+    """matmul's and add's outputs feed closures that do not read them, so
+    they go with the caller's last reference while the tape lives; the
+    matmul operand and the softmax output stay for backward."""
+    rng = np.random.default_rng(12)
+    a, w, bias = (t64(rng.standard_normal(s)) for s in ((4, 6), (6, 6), (6,)))
+    tgt, mask = rng.integers(0, 2, size=(2, 6)), np.ones((2, 6))
+
+    def run(hold):
+        N.zero_grads((a, w, bias))
+        with N.Tape() as tape:
+            x = N.scale(a, 2.0)
+            h = N.matmul(x, w)
+            s = N.add(h, bias)
+            y = N.softmax_last_axis(N.transpose(N.reshape(s, (2, 2, 6)), (0, 2, 1)))
+            loss = N.cross_entropy_masked(y, tgt, mask)  # keeps its own temporaries only
+        refs = {"x": weakref.ref(x.data), "matmul": weakref.ref(h.data),
+                "add": weakref.ref(s.data), "softmax": weakref.ref(y.data)}
+        held = [x, h, s, y] if hold else []  # alive through backward
+        del x, h, s, y
+        alive = {name for name, r in refs.items() if r() is not None}
+        N.backward(tape, loss)
+        del held
+        return alive, [p.grad.copy() for p in (a, w, bias)]
+
+    alive, grads = run(hold=False)
+    assert alive == {"x", "softmax"}
+    held_alive, held_grads = run(hold=True)
+    assert held_alive == {"x", "matmul", "add", "softmax"}
+    for g, want in zip(grads, held_grads):
+        np.testing.assert_array_equal(g, want)
+
+
 def test_backward_peak_memory_holds_one_grad_of_a_chain():
     x = N.Tensor(np.ones(2**17), requires_grad=True)  # 1 MiB
     with N.Tape() as tape:

@@ -413,6 +413,25 @@ def test_cli_eval_rejects_a_negative_k(suite, axis, tmp_path):
     assert not (tmp_path / "e.csv").exists()
 
 
+@pytest.mark.parametrize("suite,axis,message", [
+    ("dict", "memory=100", "memory must be a positive multiple of 16 (local_ctx_len), got 100"),
+    ("dict", "memory=0", "memory must be a positive multiple of 16 (local_ctx_len), got 0"),
+    ("dict", "memory=100.7", "axis spec 'memory=100.7': 100.7 is not a whole number"),
+    ("distraction", "d=2.5", "axis spec 'd=2.5': 2.5 is not a whole number"),
+], ids=["dict-misaligned", "dict-zero", "dict-fraction", "distraction-fraction"])
+def test_cli_eval_rejects_an_axis_value_it_cannot_use(suite, axis, message, tmp_path):
+    """Every suite reads its axis as a whole count, so a fraction is refused
+    rather than truncated; the dict suite names its rule in the axis' terms."""
+    cfg = ModelConfig(n_layers=3, d_model=16, n_heads=2, head_dim=8, ff_dim=32,
+                      vocab_size=256, memory_layers=(1, 2), local_ctx_len=16)
+    ck = tmp_path / "m.fotc"
+    save_checkpoint(ck, cfg, Transformer(cfg, seed=0).params)
+    code, _, err = run_cli("eval", "--checkpoint", str(ck), "--suite", suite, "--axis", axis,
+                           "--n-docs", "1", "--out", str(tmp_path / "e.csv"))
+    assert code == 2 and err == f"config error: {message}\n"
+    assert not (tmp_path / "e.csv").exists()
+
+
 def test_cli_gen_data_and_eval(tmp_path):
     code, _, _ = run_cli("gen-data", "--task", "text", "--out", str(tmp_path / "c.txt"),
                          "--n-docs", "4", "--doc-len", "300")
