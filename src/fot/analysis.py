@@ -1,7 +1,8 @@
 """Diagnostics and evaluations.
 
 The distraction metric r is the share of a query's planned-context softmax
-mass that lands on its own document's previous context:
+mass that lands on its own document's previous context, context 1 of the
+plan (column 0 of a record's ``per_context``):
 
     r = sum_j w_1j / sum_{i=1..d} sum_j w_ij
 
@@ -20,7 +21,7 @@ import numpy as np
 from .errors import DataError, UsageError
 from .memstore import MemoryIndex
 from .model import AttentionRecord, InferCache, Transformer, _cat_padded, exposure_records, retriever
-from .pipeline import CrossbatchPipeline, DSchedule, make_eval_exposure_plan
+from .pipeline import CrossbatchPipeline, DSchedule
 from .tasks import DictTaskConfig, gen_dict_lookup
 
 
@@ -45,19 +46,16 @@ def positive_attention_mass(records: list[AttentionRecord]) -> DistractionReport
     for rec in records:
         if rec.per_context is None:
             raise UsageError("inference-mode records carry no per-context masses")
-        if rec.context_polarity is None or not (rec.context_polarity > 0).any():
+        if not rec.per_context[..., :1].any():
             raise UsageError("records contain no positive context")
     # one row per query, contexts zero-padded to the widest record
     rows = [rec.per_context.reshape(-1, rec.per_context.shape[-1]) for rec in records]
     per_context = _cat_padded(rows)
-    positive = _cat_padded([np.broadcast_to((rec.context_polarity > 0)[:, None, None, :],
-                                            rec.per_context.shape).reshape(r.shape)
-                            for rec, r in zip(records, rows)])
     total = per_context.sum(axis=-1)
     ok = total > 0
     if not ok.any():
         raise UsageError("all queries had zero planned-context mass")
-    r_q = (per_context * positive).sum(axis=-1)[ok] / total[ok]
+    r_q = per_context[ok, 0] / total[ok]
     share = per_context[ok] / total[ok, None]
     layer = np.repeat([rec.layer for rec in records], [len(r) for r in rows])[ok]
     per_layer_r = {li: float(r_q[layer == li].mean()) if (layer == li).any() else float("nan")
@@ -83,12 +81,11 @@ def distraction_eval(model: Transformer, doc_iter, d: int, *,
     n_queries = 0
     for _ in range(max_batches):
         try:
-            batch = pipe.next_batch()
+            batch, plan = pipe.next()
         except DataError:
             break
         if not batch.prev_valid[:, 0].all():
             continue
-        plan = make_eval_exposure_plan(d, d, batch.unit_ids)
         recs = exposure_records(model, batch, plan)
         collected.extend(recs)
         n_queries += sum(r.mass_local.size for r in recs)
@@ -388,19 +385,18 @@ def r_from_weights(weights) -> float:
     """Recompute the mean positive attention mass from raw extras softmax
     weights, bucketing them per context here rather than through the model's
     ``_bucket_record``. A test oracle: ``weights`` lists (layer, probs
-    [b, H, T, E*T], window context ids [b, E], context polarity [b, C]) per
-    memory layer."""
+    [b, H, T, E*T], window context ids [b, E]) per memory layer; context 1
+    is the positive."""
     records = []
-    for layer, probs, win_ctx, polarity in weights:
+    for layer, probs, win_ctx in weights:
         b, h, t, e = probs.shape
         n_win = win_ctx.shape[1]
         per_window = probs.reshape(b, h, t, n_win, -1).sum(axis=-1)
-        c = polarity.shape[1]
-        per_context = np.zeros((b, h, t, c), dtype=np.float64)
+        per_context = np.zeros((b, h, t, win_ctx.max()), dtype=np.float64)
         for j in range(b):
             for w in range(n_win):
                 ci = win_ctx[j, w]
                 if ci > 0:
                     per_context[j, :, :, ci - 1] += per_window[j, :, :, w]
-        records.append(AttentionRecord(layer, np.zeros((b, h, t)), per_context, polarity))
+        records.append(AttentionRecord(layer, np.zeros((b, h, t)), per_context))
     return positive_attention_mass(records).r

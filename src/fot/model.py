@@ -148,23 +148,21 @@ class AttentionRecord:
     """Per-memory-layer softmax mass, bucketed by key provenance.
 
     per_context holds the raw share each planned context received (already
-    multiplied by the gate weight in gated mode so buckets sum to 1);
-    context_polarity is +1 positive, -1 negative, 0 unused slot.
+    multiplied by the gate weight in gated mode so buckets sum to 1). Column
+    c is context c + 1 of the plan, so column 0 is the slot's own document,
+    the positive, and it stays 0 for a slot without an own window.
     """
     layer: int
     mass_local: np.ndarray                 # [b, H, T]
     per_context: np.ndarray | None = None  # [b, H, T, C] train-mode contexts
-    context_polarity: np.ndarray | None = None  # [b, C]
     mass_memory: np.ndarray | None = None  # [b, H, T] inference-mode bucket
     gate: float | None = None
 
     def mass_positive(self) -> np.ndarray:
-        sel = (self.context_polarity > 0)[:, None, None, :]
-        return (self.per_context * sel).sum(axis=-1)
+        return self.per_context[..., :1].sum(axis=-1)
 
     def mass_negative(self) -> np.ndarray:
-        sel = (self.context_polarity < 0)[:, None, None, :]
-        return (self.per_context * sel).sum(axis=-1)
+        return self.per_context[..., 1:].sum(axis=-1)
 
     def bucket_total(self) -> np.ndarray:
         total = self.mass_local.copy()
@@ -270,8 +268,7 @@ class _Gather:
     """Which deduplicated previous windows each slot of a chunk attends to."""
     rows: np.ndarray            # [b*E] row of each slot's windows, slot-major (0 = pad)
     pad_add: np.ndarray         # [b, 1, 1, E*T] additive mask (0 valid, MASK_VALUE pad)
-    window_context: np.ndarray  # [b, E] context id per gathered window (0 = pad)
-    polarity: np.ndarray        # [b, C_max] +1/-1/0
+    window_context: np.ndarray  # [b, E] context id per gathered window (0 = pad, 1 = own)
 
     def extras(self, k: Tensor, v: Tensor) -> _Extras:
         """Slot-shared extras from the gathered [b*E, H, T, Dh] windows."""
@@ -300,15 +297,13 @@ def _plan_gather(plan: CrossbatchPlan, row_of: dict[tuple[int, int], int], slots
     idx = np.zeros((b, e_max), dtype=np.int64)
     pad_add = np.zeros((b, 1, 1, e_max * t), dtype=dtype)
     win_ctx = np.zeros((b, e_max), dtype=np.int64)
-    polarity = np.zeros((b, max(plan.n_contexts[s] for s in slots)), dtype=np.int64)
     for j, s in enumerate(slots):
         windows = plan.per_slot[s]
         for e, pw in enumerate(windows):
             idx[j, e] = row_of[(pw.source_slot, pw.window_index)]
             win_ctx[j, e] = pw.context_id
-            polarity[j, pw.context_id - 1] = 1 if pw.polarity == "positive" else -1
         pad_add[j, :, :, len(windows) * t:] = N.MASK_VALUE
-    return _Gather(idx.reshape(-1), pad_add, win_ctx, polarity)
+    return _Gather(idx.reshape(-1), pad_add, win_ctx)
 
 
 def _bucket_record(li: int, mass_local: np.ndarray, p_ext: np.ndarray, gather: _Gather,
@@ -318,9 +313,10 @@ def _bucket_record(li: int, mass_local: np.ndarray, p_ext: np.ndarray, gather: _
     e = gather.window_context.shape[1]
     per_window = p_ext.reshape(b, h, t, e, -1).sum(axis=-1)
     # [b, E, C]: window -> its context; padding windows (id 0) match none
-    of_context = gather.window_context[:, :, None] == np.arange(1, gather.polarity.shape[1] + 1)
+    win_ctx = gather.window_context
+    of_context = win_ctx[:, :, None] == np.arange(1, win_ctx.max() + 1)
     per_context = np.einsum("bhte,bec->bhtc", per_window, of_context.astype(per_window.dtype))
-    return AttentionRecord(li, mass_local, per_context, gather.polarity, None, gate)
+    return AttentionRecord(li, mass_local, per_context, None, gate)
 
 
 # ---------------------------------------------------------------------------
@@ -567,14 +563,12 @@ class Transformer:
                       gather: _Gather | None, collect_records: bool,
                       ) -> tuple[Tensor, list[AttentionRecord]]:
         """Process current windows; memory layers attend to planned extras."""
-        b = tokens.shape[0]
         logits, atts, _ = self._forward(tokens, lambda li, q: extras.get(li), None, collect_records)
         records: list[AttentionRecord] = []
         for li, mass_local, p_ext, gate in atts:
             if p_ext is None:  # no planned contexts anywhere
                 records.append(AttentionRecord(
-                    li, mass_local, per_context=np.zeros(mass_local.shape + (0,), self.dtype),
-                    context_polarity=np.zeros((b, 0), dtype=np.int64)))
+                    li, mass_local, per_context=np.zeros(mass_local.shape + (0,), self.dtype)))
                 continue
             records.append(_bucket_record(li, mass_local, p_ext, gather, gate))
         return logits, records
@@ -799,7 +793,6 @@ def _merge_chunk_records(chunks: list[list[AttentionRecord]]) -> list[AttentionR
         layer=recs[0].layer,
         mass_local=np.concatenate([r.mass_local for r in recs]),
         per_context=_cat_padded([r.per_context for r in recs]),
-        context_polarity=_cat_padded([r.context_polarity for r in recs]),
         gate=next((r.gate for r in recs if r.gate is not None), None),
     ) for recs in zip(*chunks)]
 

@@ -50,13 +50,9 @@ class Tensor:
 
     __slots__ = ("data", "slot")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
-        if arr.dtype not in _FLOATS:
-            arr = arr.astype(np.float64 if dtype is None else dtype)
-        if dtype is not None:
-            arr = arr.astype(dtype, copy=False)
-        self.data: np.ndarray = arr
+        self.data: np.ndarray = arr if arr.dtype in _FLOATS else arr.astype(np.float64)
         self.slot = GradSlot(requires_grad)
 
     grad = property(lambda t: t.slot.grad, lambda t, g: setattr(t.slot, "grad", g))

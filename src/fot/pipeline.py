@@ -3,9 +3,11 @@
 Documents are pinned to batch slots. Each step every slot emits one
 local-context window as "current"; the windows it emitted before stay
 available as previous contexts. The plan for a step lists, per slot, which
-previous-context windows (own document: positive; other slots' documents:
-negative) the memory layers should attend to, as one ``DSchedule`` sets:
-a d per step, or fixed segments of the batch with their own counts.
+previous-context windows the memory layers should attend to, as one
+``DSchedule`` sets: a d per step, or fixed segments of the batch with their
+own counts. A window's context id is its polarity: context 1 is the slot's
+own document (positive), contexts 2, 3, ... are other slots' documents
+(negative).
 
 Short documents are concatenated into "units" that span at least w+1
 windows; unit ids act as document ids everywhere downstream.
@@ -32,8 +34,8 @@ class DSchedule:
     kind "constant": always d.
     kind "staged":   d_small before switch_step, d_large from it on.
     kind "random":   seeded per-step choice from ``choices``.
-    These give every slot one positive context of w windows plus d - 1
-    modular negatives of w windows each.
+    These give every slot one positive context, context 1, of up to w of its
+    own windows, plus d - 1 modular negative contexts of up to w windows each.
 
     kind "segments": fractions of the batch with explicit
     (fraction, num_positives, num_negatives); a negative is its source
@@ -108,21 +110,31 @@ def uniform_negative_slots(slot: int, d: int, b_s: int) -> list[int]:
 
 @dataclass(frozen=True)
 class PlanWindow:
+    """One previous window a slot attends to. Context 1 is the slot's own
+    document, so it alone is positive; contexts 2, 3, ... are the negative
+    sources in plan order."""
     source_slot: int
     window_index: int      # 0 = most recent previous window of that slot
-    polarity: str          # "positive" | "negative"
     context_id: int        # groups windows into contexts for r_d
+
+    @property
+    def polarity(self) -> str:
+        return "positive" if self.context_id == 1 else "negative"
 
 
 @dataclass
 class CrossbatchPlan:
     per_slot: list[list[PlanWindow]]
-    n_contexts: list[int]      # contexts per slot (d_effective)
     source_unit: list[list[int]]  # unit id each window came from, parallel to per_slot
 
     @property
     def b_s(self) -> int:
         return len(self.per_slot)
+
+    @property
+    def n_contexts(self) -> list[int]:
+        """Context columns per slot: its highest context id (0 without windows)."""
+        return [max((pw.context_id for pw in ws), default=0) for ws in self.per_slot]
 
     @property
     def max_windows(self) -> int:
@@ -280,7 +292,6 @@ class CrossbatchPipeline:
         sched = self.schedule
         per_slot: list[list[PlanWindow]] = []
         units: list[list[int]] = []
-        n_ctx: list[int] = []
 
         if sched.kind == "segments":
             comp = []
@@ -296,26 +307,23 @@ class CrossbatchPipeline:
             n_pos, n_neg = comp[slot]
             windows: list[PlanWindow] = []
             w_units: list[int] = []
-            ctx = 0
             own_valid = int(batch.prev_valid[slot].sum())
             for j in range(min(n_pos, own_valid)):
-                ctx += 1
-                windows.append(PlanWindow(slot, j, "positive", ctx))
+                windows.append(PlanWindow(slot, j, 1))
                 w_units.append(int(batch.unit_ids[slot]))
+            ctx = 2
             for src in uniform_negative_slots(slot, n_neg + 1, self.b_s):
-                src_valid = int(batch.prev_valid[src].sum())
-                take = min(neg_windows, src_valid)
+                take = min(neg_windows, int(batch.prev_valid[src].sum()))
                 if take == 0:
                     continue
-                ctx += 1
                 for j in range(take):
-                    windows.append(PlanWindow(src, j, "negative", ctx))
+                    windows.append(PlanWindow(src, j, ctx))
                     w_units.append(int(batch.unit_ids[src]))
+                ctx += 1
             per_slot.append(windows)
             units.append(w_units)
-            n_ctx.append(ctx)
 
-        plan = CrossbatchPlan(per_slot, n_ctx, units)
+        plan = CrossbatchPlan(per_slot, units)
         plan.validate_polarity(batch.unit_ids)
         return plan
 
@@ -323,18 +331,3 @@ class CrossbatchPipeline:
         batch = self.next_batch()
         return batch, self.build_plan(batch.step, batch)
 
-
-def make_eval_exposure_plan(b_s: int, d: int, unit_ids) -> CrossbatchPlan:
-    """Evaluation-only plan: every slot sees its own previous window plus
-    d-1 modular negatives, one window each (the Fig.-3-style exposure)."""
-    per_slot: list[list[PlanWindow]] = []
-    units: list[list[int]] = []
-    for slot in range(b_s):
-        ws = [PlanWindow(slot, 0, "positive", 1)]
-        us = [int(unit_ids[slot])]
-        for i, src in enumerate(uniform_negative_slots(slot, d, b_s)):
-            ws.append(PlanWindow(src, 0, "negative", i + 2))
-            us.append(int(unit_ids[src]))
-        per_slot.append(ws)
-        units.append(us)
-    return CrossbatchPlan(per_slot, [d] * b_s, units)

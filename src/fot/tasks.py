@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import cycle
 from pathlib import Path
 
 import numpy as np
@@ -335,14 +336,12 @@ def gen_text_corpus(n_docs: int, doc_len: int, seed: int = 0) -> list[str]:
 
 
 def corpus_training_stream(stream: CorpusStream, loop: bool = False):
-    """Iterator of (tokens, loss_mask) documents; mask is all-ones for LM."""
+    """Iterator of (tokens, loss_mask) documents; mask is all-ones for LM.
+    An empty stream raises DataError here, not on the first ``next``."""
     if len(stream) == 0:
         raise DataError("empty corpus stream")
-    while True:
-        for _doc_id, toks in stream:
-            yield toks, np.ones(len(toks), dtype=np.float64)
-        if not loop:
-            return
+    docs = cycle(stream) if loop else iter(stream)
+    return ((toks, np.ones(len(toks), dtype=np.float64)) for _doc_id, toks in docs)
 
 
 def dump_token_file(docs, path) -> None:

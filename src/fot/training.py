@@ -164,10 +164,12 @@ def train(cfg: TrainConfig, out_dir) -> TrainResult:
     """Run the loop: next_batch -> build_plan -> forward -> backward -> step.
 
     Data steps whose loss mask is all zero advance the pipeline but consume
-    no optimizer step. NaN/Inf loss aborts with a diagnostic dump. Each
-    logged row is appended to metrics.csv as it is logged, so a failed run
-    keeps the rows logged before the failure; any FotError after the
-    manifest is first written marks it "failed" before it propagates.
+    no optimizer step. A document stream that ends before the first step is
+    a DataError; one that ends later ends the run early, "done" with a note.
+    NaN/Inf loss aborts with a diagnostic dump. Each logged row is appended
+    to metrics.csv as it is logged, so a failed run keeps the rows logged
+    before the failure; any FotError after the manifest is first written
+    marks it "failed" before it propagates.
     """
     cfg.validate()
     out = Path(out_dir)
@@ -207,6 +209,8 @@ def train(cfg: TrainConfig, out_dir) -> TrainResult:
             try:
                 batch = pipe.next_batch()
             except DataError:
+                if opt_step == 0:
+                    raise DataError("document stream ended before the first step") from None
                 ended_early = f"stream exhausted at step {opt_step}"
                 break
             if batch.cur_mask.sum() == 0:

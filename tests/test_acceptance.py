@@ -17,7 +17,7 @@ from fot.config import TrainConfig, get_preset
 from fot.memstore import MemoryIndex, brute_force_topk
 from fot.model import ModelConfig, Transformer, load_checkpoint
 from fot.numerics import Tensor
-from fot.pipeline import CrossbatchPlan, PlanWindow, TrainBatch, make_eval_exposure_plan
+from fot.pipeline import CrossbatchPipeline, CrossbatchPlan, DSchedule, PlanWindow, TrainBatch
 from fot.tasks import (DictTaskConfig, PasskeyTaskConfig, encode_bytes, find_passkey,
                        gen_passkey, gen_text_corpus)
 from fot.training import train
@@ -216,7 +216,7 @@ def test_criterion_1_gradient_fidelity():
         batch = TrainBatch(rng.integers(0, 7, (2, t)), rng.integers(0, 7, (2, t)),
                            np.ones((2, t)), rng.integers(0, 7, (2, 1, t)),
                            np.ones((2, 1), bool), np.arange(2), 0)
-        plan = make_eval_exposure_plan(2, 2, batch.unit_ids)
+        plan = CrossbatchPipeline(iter(()), 2, t, DSchedule("constant", d=2)).build_plan(0, batch)
 
         def fn():
             fwd = model.forward_train(batch, plan, collect_records=False)
@@ -277,7 +277,7 @@ def test_criterion_3_reduction_equivalences():
         batch = TrainBatch(toks, np.zeros_like(toks), np.ones(toks.shape),
                            np.zeros((3, 1, 16), np.int64), np.zeros((3, 1), bool),
                            np.arange(3), 0)
-        plan = CrossbatchPlan([[] for _ in range(3)], [0] * 3, [[] for _ in range(3)])
+        plan = CrossbatchPlan([[] for _ in range(3)], [[] for _ in range(3)])
         fwd = model.forward_train(batch, plan, collect_records=False)
         vanilla = model.forward_long(toks)
         worst_a = max(worst_a, float(np.abs(fwd.logits.data - vanilla).max()))
@@ -287,7 +287,7 @@ def test_criterion_3_reduction_equivalences():
         w2 = rng.integers(0, 29, size=16)
         b2 = TrainBatch(w2[None], np.zeros((1, 16), np.int64), np.ones((1, 16)),
                         w1[None, None], np.ones((1, 1), bool), np.zeros(1, np.int64), 0)
-        p2 = CrossbatchPlan([[PlanWindow(0, 0, "positive", 1)]], [1], [[0]])
+        p2 = CrossbatchPlan([[PlanWindow(0, 0, 1)]], [[0]])
         train_logits = model.forward_train(b2, p2, collect_records=False).logits.data[0]
         memory = MemoryIndex(cfg.memory_layers, cfg.n_heads, cfg.head_dim)
         first = model.forward_infer(w1, memory, k=0)

@@ -8,20 +8,21 @@ from fot import model as model_mod
 from fot.errors import UsageError
 from fot.memstore import MemoryIndex
 from fot.model import AttentionRecord, InferCache, ModelConfig, Transformer
+from fot.pipeline import CrossbatchPipeline, DSchedule, TrainBatch
 from fot.tasks import DictTaskConfig, PasskeyTaskConfig, gen_passkey, gen_text_corpus, encode_bytes
 
 
-def synthetic_record(per_context, polarity, layer=0):
+def synthetic_record(per_context, layer=0):
+    """A record whose column 0 is the positive context."""
     per_context = np.asarray(per_context, dtype=np.float64)
-    b, h, t, _ = per_context.shape
     local = 1.0 - per_context.sum(-1)
-    return AttentionRecord(layer, local, per_context, np.asarray(polarity))
+    return AttentionRecord(layer, local, per_context)
 
 
 def test_r_uniform_is_one_over_d():
     for d in (2, 4, 8):
         pc = np.full((2, 1, 3, d), 0.5 / d)
-        rec = synthetic_record(pc, [[1] + [-1] * (d - 1)] * 2)
+        rec = synthetic_record(pc)
         rep = A.positive_attention_mass([rec])
         assert abs(rep.r - 1.0 / d) < 1e-12
         assert rep.d == d and rep.n_queries == 6
@@ -30,14 +31,14 @@ def test_r_uniform_is_one_over_d():
 def test_r_all_mass_on_positive():
     pc = np.zeros((1, 1, 2, 3))
     pc[..., 0] = 0.7
-    rec = synthetic_record(pc, [[1, -1, -1]])
+    rec = synthetic_record(pc)
     assert A.positive_attention_mass([rec]).r == 1.0
 
 
 def test_per_layer_r_pools_every_record_of_the_layer():
     """Two batches of one layer: per_layer_r pools their queries as r does."""
-    recs = [synthetic_record([[[[r, 1 - r]]]], [[1, -1]]) for r in (0.9, 0.1)]
-    recs.append(synthetic_record([[[[0.3, 0.7]]]], [[1, -1]], layer=2))
+    recs = [synthetic_record([[[[r, 1 - r]]]]) for r in (0.9, 0.1)]
+    recs.append(synthetic_record([[[[0.3, 0.7]]]], layer=2))
     rep = A.positive_attention_mass(recs)
     assert rep.r == pytest.approx((0.9 + 0.1 + 0.3) / 3)
     assert rep.per_layer_r == pytest.approx({0: 0.5, 2: 0.3})
@@ -46,8 +47,8 @@ def test_per_layer_r_pools_every_record_of_the_layer():
 def test_records_of_different_widths_pad_their_contexts():
     """A d=2 record beside a d=3 one: shares are averaged over the queries
     with planned mass, the narrow record's missing context counting 0."""
-    narrow = synthetic_record([[[[0.2, 0.2], [0.0, 0.0]]]], [[1, -1]])  # 2nd query skipped
-    wide = synthetic_record([[[[0.1, 0.1, 0.2]]]], [[-1, 1, -1]], layer=1)
+    narrow = synthetic_record([[[[0.2, 0.2], [0.0, 0.0]]]])  # 2nd query skipped
+    wide = synthetic_record([[[[0.1, 0.1, 0.2]]]], layer=1)
     rep = A.positive_attention_mass([narrow, wide])
     assert (rep.d, rep.n_queries, rep.n_skipped) == (3, 2, 1)
     assert rep.r == pytest.approx((0.5 + 0.25) / 2)
@@ -57,11 +58,49 @@ def test_records_of_different_widths_pad_their_contexts():
 
 def test_r_requires_positive_context():
     pc = np.full((1, 1, 2, 2), 0.1)
-    rec = synthetic_record(pc, [[-1, -1]])
+    pc[..., 0] = 0.0  # no slot had a window of its own document
+    rec = synthetic_record(pc)
     with pytest.raises(UsageError):
         A.positive_attention_mass([rec])
     with pytest.raises(UsageError):
         A.positive_attention_mass([])
+
+
+def _planned_records(doc_lens, w, steps):
+    """The plan and records of step ``steps`` of a b_S=2, d=2 pipeline over
+    documents of ``doc_lens`` tokens, on an untrained model."""
+    cfg = ModelConfig(n_layers=2, d_model=16, n_heads=2, head_dim=8, ff_dim=32,
+                      vocab_size=64, memory_layers=(1,), local_ctx_len=8)
+    rng = np.random.default_rng(12)
+    docs = [(rng.integers(0, 64, n), np.ones(n)) for n in doc_lens]
+    pipe = CrossbatchPipeline(iter(docs), 2, 8, DSchedule("constant", d=2), w=w)
+    for _ in range(steps - 1):
+        pipe.next_batch()
+    batch, plan = pipe.next()
+    return plan, Transformer(cfg, seed=13).forward_train(batch, plan).records
+
+
+def test_own_windows_are_one_positive_context():
+    """At w=2 a slot's two own windows are both context 1, so d=2 measures
+    two contexts, not three."""
+    plan, records = _planned_records([32, 32], w=2, steps=3)
+    assert [pw.context_id for pw in plan.per_slot[0]] == [1, 1, 2, 2]
+    assert plan.n_contexts == [2, 2]
+    rep = A.positive_attention_mass(records)
+    assert rep.d == 2 and rep.per_context_share.shape == (2,)
+
+
+def test_slot_without_own_window_leaves_column_0_empty():
+    """Slot 0 starts a new document at step 3: its one negative is context 2,
+    so column 0 holds only slot 1's own-document mass."""
+    plan, (rec,) = _planned_records([16, 48, 48], w=1, steps=3)
+    assert [pw.context_id for pw in plan.per_slot[0]] == [2]
+    assert plan.n_contexts == [2, 1]
+    assert (rec.per_context[0, ..., 0] == 0).all() and (rec.per_context[0, ..., 1] > 0).all()
+    assert (rec.per_context[1, ..., 0] > 0).all() and (rec.per_context[1, ..., 1] == 0).all()
+    rep = A.positive_attention_mass([rec])
+    assert rep.r == 0.5
+    np.testing.assert_array_equal(rep.per_context_share, [0.5, 0.5])
 
 
 def test_knn_score_examples():
@@ -467,16 +506,15 @@ def test_r_matches_raw_weight_dump(monkeypatch):
                       vocab_size=64, memory_layers=(1,), local_ctx_len=8)
     model = Transformer(cfg, seed=9)
     rng = np.random.default_rng(10)
-    from fot.pipeline import TrainBatch, make_eval_exposure_plan
     batch = TrainBatch(
         rng.integers(0, 64, (4, 8)), rng.integers(0, 64, (4, 8)), np.ones((4, 8)),
         rng.integers(0, 64, (4, 1, 8)), np.ones((4, 1), bool), np.arange(4), 0)
-    plan = make_eval_exposure_plan(4, 3, batch.unit_ids)
+    plan = CrossbatchPipeline(iter(()), 4, 8, DSchedule("constant", d=3)).build_plan(0, batch)
     captured = []  # the raw extras softmax weights each record is bucketed from
     bucket = model_mod._bucket_record
 
     def capture(li, mass_local, p_ext, gather, gate):
-        captured.append((li, p_ext.copy(), gather.window_context.copy(), gather.polarity.copy()))
+        captured.append((li, p_ext.copy(), gather.window_context.copy()))
         return bucket(li, mass_local, p_ext, gather, gate)
     monkeypatch.setattr(model_mod, "_bucket_record", capture)
     fwd = model.forward_train(batch, plan)

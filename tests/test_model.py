@@ -18,7 +18,7 @@ from fot.model import (
     merged_softmax_attention, param_count, param_shapes, save_checkpoint,
 )
 from fot.numerics import Tensor
-from fot.pipeline import CrossbatchPlan, PlanWindow, TrainBatch, make_eval_exposure_plan
+from fot.pipeline import CrossbatchPipeline, CrossbatchPlan, DSchedule, PlanWindow, TrainBatch
 
 
 def tiny_cfg(**kw):
@@ -38,11 +38,15 @@ def make_batch(rng, cfg, b, w=1):
 
 
 def empty_plan(b):
-    return CrossbatchPlan([[] for _ in range(b)], [0] * b, [[] for _ in range(b)])
+    return CrossbatchPlan([[] for _ in range(b)], [[] for _ in range(b)])
 
 
 def exposure_plan(b, d):
-    return make_eval_exposure_plan(b, d, np.arange(b))
+    """The plan a constant-d, w=1 pipeline builds when all b slots have a
+    previous window: own window 0 as context 1, then d - 1 negatives."""
+    cfg = tiny_cfg()
+    pipe = CrossbatchPipeline(iter(()), b, cfg.local_ctx_len, DSchedule("constant", d=d))
+    return pipe.build_plan(0, make_batch(np.random.default_rng(0), cfg, b))
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +126,7 @@ def test_train_infer_equivalence(mode, integration):
     w2 = rng.integers(0, 13, size=8)
     batch = TrainBatch(w2[None], np.zeros((1, 8), np.int64), np.ones((1, 8)),
                        w1[None, None], np.ones((1, 1), bool), np.zeros(1, np.int64), 0)
-    plan = CrossbatchPlan([[PlanWindow(0, 0, "positive", 1)]], [1], [[0]])
+    plan = CrossbatchPlan([[PlanWindow(0, 0, 1)]], [[0]])
     train_logits = model.forward_train(batch, plan).logits.data[0]
 
     memory = MemoryIndex(cfg.memory_layers, cfg.n_heads, cfg.head_dim)
@@ -224,8 +228,10 @@ def test_record_buckets_sum_to_one_untrained():
     np.testing.assert_allclose(total, 1.0, atol=1e-5)
     assert (rec.per_context >= 0).all() and (rec.mass_local >= 0).all()
     assert rec.mass_positive().shape == rec.mass_local.shape
-    # exactly one positive and one negative context
-    np.testing.assert_array_equal(rec.context_polarity, [[1, -1]] * 4)
+    # exactly one positive context (column 0) and one negative
+    assert rec.per_context.shape == rec.mass_local.shape + (2,)
+    np.testing.assert_array_equal(rec.mass_positive(), rec.per_context[..., 0])
+    np.testing.assert_array_equal(rec.mass_negative(), rec.per_context[..., 1])
 
 
 def test_record_buckets_sum_to_one_gated():
@@ -280,7 +286,7 @@ def test_gradient_reaches_extras_only_when_differentiable():
 
 def _without_windows(plan, slots):
     for s in slots:
-        plan.per_slot[s], plan.n_contexts[s], plan.source_unit[s] = [], 0, []
+        plan.per_slot[s], plan.source_unit[s] = [], []
     return plan
 
 
@@ -336,7 +342,7 @@ def test_chunked_records_match_forward_train(integration, empty_slots, monkeypat
     for got in (stepped, exposure_records(model, batch, plan)):
         assert [r.layer for r in got] == [r.layer for r in want]
         for g, w in zip(got, want):
-            for name in ("mass_local", "per_context", "context_polarity"):
+            for name in ("mass_local", "per_context"):
                 np.testing.assert_array_equal(getattr(g, name), getattr(w, name), err_msg=name)
             assert g.gate == w.gate
 

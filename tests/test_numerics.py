@@ -20,6 +20,12 @@ def t64(arr, grad=True):
 # forward examples
 # ---------------------------------------------------------------------------
 
+def test_tensor_keeps_floats_and_coerces_other_arrays_to_float64():
+    assert N.Tensor(np.ones(2, np.float32)).dtype == np.float32
+    ints = N.Tensor(np.arange(3))
+    assert ints.dtype == np.float64 and ints.data.tolist() == [0.0, 1.0, 2.0]
+
+
 def test_matmul_identity():
     a = t64(np.eye(2))
     b = t64([[1.0, 2.0], [3.0, 4.0]])

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from fot.config import TrainConfig
-from fot.errors import ConfigError, DataError
+from fot.errors import ConfigError, DataError, UsageError
 from fot.pipeline import (
-    CrossbatchPipeline, DSchedule, d_schedule_value,
-    make_eval_exposure_plan, uniform_negative_slots,
+    CrossbatchPipeline, CrossbatchPlan, DSchedule, PlanWindow, d_schedule_value,
+    uniform_negative_slots,
 )
 
 
@@ -118,7 +118,8 @@ def test_plan_uniform_d4():
     ws = plan.per_slot[6]
     assert [w.source_slot for w in ws] == [6, 7, 0, 1]
     assert [w.polarity for w in ws] == ["positive", "negative", "negative", "negative"]
-    assert plan.n_contexts[6] == 4
+    assert [w.context_id for w in ws] == [1, 2, 3, 4]
+    assert plan.n_contexts == [4] * 8
 
 
 def test_plan_first_step_has_no_positives():
@@ -217,6 +218,18 @@ def test_plan_positive_negative_unit_identity():
                     assert unit != batch.unit_ids[slot]
 
 
+def test_validate_polarity_checks_each_window_unit():
+    """Context 1 must come from the slot's own unit, other contexts must not."""
+    foreign_positive = CrossbatchPlan([[PlanWindow(1, 0, 1)], []], [[11], []])
+    with pytest.raises(UsageError, match="positive from foreign unit 11 in slot 0"):
+        foreign_positive.validate_polarity([10, 11])
+    own_negative = CrossbatchPlan([[], [PlanWindow(0, 0, 2)]], [[], [11]])
+    with pytest.raises(UsageError, match="negative from own unit in slot 1"):
+        own_negative.validate_polarity([10, 11])
+    valid = CrossbatchPlan([[PlanWindow(1, 0, 2)], [PlanWindow(1, 0, 1)]], [[11], [11]])
+    valid.validate_polarity([10, 11])
+
+
 def test_pipeline_determinism():
     def run():
         docs = [np.arange(i, i + 16) for i in range(6)]
@@ -232,17 +245,9 @@ def test_pipeline_determinism():
     assert run() == run()
 
 
-def test_eval_exposure_plan_shape():
-    plan = make_eval_exposure_plan(b_s=8, d=4, unit_ids=np.arange(8))
-    assert plan.n_contexts == [4] * 8
-    ws = plan.per_slot[6]
-    assert [w.source_slot for w in ws] == [6, 7, 0, 1]
-    assert [w.context_id for w in ws] == [1, 2, 3, 4]
-
-
 # sha256 prefixes of the plans below; any change to a plan changes them
-PINNED_PLANS = {"constant": "e97691ba394b3f4e", "random": "dc593164068ec213",
-                "segments": "a2f0941135d25e93", "staged": "4492382f3349e8bf"}
+PINNED_PLANS = {"constant": "69299f0651331102", "random": "a5f1a024a5393580",
+                "segments": "d5a3345f4f38fe89", "staged": "95d85b8fa24152d8"}
 
 SCHEDULE_SETTINGS = {
     "constant": dict(d_kind="constant", d=3),

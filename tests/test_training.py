@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fot import numerics as N
-from fot import training
+from fot import tasks, training
 from fot.analysis import read_metrics_csv
 from fot.config import (TrainConfig, apply_overrides, config_hash, emit_config,
                         get_preset, parse_config)
@@ -19,7 +19,8 @@ from fot.errors import (ConfigError, DataError, FormatError, FotError,
 from fot.model import (CHECKPOINT_VERSION, ModelConfig, Transformer, load_checkpoint,
                        save_checkpoint)
 from fot.numerics import Tensor
-from fot.pipeline import TrainBatch, make_eval_exposure_plan
+from fot.pipeline import TrainBatch
+from fot.tasks import DictTaskConfig
 from fot.training import Adam, AdaFactor, RunManifest, inverse_sqrt_lr, train
 
 
@@ -107,7 +108,7 @@ def test_overfit_one_batch_loss_decreases():
     batch = TrainBatch(toks, tgt, np.ones((2, 16)), np.zeros((2, 1, 16), np.int64),
                        np.zeros((2, 1), bool), np.arange(2), 0)
     from fot.pipeline import CrossbatchPlan
-    plan = CrossbatchPlan([[], []], [0, 0], [[], []])
+    plan = CrossbatchPlan([[], []], [[], []])
     opt = Adam(model.params)
     losses = []
     for step in range(500):
@@ -122,6 +123,65 @@ def test_overfit_one_batch_loss_decreases():
             break
     assert losses[-1] < 0.1, f"stuck at {losses[-1]:.3f}"
     assert losses[-1] < losses[0]
+
+
+def byte_train_cfg(**kw):
+    """A tiny byte-vocabulary model for the text tasks."""
+    cfg = small_train_cfg(**kw)
+    cfg.model = ModelConfig(n_layers=2, d_model=16, n_heads=2, head_dim=8, ff_dim=32,
+                            vocab_size=256, memory_layers=(1,), local_ctx_len=16)
+    cfg.b_s = 2
+    return cfg
+
+
+def test_train_on_synthetic_text(tmp_path):
+    cfg = byte_train_cfg(task="text-synth", synth_docs=4, synth_doc_len=80, steps=3)
+    res = train(cfg, tmp_path / "run")
+    assert len(res.losses) == 3 and np.isfinite(res.losses).all()
+    assert RunManifest.read(res.manifest_path).status == "done"
+
+
+def test_train_writes_step_checkpoints(tmp_path):
+    res = train(small_train_cfg(steps=3, checkpoint_every=1), tmp_path / "run")
+    man = RunManifest.read(res.manifest_path)
+    steps = [tmp_path / "run" / f"step{i:06d}.fotc" for i in (1, 2)]
+    assert man.checkpoint_files == [str(p) for p in steps] + [str(res.checkpoint_path)]
+    assert load_checkpoint(steps[0])[0] == small_train_cfg().model
+
+
+def _corpus(tmp_path, lens):
+    path = tmp_path / "corpus.txt"
+    tasks.save_corpus(["x" * n for n in lens], path)
+    return path
+
+
+def test_corpus_that_ends_after_a_step_ends_the_run_done(tmp_path):
+    """Two 96-byte documents give each of the two slots 6 windows of 16."""
+    cfg = byte_train_cfg(task="corpus", corpus_path=str(_corpus(tmp_path, [96, 96])), steps=50)
+    res = train(cfg, tmp_path / "run")
+    man = RunManifest.read(res.manifest_path)
+    assert (man.status, man.end_step, man.note) == ("done", 6, "stream exhausted at step 6")
+    assert len(res.losses) == 6 and np.isfinite(res.final_loss)
+    assert res.checkpoint_path.exists()
+
+
+@pytest.mark.parametrize("lens,min_len,message", [
+    ([40, 40], "1000", "data error: empty corpus stream\n"),
+    ([20, 20], "0", "data error: document stream ended before the first step\n"),
+], ids=["empty", "shorter_than_a_batch"])
+def test_cli_train_on_a_corpus_without_a_step_is_data_error(lens, min_len, message, tmp_path):
+    out = tmp_path / "run"
+    code, _, err = run_cli(
+        "train", "--preset", "desk-byte", "--override", "task=corpus",
+        "--override", f"corpus_path={_corpus(tmp_path, lens)}", "--override", f"min_doc_len={min_len}",
+        "--override", "model.n_layers=2", "--override", "model.d_model=16",
+        "--override", "model.n_heads=2", "--override", "model.head_dim=8",
+        "--override", "model.ff_dim=32", "--override", "model.local_ctx_len=16",
+        "--override", "model.memory_layers=1", "--override", "b_s=2", "--override", "d=2",
+        "--out", str(out))
+    assert code == 3 and err == message
+    assert RunManifest.read(out / "manifest.json").status == "failed"
+    assert not (out / "final.fotc").exists()
 
 
 def test_train_writes_manifest_before_metrics(tmp_path):
@@ -458,6 +518,52 @@ def test_cli_gen_data_and_eval(tmp_path):
         assert code == 0, err
         rows = read_metrics_csv(csv_path)
         assert rows and rows[0].metric == "dict_accuracy"
+
+
+@pytest.fixture
+def byte_checkpoint(tmp_path):
+    cfg = byte_train_cfg().model
+    ck = tmp_path / "byte.fotc"
+    save_checkpoint(ck, cfg, Transformer(cfg, seed=0).params)
+    return ck
+
+
+@pytest.mark.parametrize("suite,axis,extra,metric", [
+    ("ppl", "memory=64", ["--token-budget", "256"], "perplexity"),
+    ("passkey", "len=96", ["--n-docs", "1", "--k", "8"], "passkey_accuracy"),
+    ("distraction", "d=2", ["--min-queries", "64"], "positive_attention_mass"),
+], ids=["ppl", "passkey", "distraction"])
+def test_cli_eval_suites_write_their_rows(suite, axis, extra, metric, byte_checkpoint, tmp_path):
+    csv_path = tmp_path / "e.csv"
+    code, stdout, err = run_cli("eval", "--checkpoint", str(byte_checkpoint), "--suite", suite,
+                                "--axis", axis, *extra, "--out", str(csv_path))
+    assert code == 0, err
+    (row,) = read_metrics_csv(csv_path)
+    assert (row.metric, row.axis_value) == (metric, float(axis.split("=")[1]))
+    if suite == "ppl":  # the zero-initialised head predicts uniformly over 256 bytes
+        assert row.value == pytest.approx(256.0, rel=1e-4)
+    else:
+        assert 0.0 <= row.value <= 1.0
+    assert f"wrote {csv_path}" in stdout
+
+
+def test_cli_eval_distraction_on_an_empty_corpus_is_data_error(byte_checkpoint, tmp_path):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    code, _, err = run_cli("eval", "--checkpoint", str(byte_checkpoint), "--suite", "distraction",
+                           "--axis", "d=2", "--corpus", str(empty), "--out", str(tmp_path / "e.csv"))
+    assert code == 3 and err == "data error: empty corpus stream\n"
+
+
+def test_cli_gen_data_dict(tmp_path):
+    out = tmp_path / "dict.txt"
+    code, stdout, _ = run_cli("gen-data", "--task", "dict", "--n-docs", "2", "--out", str(out))
+    assert code == 0 and stdout == f"wrote {out}\n"
+    lines = out.read_text().splitlines()
+    assert len(lines) == 2
+    doc = np.array(lines[0].split(), dtype=np.int64)
+    np.testing.assert_array_equal(doc, tasks.gen_dict_lookup(
+        DictTaskConfig(), rng=np.random.default_rng(0)).tokens)
 
 
 @pytest.mark.parametrize("n_docs", ["0", "-2"])
