@@ -72,7 +72,8 @@ def distraction_eval(model: Transformer, doc_iter, d: int, *,
 
     Feeds a b_S = d pipeline, skips steps where any slot lacks a previous
     window, and aggregates records until at least ``min_queries`` per-query
-    measurements were seen.
+    measurements were seen. Documents on which no step gives every slot a
+    previous window raise DataError.
     """
     if d < 2:
         raise UsageError("exposure needs d >= 2 (one positive plus negatives)")
@@ -91,6 +92,8 @@ def distraction_eval(model: Transformer, doc_iter, d: int, *,
         n_queries += sum(r.mass_local.size for r in recs)
         if n_queries >= min_queries:
             break
+    if not collected:
+        raise DataError(f"no step of the documents gave all {d} slots a previous window")
     return positive_attention_mass(collected)
 
 

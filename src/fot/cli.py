@@ -119,8 +119,10 @@ def cmd_eval(args) -> int:
 
 def _eval_docs(args, model):
     if args.corpus:
-        stream = tasks.load_corpus(args.corpus, args.min_doc_len)
-        return list(stream)
+        docs = list(tasks.load_corpus(args.corpus, args.min_doc_len))
+        if not any(len(toks) > 1 for _, toks in docs):
+            raise DataError(f"{args.corpus}: no document of {max(2, args.min_doc_len)}+ bytes to score")
+        return docs
     docs = tasks.gen_text_corpus(16, 4 * model.cfg.local_ctx_len, seed=args.seed)
     return [(i, tasks.encode_bytes(d)) for i, d in enumerate(docs)]
 

@@ -255,8 +255,8 @@ class _Extras:
 
     Planned windows (training): k, v are [b, H, E*T, Dh], shared by every
     query of a slot, and pad_add [b, 1, 1, E*T] masks the padding (0 valid,
-    MASK_VALUE pad). Retrieved top-k (inference): k, v are [1, H, T, k, Dh],
-    one set per query, all of them valid (pad_add None).
+    MASK_VALUE pad); or [1, H, E*T, Dh] shared by all slots, unpadded. Retrieved
+    top-k (inference): k, v are [1, H, T, k, Dh], one set per query, all valid.
     """
     k: Tensor
     v: Tensor
@@ -265,26 +265,27 @@ class _Extras:
 
 @dataclass
 class _Gather:
-    """Which deduplicated previous windows each slot of a chunk attends to."""
-    rows: np.ndarray            # [b*E] row of each slot's windows, slot-major (0 = pad)
-    pad_add: np.ndarray         # [b, 1, 1, E*T] additive mask (0 valid, MASK_VALUE pad)
-    window_context: np.ndarray  # [b, E] context id per gathered window (0 = pad, 1 = own)
+    """Which deduplicated previous windows each slot of a chunk attends to:
+    once for all slots when they attend to the same ones, else per slot."""
+    rows: np.ndarray            # [E] shared, else [b*E] slot-major (0 = pad)
+    pad_add: np.ndarray | None  # [b, 1, 1, E*T] additive (0 valid, MASK_VALUE pad); None if shared
+    window_context: np.ndarray  # [b, E] context id per slot and gathered window (0 = pad, 1 = own)
 
     def extras(self, k: Tensor, v: Tensor) -> _Extras:
-        """Slot-shared extras from the gathered [b*E, H, T, Dh] windows."""
-        return _Extras(self._per_slot(k), self._per_slot(v), self.pad_add)
+        """Extras from the gathered [len(rows), H, T, Dh] windows."""
+        return _Extras(self._arrange(k), self._arrange(v), self.pad_add)
 
-    def _per_slot(self, g: Tensor) -> Tensor:
-        b, e = self.window_context.shape
-        _, h, t, dh = g.shape
-        g = N.transpose(N.reshape(g, (b, e, h, t, dh)), (0, 2, 1, 3, 4))
-        return N.reshape(g, (b, h, e * t, dh))
+    def _arrange(self, g: Tensor) -> Tensor:
+        e = self.window_context.shape[1]
+        n, h, t, dh = g.shape
+        g = N.transpose(N.reshape(g, (n // e, e, h, t, dh)), (0, 2, 1, 3, 4))
+        return N.reshape(g, (n // e, h, e * t, dh))
 
     def window_grads(self, g: np.ndarray) -> np.ndarray:
-        """Grads of slot-shared extras [b, H, E*T, Dh] per gathered window."""
-        b, e = self.window_context.shape
-        _, h, _, dh = g.shape
-        return g.reshape(b, h, e, -1, dh).transpose(0, 2, 1, 3, 4).reshape(b * e, h, -1, dh)
+        """Grads of extras [1 or b, H, E*T, Dh] per gathered window."""
+        e = self.window_context.shape[1]
+        s, h, _, dh = g.shape
+        return g.reshape(s, h, e, -1, dh).transpose(0, 2, 1, 3, 4).reshape(s * e, h, -1, dh)
 
 
 def _plan_gather(plan: CrossbatchPlan, row_of: dict[tuple[int, int], int], slots,
@@ -303,6 +304,11 @@ def _plan_gather(plan: CrossbatchPlan, row_of: dict[tuple[int, int], int], slots
             idx[j, e] = row_of[(pw.source_slot, pw.window_index)]
             win_ctx[j, e] = pw.context_id
         pad_add[j, :, :, len(windows) * t:] = N.MASK_VALUE
+    # every slot has the same windows, no padding: keep them once, in row order
+    order = np.argsort(idx, axis=1, kind="stable")
+    shared = np.take_along_axis(idx, order, axis=1)
+    if not pad_add.any() and (shared == shared[0]).all():
+        return _Gather(shared[0], None, np.take_along_axis(win_ctx, order, axis=1))
     return _Gather(idx.reshape(-1), pad_add, win_ctx)
 
 
@@ -351,12 +357,12 @@ def merged_softmax_attention(q: Tensor, local_kv: tuple[Tensor, Tensor],
     """One softmax over [local causal keys | extra keys].
 
     q is pre-scaled ([B, H, T, Dh]). Extra keys and values are either shared
-    by every query ([B, H, E, Dh]) or one set per query ([B, H, T, k, Dh]);
-    ``extra_add`` is an additive mask on their logits. Returns (values_out,
-    local_probs, extra_probs); the probabilities are plain arrays, views of
-    the softmax weights for records only. Temperature and qk-normalization
-    are the caller's business so the kernel stays shared between training
-    and inference shapes.
+    by every query ([B, H, E, Dh], or [1, H, E, Dh] broadcast over the batch)
+    or one set per query ([B, H, T, k, Dh]); ``extra_add`` is an additive mask
+    on their logits. Returns (values_out, local_probs, extra_probs); the
+    probabilities are plain arrays, views of the softmax weights for records
+    only. Temperature and qk-normalization are the caller's business so the
+    kernel stays shared between training and inference shapes.
     """
     k_loc, v_loc = local_kv
     if extra_kv is None:

@@ -275,22 +275,30 @@ def scale(x: Tensor, s: float) -> Tensor:
 
 
 def concat_axis(parts: Sequence[Tensor], axis: int) -> Tensor:
+    """Parts side by side along ``axis``, their other dims broadcast (a [1, ...]
+    part joins a [b, ...] one); backward sums each part's grad to its shape."""
     if not parts:
         raise UsageError("concat of zero tensors")
+    shapes, ndim = [p.shape for p in parts], parts[0].data.ndim
     try:
-        out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
+        if any(len(s) != ndim for s in shapes) or not -ndim <= axis < ndim:
+            raise ValueError
+        ax, lead = axis % ndim, tuple(max(d) for d in zip(*shapes))
+        fits = [lead[:ax] + s[ax:ax + 1] + lead[ax + 1:] for s in shapes]
+        out = Tensor(np.concatenate([p.data if s == f else np.broadcast_to(p.data, f)
+                                     for p, s, f in zip(parts, shapes, fits)], axis=ax))
     except ValueError as e:
-        raise ShapeError(f"concat axis {axis}: {[p.shape for p in parts]}") from e
-    widths, slots = [p.shape[axis] for p in parts], [p.slot for p in parts]
+        raise ShapeError(f"concat axis {axis}: {shapes}") from e
+    slots = [p.slot for p in parts]
 
     def bwd(g: np.ndarray) -> None:
         off = 0
         sl = [slice(None)] * g.ndim
-        for sp, w in zip(slots, widths):
+        for sp, s in zip(slots, shapes):
             if sp.requires_grad:
-                sl[axis] = slice(off, off + w)
-                _accum(sp, g[tuple(sl)])
-            off += w
+                sl[ax] = slice(off, off + s[ax])
+                _accum(sp, _unbroadcast(g[tuple(sl)], s))
+            off += s[ax]
 
     return _record(out, tuple(parts), bwd)
 
@@ -371,11 +379,17 @@ def softmax_last_axis(x: Tensor) -> Tensor:
     out, sx = Tensor(y), x.slot
 
     def bwd(g: np.ndarray) -> None:
+        # g = (g - sum(g * y)) * y in place, a block of rows at a time, so
+        # g * y is never score-sized; each row still sums in numpy's order
         if sx.requires_grad:
-            dot = (g * y).sum(axis=-1, keepdims=True)
-            g -= dot
-            g *= y
-            _accum(sx, g)
+            n = g.shape[-1]
+            g2, y2, step = g.reshape(-1, n), y.reshape(-1, n), max(1, 2**16 // n)
+            gy = np.empty((min(step, len(g2)), n), g.dtype)
+            for lo in range(0, len(g2), step):
+                gb, yb = g2[lo:lo + step], y2[lo:lo + step]
+                gb -= np.multiply(gb, yb, out=gy[:len(gb)]).sum(axis=-1, keepdims=True)
+                gb *= yb
+            _accum(sx, g2.reshape(g.shape))
 
     return _record(out, (x,), bwd)
 

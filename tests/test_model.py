@@ -297,13 +297,16 @@ def _force_chunks_of_two(monkeypatch):
 
 
 CHUNK_CASES = pytest.mark.parametrize(
-    "integration,empty_slots", [("merged", ()), ("merged", (0, 1)), ("gated", (0, 1))],
-    ids=["merged", "merged-empty_chunk", "gated-empty_chunk"])
+    "integration,empty_slots,d",
+    [("merged", (), 3), ("merged", (0, 1), 3), ("gated", (0, 1), 3),
+     ("merged", (), 6), ("gated", (), 6)],
+    ids=["merged", "merged-empty_chunk", "gated-empty_chunk", "merged-uniform", "gated-uniform"])
 
 
-def _chunk_case(integration, empty_slots):
-    """A 3-layer model with two memory layers, six slots and a d=3 plan
-    whose ``empty_slots`` have no windows (slots 0, 1: all of chunk 0)."""
+def _chunk_case(integration, empty_slots, d):
+    """A 3-layer model with two memory layers, six slots and a constant-d
+    plan whose ``empty_slots`` have no windows (slots 0, 1: all of chunk 0).
+    At d = 6 every slot attends to the same six windows."""
     rng = np.random.default_rng(8)
     cfg = tiny_cfg(n_layers=3, memory_layers=(1, 2), integration_mode=integration)
     model = Transformer(cfg, seed=9, dtype=np.float64)
@@ -311,12 +314,12 @@ def _chunk_case(integration, empty_slots):
     for li in cfg.memory_layers:
         model.params[f"layers.{li}.gate_bias"].data[...] = 0.5
     batch = make_batch(rng, cfg, b=6)
-    return model, batch, _without_windows(exposure_plan(6, 3), empty_slots)
+    return model, batch, _without_windows(exposure_plan(6, d), empty_slots)
 
 
 @CHUNK_CASES
-def test_chunked_grad_step_matches_full_tape(integration, empty_slots, monkeypatch):
-    model, batch, plan = _chunk_case(integration, empty_slots)
+def test_chunked_grad_step_matches_full_tape(integration, empty_slots, d, monkeypatch):
+    model, batch, plan = _chunk_case(integration, empty_slots, d)
     model.zero_grads()
     loss_full, grads_full = _loss_of(model, batch, plan)
     model.zero_grads()
@@ -332,10 +335,10 @@ def test_chunked_grad_step_matches_full_tape(integration, empty_slots, monkeypat
 
 
 @CHUNK_CASES
-def test_chunked_records_match_forward_train(integration, empty_slots, monkeypatch):
+def test_chunked_records_match_forward_train(integration, empty_slots, d, monkeypatch):
     """The chunked step and exposure_records, one loop with and without a
     loss, merge their chunks' records into exactly forward_train's."""
-    model, batch, plan = _chunk_case(integration, empty_slots)
+    model, batch, plan = _chunk_case(integration, empty_slots, d)
     want = model.forward_train(batch, plan).records
     _force_chunks_of_two(monkeypatch)
     _, stepped = crossbatch_grad_step(model, batch, plan, collect_records=True)
@@ -347,6 +350,19 @@ def test_chunked_records_match_forward_train(integration, empty_slots, monkeypat
             assert g.gate == w.gate
 
 
+def _spy_extras(monkeypatch) -> list:
+    """Every extras the grad step builds from a gather, in build order."""
+    built = []
+    build = model_mod._Gather.extras
+
+    def spy(gather, k, v):
+        built.append(build(gather, k, v))
+        return built[-1]
+
+    monkeypatch.setattr(model_mod._Gather, "extras", spy)
+    return built
+
+
 def test_chunked_extras_leaves_keep_their_grads(monkeypatch):
     """Backward frees the grads of intermediate tensors only: the chunked
     step reads the grads of its extras leaves after each chunk's backward."""
@@ -355,25 +371,62 @@ def test_chunked_extras_leaves_keep_their_grads(monkeypatch):
     model = Transformer(cfg, seed=20, dtype=np.float64)
     _randomize_head(model, rng)
     batch = make_batch(rng, cfg, b=4)
-    leaves = []
-
-    def spy(gather, k, v):
-        ext = build(gather, k, v)
-        leaves.extend((ext.k, ext.v))
-        return ext
-
-    build = model_mod._Gather.extras
-    monkeypatch.setattr(model_mod._Gather, "extras", spy)
+    built = _spy_extras(monkeypatch)
     model.zero_grads()
     _force_chunks_of_two(monkeypatch)
     crossbatch_grad_step(model, batch, exposure_plan(4, 2))
+    leaves = [t for ext in built for t in (ext.k, ext.v)]
     assert len(leaves) == 2 * 2 * 2  # chunks x memory layers x (k, v)
     assert all(t.grad is not None and np.abs(t.grad).max() > 0 for t in leaves)
 
 
+@pytest.mark.parametrize("path", ["one_tape", "chunked"])
+def test_shared_extras_match_per_slot_extras(path, monkeypatch):
+    """At d = b every slot attends to the same windows, so the step gathers
+    them once, as [1, H, E*T, Dh] extras all slots share. The oracle is the
+    same plan plus one slot without windows or loss: the window sets then
+    differ, and the step gathers [b + 1, H, E*T, Dh] extras, one per slot."""
+    rng = np.random.default_rng(41)
+    cfg = tiny_cfg(n_layers=3, memory_layers=(1, 2))
+    model = Transformer(cfg, seed=42, dtype=np.float64)
+    _randomize_head(model, rng)
+    b, h, t, dh = 4, cfg.n_heads, cfg.local_ctx_len, cfg.head_dim
+    padded = make_batch(rng, cfg, b + 1)
+    padded.cur_mask[b] = 0
+    batch = TrainBatch(padded.cur_tokens[:b], padded.cur_targets[:b], padded.cur_mask[:b],
+                       padded.prev_tokens[:b], padded.prev_valid[:b], padded.unit_ids[:b], 0)
+    plan = exposure_plan(b, b)
+    padded_plan = CrossbatchPlan(plan.per_slot + [[]], plan.source_unit + [[]])
+    built = _spy_extras(monkeypatch)
+
+    model.zero_grads()
+    loss_want, want = crossbatch_grad_step(model, padded, padded_plan, collect_records=True)
+    grads_want = {name: p.grad for name, p in model.params.items()}
+    assert {ext.k.shape for ext in built} == {(b + 1, h, b * t, dh)}
+    built.clear()
+    if path == "chunked":
+        _force_chunks_of_two(monkeypatch)
+    model.zero_grads()
+    loss, got = crossbatch_grad_step(model, batch, plan, collect_records=True)
+    assert {ext.k.shape for ext in built} == {(1, h, b * t, dh)}
+
+    assert abs(loss - loss_want) < 1e-10
+    for name, p in model.params.items():
+        if grads_want[name] is None:  # the gate biases of a merged model
+            assert p.grad is None, name
+            continue
+        np.testing.assert_allclose(p.grad, grads_want[name], rtol=0, atol=1e-10, err_msg=name)
+    for g, w in zip(got, want, strict=True):
+        for name in ("mass_local", "per_context"):
+            np.testing.assert_allclose(getattr(g, name), getattr(w, name)[:b], rtol=0, atol=1e-12,
+                                       err_msg=name)
+
+
 # sha256 prefixes of one float32 grad step's loss and parameter grads; they
-# hash float bytes, so they pin the numpy/BLAS build as well as the math
-PINNED_GRAD_STEPS = {"one_tape": "4fa66edeace04261", "chunked": "f17f7f78ed9d1ed9"}
+# hash float bytes, so they pin the numpy/BLAS build as well as the math.
+# "chunked_shared" runs a d = b plan, whose chunks share their extras.
+PINNED_GRAD_STEPS = {"one_tape": "4fa66edeace04261", "chunked": "f17f7f78ed9d1ed9",
+                     "chunked_shared": "04283ef5c8995775"}
 
 
 @pytest.mark.parametrize("path", sorted(PINNED_GRAD_STEPS))
@@ -385,10 +438,11 @@ def test_grad_step_is_pinned(path, monkeypatch):
     model = Transformer(cfg, seed=32)
     _randomize_head(model, rng)
     batch = make_batch(rng, cfg, b=6, w=2)
-    if path == "chunked":
+    if path != "one_tape":
         _force_chunks_of_two(monkeypatch)
     model.zero_grads()
-    loss, _ = crossbatch_grad_step(model, batch, exposure_plan(6, 3))
+    d = 6 if path == "chunked_shared" else 3
+    loss, _ = crossbatch_grad_step(model, batch, exposure_plan(6, d))
     h = hashlib.sha256(np.float64(loss).tobytes())
     for name in sorted(model.params):
         g = model.params[name].grad

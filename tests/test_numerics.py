@@ -271,6 +271,16 @@ def test_attention_logits_equals_the_ops_it_replaces():
         N.attention_logits(q, [f32(2, 3, 6, 5)], [None])
 
 
+def test_fd_concat_axis_broadcasts_leading_dims():
+    rng = np.random.default_rng(15)
+    own = t64(rng.standard_normal((3, 2, 4, 5)))
+    shared = t64(rng.standard_normal((1, 2, 6, 5)))  # joins every entry of the batch axis
+    w = N.Tensor(rng.standard_normal((3, 2, 10, 5)))
+    _check(lambda: N.sum_all(N.mul(N.concat_axis([own, shared], axis=-2), w)), [own, shared])
+    with pytest.raises(ShapeError):
+        N.concat_axis([own, t64(np.zeros((2, 2, 6, 5)))], axis=-2)
+
+
 def test_fd_nonlinearities():
     rng = np.random.default_rng(9)
     x = t64(rng.standard_normal((2, 5)))
@@ -448,6 +458,29 @@ def test_backward_peak_memory_holds_one_grad_of_a_chain():
         tracemalloc.stop()
     assert peak < 3 * 2**20  # all 17 intermediate grads at once would be 17 MiB
     np.testing.assert_array_equal(x.grad, 1.0)
+
+
+def test_softmax_backward_allocates_no_score_sized_temporary():
+    """Backward turns the grad it is handed into the input's grad in place;
+    beside that grad it allocates one block of rows, not a [..., n] array of
+    g * y, and every row's sum keeps numpy's order."""
+    rng = np.random.default_rng(14)
+    shape = (2, 4, 64, 2048)
+    x = N.Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+    with N.Tape() as tape:
+        y = N.softmax_last_axis(x)
+    g = rng.standard_normal(shape).astype(np.float32)
+    tracemalloc.start()
+    try:
+        N.backward_from(tape, [(y, g)])  # the seed is copied: that copy becomes x.grad
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - g.nbytes < g.nbytes / 4, peak / g.nbytes
+    want = g.copy()
+    want -= (g * y.data).sum(axis=-1, keepdims=True)
+    want *= y.data
+    np.testing.assert_array_equal(x.grad, want)
 
 
 def test_tape_is_single_use():

@@ -555,6 +555,21 @@ def test_cli_eval_distraction_on_an_empty_corpus_is_data_error(byte_checkpoint, 
     assert code == 3 and err == "data error: empty corpus stream\n"
 
 
+@pytest.mark.parametrize("suite,axis,doc,extra", [
+    ("ppl", "memory=64", "x" * 100, ["--min-doc-len", "1000"]),
+    ("distraction", "d=2", "x" * 20, []),
+], ids=["ppl-all_filtered", "distraction-no_previous_window"])
+def test_cli_eval_on_an_unusable_corpus_is_data_error(suite, axis, doc, extra, byte_checkpoint,
+                                                      tmp_path):
+    corpus = tmp_path / "c.txt"
+    corpus.write_text(doc)
+    code, _, err = run_cli("eval", "--checkpoint", str(byte_checkpoint), "--suite", suite,
+                           "--axis", axis, "--corpus", str(corpus), *extra,
+                           "--out", str(tmp_path / "e.csv"))
+    assert code == 3 and err.startswith("data error: "), err
+    assert not (tmp_path / "e.csv").exists()
+
+
 def test_cli_gen_data_dict(tmp_path):
     out = tmp_path / "dict.txt"
     code, stdout, _ = run_cli("gen-data", "--task", "dict", "--n-docs", "2", "--out", str(out))
