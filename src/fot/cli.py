@@ -74,10 +74,14 @@ def cmd_eval(args) -> int:
     axis_name, axis_vals = _parse_axis(args.axis)
     model, ck_path = _load_model(args.checkpoint)
     t = model.cfg.local_ctx_len
-    bad = [v for v in axis_vals if v <= 0 or v % t] if args.suite == "dict" else []
+    if args.suite == "dict":
+        bad = [v for v in axis_vals if v <= 0 or v % t]
+        need = f"a positive multiple of {t} (local_ctx_len)"
+    else:
+        bad = [v for v in axis_vals if v < 0] if args.suite == "ppl" else []
+        need = "0 or more (a memory cap in tokens)"
     if bad:
-        raise ConfigError(f"{axis_name} must be a positive multiple of {t} (local_ctx_len), "
-                          f"got {bad[0]:g}")
+        raise ConfigError(f"{axis_name} must be {need}, got {bad[0]:g}")
     chash = config_hash(TrainConfig(model=model.cfg))
     run_id = f"eval-{Path(ck_path).stem}"
     rows: list[analysis.EvalResult] = []

@@ -49,10 +49,15 @@ class ModelConfig:
     init_scheme: str = "scaled_normal"     # "scaled_normal" | "structured"
 
     def validate(self) -> None:
+        if min(self.d_model, self.n_heads, self.head_dim) <= 0:
+            raise ConfigError(f"d_model, n_heads and head_dim must be positive, got "
+                              f"{self.d_model}, {self.n_heads}, {self.head_dim}")
         if self.d_model != self.n_heads * self.head_dim:
             raise ConfigError(f"d_model {self.d_model} != n_heads*head_dim {self.n_heads * self.head_dim}")
         if any(not 0 <= m < self.n_layers for m in self.memory_layers):
             raise ConfigError(f"memory_layers {self.memory_layers} outside [0, {self.n_layers})")
+        if len(set(self.memory_layers)) != len(self.memory_layers):
+            raise ConfigError(f"memory_layers {self.memory_layers} names a layer twice")
         if self.head_dim % 2:
             raise ConfigError("head_dim must be even for rotary encoding")
         if self.mem_positional_mode not in ("none", "as_first"):
@@ -272,20 +277,18 @@ class _Gather:
     window_context: np.ndarray  # [b, E] context id per slot and gathered window (0 = pad, 1 = own)
 
     def extras(self, k: Tensor, v: Tensor) -> _Extras:
-        """Extras from the gathered [len(rows), H, T, Dh] windows."""
+        """Extras from the encoded [N, H, T, Dh] previous windows. The gather
+        records on the active tape, so backward sums each window's grads into
+        k and v."""
         return _Extras(self._arrange(k), self._arrange(v), self.pad_add)
 
     def _arrange(self, g: Tensor) -> Tensor:
+        if not np.array_equal(self.rows, np.arange(len(g.data))):  # all N windows, in order: no gather
+            g = N.take_rows(g, self.rows)
         e = self.window_context.shape[1]
         n, h, t, dh = g.shape
         g = N.transpose(N.reshape(g, (n // e, e, h, t, dh)), (0, 2, 1, 3, 4))
         return N.reshape(g, (n // e, h, e * t, dh))
-
-    def window_grads(self, g: np.ndarray) -> np.ndarray:
-        """Grads of extras [1 or b, H, E*T, Dh] per gathered window."""
-        e = self.window_context.shape[1]
-        s, h, _, dh = g.shape
-        return g.reshape(s, h, e, -1, dh).transpose(0, 2, 1, 3, 4).reshape(s * e, h, -1, dh)
 
 
 def _plan_gather(plan: CrossbatchPlan, row_of: dict[tuple[int, int], int], slots,
@@ -597,9 +600,7 @@ class Transformer:
         extras: dict[int, _Extras] = {}
         gather = _plan_gather(plan, row_of, range(b), t, self.dtype)
         if gather is not None:
-            def pick(src: Tensor) -> Tensor:
-                g = N.take_rows(src, gather.rows)
-                return g if differentiable else N.stop_gradient(g)
+            pick = (lambda src: src) if differentiable else N.stop_gradient
             extras = {li: gather.extras(pick(k), pick(v))
                       for li, (k, v) in self.encode_windows(prev_tokens).items()}
         logits, records = self._current_rows(batch.cur_tokens, extras, gather, collect_records)
@@ -738,30 +739,27 @@ def _chunked_step(model: Transformer, batch: TrainBatch, plan: CrossbatchPlan,
                   denom: float | None, differentiable: bool, collect_records: bool,
                   ) -> tuple[float, list[AttentionRecord]]:
     """The crossbatch forward in chunks of ``CHUNK_SLOTS`` slots against
-    leaf copies of their extras, gathered from one tape-free encoding of the
-    previous windows. With a loss ``denom`` each chunk backpropagates its
-    share of the loss on a tape, and the extras' grads are then pushed
-    through re-encodings of the previous windows; without one the chunks
-    run tape-free and only collect records. Returns (loss, records)."""
+    leaves holding one tape-free encoding of the previous windows; each chunk
+    gathers its extras from them. With a loss ``denom`` each chunk
+    backpropagates its share of the loss on a tape, which sums the extras'
+    grads into the leaves, and those are then pushed through re-encodings of
+    the previous windows; without one the chunks run tape-free and only
+    collect records. Returns (loss, records)."""
     b, t = batch.cur_tokens.shape
     prev_tokens, row_of = plan_rows(plan, batch)
-    prev_kv = {li: (k.data, v.data) for li, (k, v) in
-               model.encode_windows(prev_tokens).items()} if len(prev_tokens) else {}
-    grads = {li: tuple(np.zeros(a.shape, a.dtype) for a in kv) for li, kv in prev_kv.items()}
     leaves_need_grad = denom is not None and differentiable
+    prev_kv = {li: tuple(Tensor(x.data, requires_grad=leaves_need_grad) for x in kv)
+               for li, kv in model.encode_windows(prev_tokens).items()} if len(prev_tokens) else {}
 
     total_loss = 0.0
     chunks: list[list[AttentionRecord]] = []
     for lo in range(0, b, CHUNK_SLOTS):
         hi = min(lo + CHUNK_SLOTS, b)
         gather = _plan_gather(plan, row_of, range(lo, hi), t, model.dtype)
-        extras = {}
-        if gather is not None:
-            for li, (k, v) in prev_kv.items():  # numpy gather: leaves off the tape
-                extras[li] = ext = gather.extras(Tensor(k[gather.rows]), Tensor(v[gather.rows]))
-                ext.k.requires_grad = ext.v.requires_grad = leaves_need_grad
         chunk_mask = batch.cur_mask[lo:hi]
         with N.Tape() if denom is not None else contextlib.nullcontext() as tape:
+            extras = {} if gather is None else \
+                {li: gather.extras(k, v) for li, (k, v) in prev_kv.items()}
             logits, recs = model._current_rows(batch.cur_tokens[lo:hi], extras, gather,
                                                collect_records)
             if denom is not None and chunk_mask.sum() > 0:
@@ -770,27 +768,23 @@ def _chunked_step(model: Transformer, batch: TrainBatch, plan: CrossbatchPlan,
                 N.backward(tape, loss_chunk)
                 total_loss += loss_chunk.item()
         chunks.append(recs)
-        for li, ext in extras.items():
-            for leaf, buf in zip((ext.k, ext.v), grads[li]):
-                if leaf.grad is not None:
-                    buf += N.scatter_rows(gather.rows, gather.window_grads(leaf.grad), len(buf))
-        extras = ext = leaf = None  # this chunk's extras and grads go before the next's
+        extras = None  # this chunk's extras go before the next's
 
     if leaves_need_grad:
-        _push_prev_grads(model, prev_tokens, grads)
+        _push_prev_grads(model, prev_tokens, prev_kv)
     return total_loss, _merge_chunk_records(chunks)
 
 
 def _push_prev_grads(model: Transformer, prev_tokens: np.ndarray,
-                     grads: dict[int, tuple[np.ndarray, np.ndarray]]) -> None:
-    """Backpropagate each memory layer's (K, V) grads of the previous windows
-    through re-encodings of ``CHUNK_SLOTS`` windows at a time."""
+                     leaves: dict[int, tuple[Tensor, Tensor]]) -> None:
+    """Backpropagate the grads the chunks left on each memory layer's (K, V)
+    leaves through re-encodings of ``CHUNK_SLOTS`` windows at a time."""
     for lo in range(0, len(prev_tokens), CHUNK_SLOTS):
         hi = lo + CHUNK_SLOTS
         with N.Tape() as tape:
             kv = model.encode_windows(prev_tokens[lo:hi])
-            N.backward_from(tape, [(x, g[lo:hi]) for li, pair in kv.items()
-                                   for x, g in zip(pair, grads[li])])
+            N.backward_from(tape, [(x, leaf.grad[lo:hi]) for li, pair in kv.items()
+                                   for x, leaf in zip(pair, leaves[li]) if leaf.grad is not None])
 
 
 def _merge_chunk_records(chunks: list[list[AttentionRecord]]) -> list[AttentionRecord]:

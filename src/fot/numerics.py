@@ -322,20 +322,17 @@ def slice_last_axis(x: Tensor, start: int, stop: int) -> Tensor:
     return _record(out, (x,), bwd)
 
 
-def scatter_rows(idx: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
-    """[n, ...] sums of the rows g[i] into rows idx[i]: one one-hot [n, len(idx)] GEMM."""
-    onehot = np.zeros((n, idx.size), dtype=g.dtype)
-    onehot[idx.reshape(-1), np.arange(idx.size)] = 1
-    return (onehot @ g.reshape(idx.size, -1)).reshape((n,) + g.shape[idx.ndim:])
-
-
 def take_rows(x: Tensor, indices) -> Tensor:
+    """x[indices] along axis 0; backward sums the grads of each row's copies
+    into it with one one-hot [n, len(indices)] GEMM."""
     idx = np.asarray(indices, dtype=np.int64)
     out, sx, n = Tensor(x.data[idx]), x.slot, x.shape[0]
 
     def bwd(g: np.ndarray) -> None:
         if sx.requires_grad:
-            _accum(sx, scatter_rows(idx, g, n))
+            onehot = np.zeros((n, idx.size), dtype=g.dtype)
+            onehot[idx.reshape(-1), np.arange(idx.size)] = 1
+            _accum(sx, (onehot @ g.reshape(idx.size, -1)).reshape((n,) + g.shape[idx.ndim:]))
 
     return _record(out, (x,), bwd)
 

@@ -266,6 +266,8 @@ def load_corpus(path, min_doc_len: int = 0,
         text = p.read_text(encoding="utf-8")
     except OSError as e:
         raise DataError(f"cannot read corpus {p}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise DataError(f"corpus {p} is not UTF-8: {e}") from e
     stream = CorpusStream()
     next_id = 0
     for chunk in text.split(delimiter + "\n"):

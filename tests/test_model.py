@@ -297,16 +297,19 @@ def _force_chunks_of_two(monkeypatch):
 
 
 CHUNK_CASES = pytest.mark.parametrize(
-    "integration,empty_slots,d",
-    [("merged", (), 3), ("merged", (0, 1), 3), ("gated", (0, 1), 3),
-     ("merged", (), 6), ("gated", (), 6)],
-    ids=["merged", "merged-empty_chunk", "gated-empty_chunk", "merged-uniform", "gated-uniform"])
+    "integration,empty_slots,d,lossless",
+    [("merged", (), 3, ()), ("merged", (0, 1), 3, ()), ("gated", (0, 1), 3, ()),
+     ("merged", (), 6, ()), ("gated", (), 6, ()), ("merged", (0, 1), 3, (2, 3, 4, 5))],
+    ids=["merged", "merged-empty_chunk", "gated-empty_chunk", "merged-uniform", "gated-uniform",
+         "merged-loss_without_windows"])
 
 
-def _chunk_case(integration, empty_slots, d):
+def _chunk_case(integration, empty_slots, d, lossless):
     """A 3-layer model with two memory layers, six slots and a constant-d
-    plan whose ``empty_slots`` have no windows (slots 0, 1: all of chunk 0).
-    At d = 6 every slot attends to the same six windows."""
+    plan whose ``empty_slots`` have no windows (slots 0, 1: all of chunk 0)
+    and whose ``lossless`` slots have no loss. At d = 6 every slot attends
+    to the same six windows. With windows only where there is no loss, no
+    grad reaches the previous windows' keys and values."""
     rng = np.random.default_rng(8)
     cfg = tiny_cfg(n_layers=3, memory_layers=(1, 2), integration_mode=integration)
     model = Transformer(cfg, seed=9, dtype=np.float64)
@@ -314,12 +317,13 @@ def _chunk_case(integration, empty_slots, d):
     for li in cfg.memory_layers:
         model.params[f"layers.{li}.gate_bias"].data[...] = 0.5
     batch = make_batch(rng, cfg, b=6)
+    batch.cur_mask[list(lossless)] = 0
     return model, batch, _without_windows(exposure_plan(6, d), empty_slots)
 
 
 @CHUNK_CASES
-def test_chunked_grad_step_matches_full_tape(integration, empty_slots, d, monkeypatch):
-    model, batch, plan = _chunk_case(integration, empty_slots, d)
+def test_chunked_grad_step_matches_full_tape(integration, empty_slots, d, lossless, monkeypatch):
+    model, batch, plan = _chunk_case(integration, empty_slots, d, lossless)
     model.zero_grads()
     loss_full, grads_full = _loss_of(model, batch, plan)
     model.zero_grads()
@@ -335,10 +339,10 @@ def test_chunked_grad_step_matches_full_tape(integration, empty_slots, d, monkey
 
 
 @CHUNK_CASES
-def test_chunked_records_match_forward_train(integration, empty_slots, d, monkeypatch):
+def test_chunked_records_match_forward_train(integration, empty_slots, d, lossless, monkeypatch):
     """The chunked step and exposure_records, one loop with and without a
     loss, merge their chunks' records into exactly forward_train's."""
-    model, batch, plan = _chunk_case(integration, empty_slots, d)
+    model, batch, plan = _chunk_case(integration, empty_slots, d, lossless)
     want = model.forward_train(batch, plan).records
     _force_chunks_of_two(monkeypatch)
     _, stepped = crossbatch_grad_step(model, batch, plan, collect_records=True)
@@ -364,20 +368,45 @@ def _spy_extras(monkeypatch) -> list:
 
 
 def test_chunked_extras_leaves_keep_their_grads(monkeypatch):
-    """Backward frees the grads of intermediate tensors only: the chunked
-    step reads the grads of its extras leaves after each chunk's backward."""
+    """Backward frees the grads of intermediate tensors only: every chunk
+    gathers its extras from the encoded previous windows on its own tape,
+    so after the chunks those leaves hold the summed grads that the step
+    pushes through the re-encodings."""
     rng = np.random.default_rng(19)
     cfg = tiny_cfg(n_layers=3, memory_layers=(1, 2))
     model = Transformer(cfg, seed=20, dtype=np.float64)
     _randomize_head(model, rng)
     batch = make_batch(rng, cfg, b=4)
-    built = _spy_extras(monkeypatch)
+    pushed, push = [], model_mod._push_prev_grads
+    monkeypatch.setattr(model_mod, "_push_prev_grads",
+                        lambda m, tokens, leaves: push(m, tokens, pushed.append(leaves) or leaves))
     model.zero_grads()
     _force_chunks_of_two(monkeypatch)
     crossbatch_grad_step(model, batch, exposure_plan(4, 2))
-    leaves = [t for ext in built for t in (ext.k, ext.v)]
-    assert len(leaves) == 2 * 2 * 2  # chunks x memory layers x (k, v)
+    (leaves,) = pushed
+    leaves = [t for pair in leaves.values() for t in pair]
+    assert len(leaves) == 2 * 2  # memory layers x (k, v)
     assert all(t.grad is not None and np.abs(t.grad).max() > 0 for t in leaves)
+
+
+@pytest.mark.parametrize("path,d,gathers", [("one_tape", 3, True), ("chunked", 3, True),
+                                            ("one_tape", 6, False), ("chunked", 6, False)],
+                         ids=["one_tape-per_slot", "chunked-per_slot", "one_tape-shared",
+                              "chunked-shared"])
+def test_extras_are_gathered_with_take_rows_unless_shared(path, d, gathers, monkeypatch):
+    """Both paths take each slot's windows with take_rows, whose backward
+    sums each window's grads. When every slot attends to all N encoded
+    windows in order (d = b), the extras are those windows as they are."""
+    rng = np.random.default_rng(31)
+    cfg = tiny_cfg(n_layers=3, memory_layers=(1, 2))
+    model = Transformer(cfg, seed=32)
+    batch = make_batch(rng, cfg, b=6)
+    calls, take = [], N.take_rows
+    monkeypatch.setattr(N, "take_rows", lambda x, idx: calls.append(len(idx)) or take(x, idx))
+    if path == "chunked":
+        _force_chunks_of_two(monkeypatch)
+    crossbatch_grad_step(model, batch, exposure_plan(6, d))
+    assert bool(calls) == gathers, calls
 
 
 @pytest.mark.parametrize("path", ["one_tape", "chunked"])
@@ -661,8 +690,10 @@ def test_checkpoint_truncation_and_magic(tmp_path):
         load_checkpoint(trunc)
 
 
-@pytest.mark.parametrize("bad", [{"memory_layers": (5,)}],
-                         ids=["memory_layer_out_of_range"])
+@pytest.mark.parametrize("bad", [{"memory_layers": (5,)}, {"memory_layers": (1, 1)},
+                                 {"d_model": 0, "head_dim": 0}, {"d_model": 0, "n_heads": 0}],
+                         ids=["memory_layer_out_of_range", "memory_layer_repeated",
+                              "zero_head_dim", "zero_heads"])
 def test_load_checkpoint_rejects_an_invalid_config_blob(bad, tmp_path):
     """A blob whose config fails validation is a FormatError, even when
     every parameter has the shape that config implies."""

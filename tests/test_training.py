@@ -435,6 +435,21 @@ def test_cli_train_rejects_a_d_above_b_s(override, key, tmp_path):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("overrides,message", [
+    (["model.memory_layers=2,2"], "memory_layers (2, 2) names a layer twice"),
+    (["model.d_model=0", "model.head_dim=0"], "d_model, n_heads and head_dim must be positive"),
+    (["model.d_model=0", "model.n_heads=0"], "d_model, n_heads and head_dim must be positive"),
+], ids=["memory_layer_repeated", "zero_head_dim", "zero_heads"])
+def test_cli_train_rejects_a_model_it_cannot_build(overrides, message, tmp_path):
+    """A repeated memory layer used to fail an assertion in init_params and a
+    zero width to divide by zero; both are config errors before the run starts."""
+    argv = [a for o in overrides for a in ("--override", o)]
+    code, _, err = run_cli("train", "--preset", "dict-small", *argv, "--out", str(tmp_path / "run"))
+    assert code == 2 and err.startswith("config error: ") and "Traceback" not in err
+    assert message in err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ("train", "--override", "d_kind=segments", "--override", "segments=1:1", "--out", "{tmp}"),
     ("train", "--override", "d_kind=random", "--override", "d_choices=2,x", "--out", "{tmp}"),
@@ -478,10 +493,12 @@ def test_cli_eval_rejects_a_negative_k(suite, axis, tmp_path):
     ("dict", "memory=0", "memory must be a positive multiple of 16 (local_ctx_len), got 0"),
     ("dict", "memory=100.7", "axis spec 'memory=100.7': 100.7 is not a whole number"),
     ("distraction", "d=2.5", "axis spec 'd=2.5': 2.5 is not a whole number"),
-], ids=["dict-misaligned", "dict-zero", "dict-fraction", "distraction-fraction"])
+    ("ppl", "memory=64,-5", "memory must be 0 or more (a memory cap in tokens), got -5"),
+], ids=["dict-misaligned", "dict-zero", "dict-fraction", "distraction-fraction", "ppl-negative"])
 def test_cli_eval_rejects_an_axis_value_it_cannot_use(suite, axis, message, tmp_path):
     """Every suite reads its axis as a whole count, so a fraction is refused
-    rather than truncated; the dict suite names its rule in the axis' terms."""
+    rather than truncated; the dict and ppl suites name their rules in the
+    axis' terms, and a ppl run refuses a negative cap before its first row."""
     cfg = ModelConfig(n_layers=3, d_model=16, n_heads=2, head_dim=8, ff_dim=32,
                       vocab_size=256, memory_layers=(1, 2), local_ctx_len=16)
     ck = tmp_path / "m.fotc"
@@ -567,6 +584,21 @@ def test_cli_eval_on_an_unusable_corpus_is_data_error(suite, axis, doc, extra, b
                            "--axis", axis, "--corpus", str(corpus), *extra,
                            "--out", str(tmp_path / "e.csv"))
     assert code == 3 and err.startswith("data error: "), err
+    assert not (tmp_path / "e.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("train", "--preset", "desk-byte", "--override", "task=corpus",
+     "--override", "corpus_path={corpus}", "--out", "{tmp}/run"),
+    ("eval", "--checkpoint", "{ck}", "--suite", "ppl", "--axis", "memory=64",
+     "--corpus", "{corpus}", "--out", "{tmp}/e.csv"),
+], ids=["train", "eval"])
+def test_cli_on_a_corpus_that_is_not_utf8_is_data_error(argv, byte_checkpoint, tmp_path):
+    corpus = tmp_path / "latin1.txt"
+    corpus.write_bytes("caf\u00e9 au lait\n".encode("latin-1") * 20)
+    code, _, err = run_cli(*(a.format(corpus=corpus, ck=byte_checkpoint, tmp=tmp_path)
+                             for a in argv))
+    assert code == 3 and err.startswith(f"data error: corpus {corpus} is not UTF-8"), err
     assert not (tmp_path / "e.csv").exists()
 
 
