@@ -52,6 +52,11 @@ class ModelConfig:
         if min(self.d_model, self.n_heads, self.head_dim) <= 0:
             raise ConfigError(f"d_model, n_heads and head_dim must be positive, got "
                               f"{self.d_model}, {self.n_heads}, {self.head_dim}")
+        if min(self.n_layers, self.local_ctx_len, self.vocab_size, self.ff_dim) < 1:
+            raise ConfigError(f"n_layers, local_ctx_len, vocab_size and ff_dim must be at least 1, got "
+                              f"{self.n_layers}, {self.local_ctx_len}, {self.vocab_size}, {self.ff_dim}")
+        if not (np.isfinite(self.rotary_base) and self.rotary_base > 0):
+            raise ConfigError(f"rotary_base must be finite and positive, got {self.rotary_base}")
         if self.d_model != self.n_heads * self.head_dim:
             raise ConfigError(f"d_model {self.d_model} != n_heads*head_dim {self.n_heads * self.head_dim}")
         if any(not 0 <= m < self.n_layers for m in self.memory_layers):

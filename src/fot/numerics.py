@@ -190,8 +190,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g: np.ndarray) -> None:
         if sa.requires_grad:
             _accum(sa, _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape))
-        if sb.requires_grad:
-            _accum(sb, _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape))
+        if sb.requires_grad:  # a 2-D b (a weight): one GEMM over all of a's rows
+            _accum(sb, ad.reshape(-1, bd.shape[0]).T @ g.reshape(-1, bd.shape[1]) if bd.ndim == 2
+                   else _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape))
 
     return _record(out, (a, b), bwd)
 
@@ -220,8 +221,10 @@ def attention_logits(q: Tensor, keys: Sequence[Tensor],
             dq = sum(np.matmul(g[..., c], kd) for kd, c in zip(kds, cols))
             _accum(sq, _unbroadcast(dq, qd.shape))
         for kd, sk, c in zip(kds, sks, cols):
-            if sk.requires_grad:
-                gk = np.matmul(np.swapaxes(g[..., c], -1, -2), qd)
+            if sk.requires_grad:  # a set shared over axis 0 sums one GEMM per slot into one buffer
+                gt = np.swapaxes(g[..., c], -1, -2)
+                shared = kd.shape[:-2] == (1,) + gt.shape[1:-2] != gt.shape[:-2]
+                gk = sum(map(np.matmul, gt, qd))[None] if shared else np.matmul(gt, qd)
                 _accum(sk, _unbroadcast(gk, kd.shape))
 
     return _record(Tensor(buf), (q, *keys), bwd)
@@ -397,13 +400,11 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
     n, xd, gd, sx, sg = x.shape[-1], x.data, gain.data, x.slot, gain.slot
     ms = (xd * xd).mean(axis=-1, keepdims=True) + xd.dtype.type(eps)
     inv = ms ** -0.5
-    xn = xd * inv
-    out = Tensor(xn * gd)
+    out = Tensor(xd * inv * gd)
 
     def bwd(g: np.ndarray) -> None:
-        if sg.requires_grad:
-            red = tuple(range(g.ndim - 1))
-            _accum(sg, (g * xn).sum(axis=red))
+        if sg.requires_grad:  # x·inv is rebuilt, not kept from forward
+            _accum(sg, (xd * inv * g).sum(axis=tuple(range(g.ndim - 1))))
         if sx.requires_grad:
             u = g * gd
             dot = (u * xd).sum(axis=-1, keepdims=True)
@@ -492,15 +493,14 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 def silu(x: Tensor) -> Tensor:
-    xd, sx = x.data, x.slot
-    sig = 1.0 / (1.0 + np.exp(-xd))
-    out = Tensor(xd * sig)
+    sig = 1.0 / (1.0 + np.exp(-x.data))
+    y, sx = x.data * sig, x.slot  # backward reads σ and y (the next op's operand), not x
 
     def bwd(g: np.ndarray) -> None:
-        if sx.requires_grad:
-            _accum(sx, g * sig * (1.0 + xd * (1.0 - sig)))
+        if sx.requires_grad:  # d/dx x·σ = σ + x·σ(1 − σ) = σ + y·(1 − σ)
+            _accum(sx, np.multiply(g, (1.0 - sig) * y + sig, out=g))
 
-    return _record(out, (x,), bwd)
+    return _record(Tensor(y), (x,), bwd)
 
 
 def exp(x: Tensor) -> Tensor:

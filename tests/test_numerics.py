@@ -218,6 +218,25 @@ def test_fd_matmul_batched_broadcast():
     _check(lambda: N.sum_all(N.mul(N.matmul(a, b), N.Tensor(w))), [a, b])
 
 
+@pytest.mark.parametrize("layout", ["contiguous", "strided"])
+def test_fd_weight_grad_is_one_gemm_over_all_rows(layout):
+    """A 2-D b's grad is one GEMM over a's rows flattened to [-1, K]; it equals
+    the batched [2, 3, 5, 3] product summed over the batch at round-off."""
+    rng = np.random.default_rng(16)
+    a_arr = rng.standard_normal((2, 3, 4, 5))
+    if layout == "strided":
+        a_arr = np.swapaxes(rng.standard_normal((2, 3, 5, 4)), -1, -2)
+    a, b = t64(a_arr), t64(rng.standard_normal((5, 3)))
+    w = rng.standard_normal((2, 3, 4, 3))
+    _check(lambda: N.sum_all(N.mul(N.matmul(a, b), N.Tensor(w))), [b])
+    with N.Tape() as tape:
+        out = N.matmul(a, b)
+    N.zero_grads((a, b))
+    N.backward_from(tape, [(out, w)])
+    batched = np.matmul(np.swapaxes(a.data, -1, -2), w).sum(axis=(0, 1))
+    np.testing.assert_allclose(b.grad, batched, rtol=1e-13, atol=1e-13)
+
+
 def test_fd_elementwise_and_shape_ops():
     rng = np.random.default_rng(8)
     a = t64(rng.standard_normal((2, 3)))
@@ -249,6 +268,30 @@ def test_fd_attention_logits_broadcast_keys_and_no_mask():
     w = N.Tensor(rng.standard_normal((2, 2, 3, 8)))
     _check(lambda: N.sum_all(N.mul(N.attention_logits(q, [k_own, k_shared], [add, None]), w)),
            [q, k_own, k_shared])
+    # the shared set's grad is one GEMM per slot summed into one buffer
+    per_slot = np.matmul(np.swapaxes(w.data[..., 3:], -1, -2), q.data).sum(axis=0, keepdims=True)
+    np.testing.assert_allclose(k_shared.grad, per_slot, rtol=1e-13, atol=1e-13)
+
+
+def test_shared_key_backward_allocates_no_per_slot_key_grad():
+    """At b=8, H=4, E·T=1024, Dh=16 a [b, ...] key grad is 2 MiB and the
+    shared one 256 KiB; backward holds at most two key-sized buffers beside
+    the logits grad, never the per-slot stack."""
+    rng = np.random.default_rng(18)
+    b, h, t, n, dh = 8, 4, 32, 1024, 16
+    q = N.Tensor(rng.standard_normal((b, h, t, dh)).astype(np.float32))
+    k = N.Tensor(rng.standard_normal((1, h, n, dh)).astype(np.float32), requires_grad=True)
+    with N.Tape() as tape:
+        logits = N.attention_logits(q, [k], [None])
+    g = rng.standard_normal(logits.shape).astype(np.float32)
+    tracemalloc.start()
+    try:
+        N.backward_from(tape, [(logits, g)])  # the seed's copy is the logits grad
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - g.nbytes < 4 * k.data.nbytes, (peak - g.nbytes) / k.data.nbytes
+    assert k.grad.shape == k.shape
 
 
 def test_attention_logits_equals_the_ops_it_replaces():
@@ -410,34 +453,43 @@ def test_backward_releases_consumed_nodes():
 
 
 def test_tape_keeps_only_the_arrays_backward_reads():
-    """matmul's and add's outputs feed closures that do not read them, so
-    they go with the caller's last reference while the tape lives; the
-    matmul operand and the softmax output stay for backward."""
+    """matmul's and add's outputs feed closures that do not read them, and
+    SiLU's backward reads its output and σ but not its input, so those go
+    with the caller's last reference while the tape lives; the RMSNorm input,
+    the matmul operand and the SiLU and softmax outputs stay for backward.
+    RMSNorm keeps no normalized copy: the only input-sized array its
+    closure holds is its input."""
     rng = np.random.default_rng(12)
-    a, w, bias = (t64(rng.standard_normal(s)) for s in ((4, 6), (6, 6), (6,)))
+    a, w, bias, gain = (t64(rng.standard_normal(s)) for s in ((4, 6), (6, 6), (6,), (6,)))
     tgt, mask = rng.integers(0, 2, size=(2, 6)), np.ones((2, 6))
 
     def run(hold):
-        N.zero_grads((a, w, bias))
+        N.zero_grads((a, w, bias, gain))
         with N.Tape() as tape:
             x = N.scale(a, 2.0)
-            h = N.matmul(x, w)
+            n = N.rms_norm(x, gain)
+            h = N.matmul(n, w)
             s = N.add(h, bias)
-            y = N.softmax_last_axis(N.transpose(N.reshape(s, (2, 2, 6)), (0, 2, 1)))
+            u = N.silu(s)
+            y = N.softmax_last_axis(N.transpose(N.reshape(u, (2, 2, 6)), (0, 2, 1)))
             loss = N.cross_entropy_masked(y, tgt, mask)  # keeps its own temporaries only
-        refs = {"x": weakref.ref(x.data), "matmul": weakref.ref(h.data),
-                "add": weakref.ref(s.data), "softmax": weakref.ref(y.data)}
-        held = [x, h, s, y] if hold else []  # alive through backward
-        del x, h, s, y
+        refs = {"x": weakref.ref(x.data), "rms_norm": weakref.ref(n.data),
+                "matmul": weakref.ref(h.data), "add": weakref.ref(s.data),
+                "silu": weakref.ref(u.data), "softmax": weakref.ref(y.data)}
+        norm_kept = [c.cell_contents for c in tape._nodes[1].backward.__closure__
+                     if isinstance(c.cell_contents, np.ndarray) and c.cell_contents.shape == x.shape]
+        assert len(norm_kept) == 1 and norm_kept[0] is x.data
+        held = [x, n, h, s, u, y] if hold else []  # alive through backward
+        del x, n, h, s, u, y, norm_kept
         alive = {name for name, r in refs.items() if r() is not None}
         N.backward(tape, loss)
         del held
-        return alive, [p.grad.copy() for p in (a, w, bias)]
+        return alive, [p.grad.copy() for p in (a, w, bias, gain)]
 
     alive, grads = run(hold=False)
-    assert alive == {"x", "softmax"}
+    assert alive == {"x", "rms_norm", "silu", "softmax"}
     held_alive, held_grads = run(hold=True)
-    assert held_alive == {"x", "matmul", "add", "softmax"}
+    assert held_alive == {"x", "rms_norm", "matmul", "add", "silu", "softmax"}
     for g, want in zip(grads, held_grads):
         np.testing.assert_array_equal(g, want)
 

@@ -439,10 +439,18 @@ def test_cli_train_rejects_a_d_above_b_s(override, key, tmp_path):
     (["model.memory_layers=2,2"], "memory_layers (2, 2) names a layer twice"),
     (["model.d_model=0", "model.head_dim=0"], "d_model, n_heads and head_dim must be positive"),
     (["model.d_model=0", "model.n_heads=0"], "d_model, n_heads and head_dim must be positive"),
-], ids=["memory_layer_repeated", "zero_head_dim", "zero_heads"])
+    (["model.n_layers=0"], "n_layers, local_ctx_len, vocab_size and ff_dim must be at least 1"),
+    (["model.vocab_size=0"], "n_layers, local_ctx_len, vocab_size and ff_dim must be at least 1"),
+    (["model.ff_dim=0"], "n_layers, local_ctx_len, vocab_size and ff_dim must be at least 1"),
+    (["model.rotary_base=0"], "rotary_base must be finite and positive"),
+    (["model.rotary_base=nan"], "rotary_base must be finite and positive"),
+], ids=["memory_layer_repeated", "zero_head_dim", "zero_heads", "zero_layers", "zero_vocab",
+        "zero_ff_dim", "zero_rotary_base", "nan_rotary_base"])
 def test_cli_train_rejects_a_model_it_cannot_build(overrides, message, tmp_path):
     """A repeated memory layer used to fail an assertion in init_params and a
-    zero width to divide by zero; both are config errors before the run starts."""
+    zero width to divide by zero; a zero rotary base trained to a NaN loss
+    (exit 4), a zero vocabulary failed on its first token (exit 3) and
+    ff_dim=0 wrote a checkpoint. All are config errors before the run starts."""
     argv = [a for o in overrides for a in ("--override", o)]
     code, _, err = run_cli("train", "--preset", "dict-small", *argv, "--out", str(tmp_path / "run"))
     assert code == 2 and err.startswith("config error: ") and "Traceback" not in err
