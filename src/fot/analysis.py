@@ -301,8 +301,9 @@ def greedy_continuation(model: Transformer, prompt: np.ndarray, n_tokens: int,
     cfg = model.cfg
     t = cfg.local_ctx_len
     prompt = np.asarray(prompt, dtype=np.int64)
-    if prompt.shape[0] == 0:
-        raise UsageError("greedy_continuation needs a nonempty prompt")
+    if prompt.shape[0] == 0 or n_tokens < 0:
+        raise UsageError(f"greedy_continuation needs a nonempty prompt and n_tokens >= 0, "
+                         f"got {prompt.shape[0]} prompt tokens and n_tokens {n_tokens}")
     memory = MemoryIndex(cfg.memory_layers, cfg.n_heads, cfg.head_dim)
     s = (prompt.shape[0] - 1) // t * t  # keep a nonempty working window
     _ingest_windows(model, memory, prompt[:s], 0, k)

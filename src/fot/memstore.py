@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, FormatError, NumericError, ShapeError
+from .errors import DataError, FormatError, NumericError, ShapeError, UsageError
 
 MAGIC = b"FOTM"
 FORMAT_VERSION = 3
@@ -161,6 +161,8 @@ class MemoryIndex:
         queries = np.asarray(queries, dtype=np.float32)
         if queries.ndim != 3 or queries.shape[0] != self.n_heads or queries.shape[2] != self.head_dim:
             raise ShapeError(f"topk expects queries [H={self.n_heads}, Q, {self.head_dim}], got {queries.shape}")
+        if k < 0:
+            raise UsageError(f"k must be >= 0, got {k}")
         h_count, q_count, n = queries.shape[0], queries.shape[1], s.size
         kk = min(k, n)
         hqk, dh = (h_count, q_count, kk), (self.head_dim,)

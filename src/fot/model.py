@@ -588,25 +588,20 @@ class Transformer:
         return logits, records
 
     def forward_train(self, batch: TrainBatch, plan: CrossbatchPlan, *,
-                      differentiable: bool = True,
                       collect_records: bool = True) -> TrainForward:
-        """Crossbatch training forward over one batch.
+        """Crossbatch training forward over the whole batch in one pass: the
+        reference that ``crossbatch_grad_step``'s slot-chunk loop is checked
+        against.
 
-        Previous windows referenced by the plan are re-encoded in the same
-        pass, so with ``differentiable`` the loss gradient flows into their
-        keys and values; ``differentiable=False`` is the stop-gradient
-        ablation. The forward records onto the caller's active tape, if
-        there is one; with none it runs evaluation-only.
+        Previous windows referenced by the plan are encoded in the same pass,
+        so on the caller's active tape, if there is one, the loss gradient
+        flows into their keys and values; with none it runs evaluation-only.
         """
-        b, t = batch.cur_tokens.shape
-        if t != self.cfg.local_ctx_len:
-            raise UsageError(f"window length {t} != local_ctx_len {self.cfg.local_ctx_len}")
-        prev_tokens, row_of = plan_rows(plan, batch)
+        prev_tokens, row_of = plan_rows(plan, batch, self.cfg.local_ctx_len)
         extras: dict[int, _Extras] = {}
-        gather = _plan_gather(plan, row_of, range(b), t, self.dtype)
+        gather = _plan_gather(plan, row_of, range(plan.b_s), self.cfg.local_ctx_len, self.dtype)
         if gather is not None:
-            pick = (lambda src: src) if differentiable else N.stop_gradient
-            extras = {li: gather.extras(pick(k), pick(v))
+            extras = {li: gather.extras(k, v)
                       for li, (k, v) in self.encode_windows(prev_tokens).items()}
         logits, records = self._current_rows(batch.cur_tokens, extras, gather, collect_records)
         return TrainForward(logits, records)
@@ -636,8 +631,8 @@ class Transformer:
             raise UsageError(f"memory holds {_memory_size(memory)} entries, the cache was "
                              f"made at {cache.memory_size}; start a new cache")
         n0 = len(cache)
-        if tokens.ndim != 1 or n0 + tokens.shape[0] > cfg.local_ctx_len:
-            raise UsageError(f"forward_infer takes one window of <= {cfg.local_ctx_len} tokens; "
+        if tokens.ndim != 1 or not 0 < tokens.shape[0] <= cfg.local_ctx_len - n0:
+            raise UsageError(f"forward_infer takes one window of 1..{cfg.local_ctx_len} tokens; "
                              f"got {tokens.shape} after {n0} cached rows")
         logits, atts, kvs = self._forward(tokens[None], retriever(memory, k), cache,
                                           collect_records)
@@ -673,19 +668,23 @@ class Transformer:
 
 
 # ---------------------------------------------------------------------------
-# chunked gradient step (checkpointed crossbatch)
+# the crossbatch step: one loop over slot chunks
 # ---------------------------------------------------------------------------
 
-def plan_rows(plan: CrossbatchPlan, batch: TrainBatch,
+def plan_rows(plan: CrossbatchPlan, batch: TrainBatch, local_ctx_len: int,
               ) -> tuple[np.ndarray, dict[tuple[int, int], int]]:
     """The distinct previous windows a plan references: their tokens [N, T]
     and the row of each (slot, window_index) among them.
 
-    Raises UsageError when the plan does not fit the batch or references a
-    window the batch does not hold.
+    Raises UsageError when the batch's windows are not ``local_ctx_len``
+    tokens long, the plan does not fit the batch or it references a window
+    the batch does not hold.
     """
-    if plan.b_s != batch.cur_tokens.shape[0]:
-        raise UsageError(f"plan covers {plan.b_s} slots, batch has {batch.cur_tokens.shape[0]}")
+    b, t = batch.cur_tokens.shape
+    if t != local_ctx_len:
+        raise UsageError(f"window length {t} != local_ctx_len {local_ctx_len}")
+    if plan.b_s != b:
+        raise UsageError(f"plan covers {plan.b_s} slots, batch has {b}")
     row_of: dict[tuple[int, int], int] = {}
     for windows in plan.per_slot:
         for pw in windows:
@@ -707,75 +706,70 @@ LONG_QUERY_BLOCK = 256  # queries per attention block of forward_long
 def crossbatch_grad_step(model: Transformer, batch: TrainBatch, plan: CrossbatchPlan,
                          *, differentiable: bool = True, collect_records: bool = False,
                          ) -> tuple[float, list[AttentionRecord]]:
-    """Accumulate exact crossbatch gradients, chunking when scores get large.
-
-    Steps whose attention scores fit in ``FULL_TAPE_SCORE_BYTES`` run on one
-    tape; larger ones run ``_chunked_step``. Parameter .grad buffers
-    accumulate (caller zeroes them).
-    """
-    b, t = batch.cur_tokens.shape
+    """Accumulate exact crossbatch gradients into the parameters' .grad
+    buffers (caller zeroes them); ``differentiable=False`` is the
+    stop-gradient ablation. Returns (loss, records)."""
     denom = float(batch.cur_mask.sum())
     if denom == 0:
         raise UsageError("crossbatch_grad_step: empty loss mask")
-    score_bytes = model.dtype.itemsize * b * model.cfg.n_heads * t * t * (1 + plan.max_windows)
-    if score_bytes > FULL_TAPE_SCORE_BYTES:
-        return _chunked_step(model, batch, plan, denom, differentiable, collect_records)
-    with N.Tape() as tape:
-        fwd = model.forward_train(batch, plan, differentiable=differentiable,
-                                  collect_records=collect_records)
-        loss = N.cross_entropy_masked(fwd.logits, batch.cur_targets, batch.cur_mask)
-    N.backward(tape, loss)
-    return loss.item(), fwd.records
+    return _slot_chunks(model, batch, plan, denom, differentiable, collect_records)
 
 
 def exposure_records(model: Transformer, batch: TrainBatch, plan: CrossbatchPlan,
                      ) -> list[AttentionRecord]:
-    """Evaluation-only attention records for a crossbatch exposure.
-
-    Same math as forward_train(collect_records=True) but in chunks of
-    ``CHUNK_SLOTS`` slots, so large-d exposures never materialize a
-    full-batch score tensor: the chunked training step without a loss.
-    """
-    return _chunked_step(model, batch, plan, None, differentiable=False,
-                         collect_records=True)[1]
+    """Evaluation-only attention records for a crossbatch exposure: the
+    step's loop without a loss, tape-free. They equal forward_train's."""
+    return _slot_chunks(model, batch, plan, None, differentiable=False, collect_records=True)[1]
 
 
-def _chunked_step(model: Transformer, batch: TrainBatch, plan: CrossbatchPlan,
-                  denom: float | None, differentiable: bool, collect_records: bool,
-                  ) -> tuple[float, list[AttentionRecord]]:
-    """The crossbatch forward in chunks of ``CHUNK_SLOTS`` slots against
-    leaves holding one tape-free encoding of the previous windows; each chunk
-    gathers its extras from them. With a loss ``denom`` each chunk
-    backpropagates its share of the loss on a tape, which sums the extras'
-    grads into the leaves, and those are then pushed through re-encodings of
-    the previous windows; without one the chunks run tape-free and only
-    collect records. Returns (loss, records)."""
+def _slot_chunks(model: Transformer, batch: TrainBatch, plan: CrossbatchPlan,
+                 denom: float | None, differentiable: bool, collect_records: bool,
+                 ) -> tuple[float, list[AttentionRecord]]:
+    """The crossbatch forward over chunks of slots, each gathering its extras
+    from one encoding of the previous windows: one chunk of every slot when
+    the step's scores fit in ``FULL_TAPE_SCORE_BYTES``, else chunks of
+    ``CHUNK_SLOTS``. With a loss ``denom`` each chunk backpropagates its
+    share on a tape. For the gradient to reach the encoding, one chunk
+    stores it on a tape of its own, which backward finishes after the
+    chunk's; several chunks sum the extras' grads into tape-free leaves and
+    ``_push_prev_grads`` recomputes the encoding. Otherwise the encoding is
+    leaves that need no grad: stop-gradient. Returns (loss, records)."""
     b, t = batch.cur_tokens.shape
-    prev_tokens, row_of = plan_rows(plan, batch)
-    leaves_need_grad = denom is not None and differentiable
-    prev_kv = {li: tuple(Tensor(x.data, requires_grad=leaves_need_grad) for x in kv)
-               for li, kv in model.encode_windows(prev_tokens).items()} if len(prev_tokens) else {}
+    prev_tokens, row_of = plan_rows(plan, batch, model.cfg.local_ctx_len)
+    score_bytes = model.dtype.itemsize * b * model.cfg.n_heads * t * t * (1 + plan.max_windows)
+    width = b if score_bytes <= FULL_TAPE_SCORE_BYTES else CHUNK_SLOTS
+    to_prev = denom is not None and differentiable
+    store = to_prev and width >= b
+    with N.Tape() if store else contextlib.nullcontext() as enc_tape:
+        prev_kv = model.encode_windows(prev_tokens) if len(prev_tokens) else {}
+    if to_prev and not store:  # tape-free leaves, which collect the chunks' grads
+        for x in (x for kv in prev_kv.values() for x in kv):
+            x.requires_grad = True
 
     total_loss = 0.0
     chunks: list[list[AttentionRecord]] = []
-    for lo in range(0, b, CHUNK_SLOTS):
-        hi = min(lo + CHUNK_SLOTS, b)
+    for lo in range(0, b, width):
+        hi = min(lo + width, b)
         gather = _plan_gather(plan, row_of, range(lo, hi), t, model.dtype)
         chunk_mask = batch.cur_mask[lo:hi]
         with N.Tape() if denom is not None else contextlib.nullcontext() as tape:
             extras = {} if gather is None else \
                 {li: gather.extras(k, v) for li, (k, v) in prev_kv.items()}
+            if width >= b:
+                prev_kv = None  # one chunk: its extras hold all it reads of the encoding
             logits, recs = model._current_rows(batch.cur_tokens[lo:hi], extras, gather,
                                                collect_records)
+            extras = None  # backward reads what it needs of them through the tape
             if denom is not None and chunk_mask.sum() > 0:
                 ce = N.cross_entropy_masked(logits, batch.cur_targets[lo:hi], chunk_mask)
                 loss_chunk = N.scale(ce, float(chunk_mask.sum()) / denom)
                 N.backward(tape, loss_chunk)
                 total_loss += loss_chunk.item()
         chunks.append(recs)
-        extras = None  # this chunk's extras go before the next's
 
-    if leaves_need_grad:
+    if store:
+        N.backward_from(enc_tape, [])
+    elif to_prev:
         _push_prev_grads(model, prev_tokens, prev_kv)
     return total_loss, _merge_chunk_records(chunks)
 

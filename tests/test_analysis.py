@@ -279,6 +279,12 @@ def test_greedy_continuation_rejects_an_empty_prompt():
         A.greedy_continuation(byte_model(), np.array([], np.int64), 3)
 
 
+def test_greedy_continuation_rejects_a_negative_length():
+    prompt = encode_bytes("The pass key is")
+    with pytest.raises(UsageError, match="n_tokens >= 0"):
+        A.greedy_continuation(byte_model(), prompt, -1)
+
+
 def test_greedy_continuation_matches_full_recompute():
     """Incremental decoding emits the ids of re-running the whole working
     window for every token, across rolls of the window into memory."""
@@ -495,6 +501,7 @@ def test_untrained_exposure_r_near_uniform(monkeypatch):
             toks = encode_bytes(text)[:32]
             yield toks, np.ones(len(toks))
 
+    monkeypatch.setattr(model_mod, "FULL_TAPE_SCORE_BYTES", 0)
     monkeypatch.setattr(model_mod, "CHUNK_SLOTS", 4)  # several chunks per exposure
     rep = A.distraction_eval(model, docs(), d, min_queries=500)
     assert 0.5 / d <= rep.r <= 3.0 / d

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fot.errors import DataError, FormatError, NumericError, ShapeError
+from fot.errors import DataError, FormatError, NumericError, ShapeError, UsageError
 from fot.memstore import MAGIC, MemoryIndex, brute_force_topk
 
 
@@ -49,6 +49,13 @@ def test_topk_empty_and_single():
     res = idx.topk(2, q, 5)
     assert res.k == 1 and (res.positions == 9).all() and (res.scores == 8).all()
     np.testing.assert_array_equal(res.values, -np.ones((2, 3, 1, 8)))
+
+
+def test_topk_rejects_a_negative_k():
+    idx = make_index()
+    idx.append_block(*block(np.ones((1, 8))))
+    with pytest.raises(UsageError, match="k must be >= 0"):
+        idx.topk(2, np.ones((2, 3, 8), np.float32), -1)
 
 
 def test_topk_matches_brute_force_oracle():

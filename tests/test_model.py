@@ -212,6 +212,17 @@ def test_stale_cache_is_rejected():
     assert len(cache) == 3
 
 
+@pytest.mark.parametrize("cached", [0, 3], ids=["no_cache", "after_cached_rows"])
+def test_forward_infer_rejects_an_empty_window(cached):
+    model, memory, toks = _model_with_memory()
+    cache = InferCache(memory, model.cfg.local_ctx_len)
+    if cached:
+        model.forward_infer(toks[:cached], memory, 4, cache=cache)
+    with pytest.raises(UsageError, match="one window of 1"):
+        model.forward_infer(toks[:0], memory, 4, cache=cache)
+    assert len(cache) == cached
+
+
 # ---------------------------------------------------------------------------
 # records
 # ---------------------------------------------------------------------------
@@ -248,13 +259,22 @@ def test_record_buckets_sum_to_one_gated():
 # gradients through the crossbatch path
 # ---------------------------------------------------------------------------
 
-def _loss_of(model, batch, plan, differentiable=True):
+def _loss_of(model, batch, plan):
     with N.Tape() as tape:
-        fwd = model.forward_train(batch, plan, differentiable=differentiable)
+        fwd = model.forward_train(batch, plan)
         loss = N.cross_entropy_masked(fwd.logits, batch.cur_targets, batch.cur_mask)
     N.backward(tape, loss)
-    return loss.item(), {k: (None if p.grad is None else p.grad.copy())
-                         for k, p in model.params.items()}
+    return loss.item(), _grads_of(model)
+
+
+def _step_of(model, batch, plan, differentiable):
+    model.zero_grads()
+    loss, _ = crossbatch_grad_step(model, batch, plan, differentiable=differentiable)
+    return loss, _grads_of(model)
+
+
+def _grads_of(model):
+    return {k: (None if p.grad is None else p.grad.copy()) for k, p in model.params.items()}
 
 
 def _randomize_head(model, rng):
@@ -262,26 +282,30 @@ def _randomize_head(model, rng):
         0, 0.2, size=model.params["lm_head"].shape).astype(model.dtype)
 
 
-def test_gradient_reaches_extras_only_when_differentiable():
+def test_gradient_reaches_extras_only_when_differentiable(monkeypatch):
+    """Stop-gradient is leaves without grad on either width: one chunk of
+    every slot, and chunks of two slots."""
     rng = np.random.default_rng(7)
     cfg = tiny_cfg(n_layers=3, memory_layers=(1,))
     model = Transformer(cfg, seed=8, dtype=np.float64)
     _randomize_head(model, rng)
-    batch = make_batch(rng, cfg, b=2)
-    plan = exposure_plan(2, 2)
+    batch = make_batch(rng, cfg, b=4)
+    plan = exposure_plan(4, 2)
 
-    model.zero_grads()
-    loss_diff, grads_diff = _loss_of(model, batch, plan, differentiable=True)
-    model.zero_grads()
-    loss_stop, grads_stop = _loss_of(model, batch, plan, differentiable=False)
+    for chunked in (False, True):
+        with monkeypatch.context() as m:
+            if chunked:
+                _force_chunks_of_two(m)
+            loss_diff, grads_diff = _step_of(model, batch, plan, differentiable=True)
+            loss_stop, grads_stop = _step_of(model, batch, plan, differentiable=False)
 
-    assert abs(loss_diff - loss_stop) < 1e-12  # forward identical
-    # parameters strictly above the memory layer see identical gradients
-    for name in ("layers.2.w1", "layers.2.wq", "final_ln", "lm_head"):
-        np.testing.assert_allclose(grads_diff[name], grads_stop[name], atol=1e-12)
-    # parameters feeding the previous-context encodings do not
-    assert np.abs(grads_diff["embed"] - grads_stop["embed"]).max() > 1e-9
-    assert np.abs(grads_diff["layers.0.w1"] - grads_stop["layers.0.w1"]).max() > 1e-9
+        assert abs(loss_diff - loss_stop) < 1e-12  # forward identical
+        # parameters strictly above the memory layer see identical gradients
+        for name in ("layers.2.w1", "layers.2.wq", "final_ln", "lm_head"):
+            np.testing.assert_allclose(grads_diff[name], grads_stop[name], atol=1e-12)
+        # parameters feeding the previous-context encodings do not
+        assert np.abs(grads_diff["embed"] - grads_stop["embed"]).max() > 1e-9
+        assert np.abs(grads_diff["layers.0.w1"] - grads_stop["layers.0.w1"]).max() > 1e-9
 
 
 def _without_windows(plan, slots):
@@ -291,7 +315,7 @@ def _without_windows(plan, slots):
 
 
 def _force_chunks_of_two(monkeypatch):
-    """Send every crossbatch step down the chunked path, two slots a chunk."""
+    """Run every crossbatch step in chunks of two slots."""
     monkeypatch.setattr(model_mod, "FULL_TAPE_SCORE_BYTES", 0)
     monkeypatch.setattr(model_mod, "CHUNK_SLOTS", 2)
 
@@ -389,14 +413,37 @@ def test_chunked_extras_leaves_keep_their_grads(monkeypatch):
     assert all(t.grad is not None and np.abs(t.grad).max() > 0 for t in leaves)
 
 
+@pytest.mark.parametrize("chunked", [False, True], ids=["one_chunk", "chunks_of_two"])
+def test_one_chunk_backpropagates_through_its_own_encoding(chunked, monkeypatch):
+    """One chunk with a loss encodes the previous windows once, on a tape
+    that its backward finishes; chunks of two re-encode them to push the
+    grads their leaves collected."""
+    rng = np.random.default_rng(21)
+    cfg = tiny_cfg(n_layers=3, memory_layers=(1, 2))
+    model = Transformer(cfg, seed=22, dtype=np.float64)
+    batch = make_batch(rng, cfg, b=4)
+    encodes, pushes = [], []
+    encode, push = Transformer.encode_windows, model_mod._push_prev_grads
+    monkeypatch.setattr(Transformer, "encode_windows",
+                        lambda m, tokens, *a: encodes.append(len(tokens)) or encode(m, tokens, *a))
+    monkeypatch.setattr(model_mod, "_push_prev_grads",
+                        lambda *a: pushes.append(1) or push(*a))
+    if chunked:
+        _force_chunks_of_two(monkeypatch)
+    crossbatch_grad_step(model, batch, exposure_plan(4, 2))
+    assert len(pushes) == int(chunked)
+    assert encodes == ([4, 2, 2] if chunked else [4])  # re-encoded two windows at a time
+
+
 @pytest.mark.parametrize("path,d,gathers", [("one_tape", 3, True), ("chunked", 3, True),
                                             ("one_tape", 6, False), ("chunked", 6, False)],
                          ids=["one_tape-per_slot", "chunked-per_slot", "one_tape-shared",
                               "chunked-shared"])
 def test_extras_are_gathered_with_take_rows_unless_shared(path, d, gathers, monkeypatch):
-    """Both paths take each slot's windows with take_rows, whose backward
-    sums each window's grads. When every slot attends to all N encoded
-    windows in order (d = b), the extras are those windows as they are."""
+    """One chunk ("one_tape") and chunks of two both take each slot's
+    windows with take_rows, whose backward sums each window's grads. When
+    every slot attends to all N encoded windows in order (d = b), the
+    extras are those windows as they are."""
     rng = np.random.default_rng(31)
     cfg = tiny_cfg(n_layers=3, memory_layers=(1, 2))
     model = Transformer(cfg, seed=32)
@@ -776,14 +823,17 @@ def test_forward_train_rejects_bad_plan(monkeypatch):
     cfg = tiny_cfg()
     model = Transformer(cfg, seed=15)
     batch = make_batch(rng, cfg, b=2)
-    with pytest.raises(UsageError):
-        model.forward_train(batch, empty_plan(3))
-    batch.prev_valid[:] = False
-    with pytest.raises(UsageError):
-        model.forward_train(batch, exposure_plan(2, 1))
-    _force_chunks_of_two(monkeypatch)
-    for run in (lambda plan: crossbatch_grad_step(model, batch, plan),
-                lambda plan: exposure_records(model, batch, plan)):
-        for plan in (empty_plan(3), exposure_plan(2, 1)):
-            with pytest.raises(UsageError):
-                run(plan)
+    short = make_batch(rng, tiny_cfg(local_ctx_len=4), b=2)  # 4-token windows, 8-token model
+    missing = make_batch(rng, cfg, b=2)
+    missing.prev_valid[:] = False
+    bad = [(batch, empty_plan(3)), (short, exposure_plan(2, 1)), (missing, exposure_plan(2, 1))]
+    runs = (model.forward_train, lambda b_, plan: crossbatch_grad_step(model, b_, plan),
+            lambda b_, plan: exposure_records(model, b_, plan))
+    for chunk_slots in (None, 1):  # one chunk of both slots, then a chunk per slot
+        if chunk_slots:
+            monkeypatch.setattr(model_mod, "FULL_TAPE_SCORE_BYTES", 0)
+            monkeypatch.setattr(model_mod, "CHUNK_SLOTS", chunk_slots)
+        for run in runs:
+            for b_, plan in bad:
+                with pytest.raises(UsageError):
+                    run(b_, plan)
