@@ -10,6 +10,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import math
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
@@ -64,10 +65,12 @@ class TrainConfig:
             raise ConfigError("task=corpus needs corpus_path")
         if self.optimizer not in ("adam", "adafactor"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if self.warmup_steps > self.steps:
-            raise ConfigError(f"warmup {self.warmup_steps} exceeds steps {self.steps}")
-        if self.max_lr <= 0 or self.min_lr <= 0 or self.min_lr > self.max_lr:
-            raise ConfigError("need 0 < min_lr <= max_lr")
+        if not 0 <= self.warmup_steps <= self.steps:
+            raise ConfigError(f"need 0 <= warmup_steps <= steps, got {self.warmup_steps}, {self.steps}")
+        if not (math.isfinite(self.max_lr) and 0 < self.min_lr <= self.max_lr):
+            raise ConfigError(f"need finite 0 < min_lr <= max_lr, got {self.min_lr}, {self.max_lr}")
+        if not (math.isfinite(self.grad_clip) and self.grad_clip >= 0):
+            raise ConfigError(f"grad_clip must be finite and >= 0 (0: no clipping), got {self.grad_clip}")
         if self.b_s < 1 or self.w < 1 or self.steps < 1:
             raise ConfigError("b_s, w, steps must be positive")
         self.schedule().validate(self.b_s, self.w)

@@ -429,9 +429,7 @@ class Transformer:
     def _project_heads(self, h: Tensor, li: int, which: str) -> Tensor:
         cfg = self.cfg
         rows, t = h.shape[0], h.shape[1]
-        w = self.params[f"layers.{li}.w{which}"]
-        b = self.params[f"layers.{li}.b{which}"]
-        y = N.add(N.matmul(h, w), b)
+        y = N.linear(h, self.params[f"layers.{li}.w{which}"], self.params[f"layers.{li}.b{which}"])
         y = N.transpose(N.reshape(y, (rows, t, cfg.n_heads, cfg.head_dim)), (0, 2, 1, 3))
         if cfg.qk_normalize and which in ("q", "k"):
             y = N.l2_normalize_last_axis(y)
@@ -446,18 +444,16 @@ class Transformer:
     def _attn_out(self, out_heads: Tensor, x: Tensor, li: int) -> Tensor:
         rows, t = x.shape[0], x.shape[1]
         flat = N.reshape(N.transpose(out_heads, (0, 2, 1, 3)), (rows, t, self.cfg.d_model))
-        proj = N.add(N.matmul(flat, self.params[f"layers.{li}.wo"]), self.params[f"layers.{li}.bo"])
-        return N.add(x, proj)
+        return N.add(x, N.linear(flat, self.params[f"layers.{li}.wo"], self.params[f"layers.{li}.bo"]))
 
     def _ff_block(self, x: Tensor, li: int) -> Tensor:
         h = N.rms_norm(x, self.params[f"layers.{li}.ln2"])
-        h = N.silu(N.add(N.matmul(h, self.params[f"layers.{li}.w1"]), self.params[f"layers.{li}.b1"]))
-        h = N.add(N.matmul(h, self.params[f"layers.{li}.w2"]), self.params[f"layers.{li}.b2"])
-        return N.add(x, h)
+        h = N.silu(N.linear(h, self.params[f"layers.{li}.w1"], self.params[f"layers.{li}.b1"]))
+        return N.add(x, N.linear(h, self.params[f"layers.{li}.w2"], self.params[f"layers.{li}.b2"]))
 
     def _logits(self, x: Tensor) -> Tensor:
         x = N.rms_norm(x, self.params["final_ln"])
-        return N.add(N.matmul(x, self.params["lm_head"]), self.params["lm_bias"])
+        return N.linear(x, self.params["lm_head"], self.params["lm_bias"])
 
     def _layer_rotary(self, li: int) -> bool:
         if li not in self.cfg.memory_layers:

@@ -6,8 +6,9 @@ as plain numpy forward computations, which is how all inference paths run.
 
 The tape holds grad slots, not tensors: a tape node holds the ``GradSlot``
 of its op's output, and its backward closure the input slots plus only the
-arrays that backward reads (matmul its operands, softmax its output, add
-none). A forward array lives while the caller or such a closure holds it.
+arrays that backward reads (matmul its operands, linear its input rows and
+weight, softmax its output, add none). A forward array lives while the
+caller or such a closure holds it.
 
 Backward consumes its tape: each node's output grad is handed to its
 backward closure as a buffer the closure owns, and the node then drops its
@@ -138,11 +139,13 @@ def backward(tape: Tape, loss: Tensor) -> None:
 def backward_from(tape: Tape, seeds: Sequence[tuple[Tensor, np.ndarray]]) -> None:
     """Reverse-traverse the tape starting from explicit (tensor, grad) seeds.
 
-    Used by the chunked crossbatch path to inject upstream gradients into the
-    re-encoded previous-context keys/values. Consumes the tape: each node's
-    output grad is taken off its tensor and the node is released once its
-    backward has run, so only leaf tensors keep grads, and a second call on
-    the same tape raises UsageError.
+    The crossbatch step finishes both kinds of encode tape through it: the
+    one-chunk step's with no seeds, its keys/values already holding the grads
+    the chunk's backward left in their slots, and the chunked path's
+    re-encodings seeded with the grads the chunks summed into their leaves.
+    Consumes the tape: each node's output grad is taken off its tensor and
+    the node is released once its backward has run, so only leaf tensors
+    keep grads, and a second call on the same tape raises UsageError.
     """
     if tape._consumed:
         raise UsageError("backward over a tape that backward has already consumed")
@@ -190,11 +193,34 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g: np.ndarray) -> None:
         if sa.requires_grad:
             _accum(sa, _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape))
-        if sb.requires_grad:  # a 2-D b (a weight): one GEMM over all of a's rows
-            _accum(sb, ad.reshape(-1, bd.shape[0]).T @ g.reshape(-1, bd.shape[1]) if bd.ndim == 2
-                   else _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape))
+        if sb.requires_grad:
+            _accum(sb, _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape))
 
     return _record(out, (a, b), bwd)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x·w + b for a weight w [K, N] and a bias b [N]: one 2-D GEMM over all
+    of x's rows flattened to [-1, K], with the bias added into its output.
+    Backward reads x's rows and w only: the input grad and the weight grad
+    are one GEMM each, the bias grad the sum over the leading axes."""
+    if w.data.ndim != 2 or x.shape[-1:] != w.shape[:1] or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear: {x.shape} x {w.shape} + {b.shape}")
+    x_shape, (k, n) = x.data.shape, w.data.shape
+    x2, wd, sx, sw, sb = x.data.reshape(-1, k), w.data, x.slot, w.slot, b.slot
+    y = x2 @ wd
+    y += b.data
+
+    def bwd(g: np.ndarray) -> None:
+        if sb.requires_grad:
+            _accum(sb, g.sum(axis=tuple(range(g.ndim - 1))))
+        g2 = g.reshape(-1, n)
+        if sx.requires_grad:
+            _accum(sx, (g2 @ wd.T).reshape(x_shape))
+        if sw.requires_grad:
+            _accum(sw, x2.T @ g2)
+
+    return _record(Tensor(y.reshape(x_shape[:-1] + (n,))), (x, w, b), bwd)
 
 
 def attention_logits(q: Tensor, keys: Sequence[Tensor],
@@ -400,17 +426,22 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
     n, xd, gd, sx, sg = x.shape[-1], x.data, gain.data, x.slot, gain.slot
     ms = (xd * xd).mean(axis=-1, keepdims=True) + xd.dtype.type(eps)
     inv = ms ** -0.5
-    out = Tensor(xd * inv * gd)
+    y = xd * inv
+    y *= gd
 
     def bwd(g: np.ndarray) -> None:
-        if sg.requires_grad:  # x·inv is rebuilt, not kept from forward
-            _accum(sg, (xd * inv * g).sum(axis=tuple(range(g.ndim - 1))))
-        if sx.requires_grad:
-            u = g * gd
-            dot = (u * xd).sum(axis=-1, keepdims=True)
-            _accum(sx, inv * (u - xd * (dot / (n * ms))))
+        t = np.multiply(xd, inv)  # x·inv is rebuilt, not kept from forward
+        if sg.requires_grad:
+            t *= g
+            _accum(sg, t.sum(axis=tuple(range(g.ndim - 1))))
+        if sx.requires_grad:  # inv·(u − x·(u·x)/(n·ms)) with u = g·gain, in g and t
+            u = np.multiply(g, gd, out=g)
+            dot = np.multiply(u, xd, out=t).sum(axis=-1, keepdims=True)
+            u -= np.multiply(xd, dot / (n * ms), out=t)
+            u *= inv
+            _accum(sx, u)
 
-    return _record(out, (x, gain), bwd)
+    return _record(Tensor(y), (x, gain), bwd)
 
 
 def l2_normalize_last_axis(x: Tensor, eps: float = 1e-6) -> Tensor:
@@ -493,12 +524,19 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 def silu(x: Tensor) -> Tensor:
-    sig = 1.0 / (1.0 + np.exp(-x.data))
+    sig = np.negative(x.data)  # σ = 1 / (1 + e^−x), built in one buffer
+    np.exp(sig, out=sig)
+    sig += 1.0
+    np.divide(1.0, sig, out=sig)
     y, sx = x.data * sig, x.slot  # backward reads σ and y (the next op's operand), not x
 
     def bwd(g: np.ndarray) -> None:
         if sx.requires_grad:  # d/dx x·σ = σ + x·σ(1 − σ) = σ + y·(1 − σ)
-            _accum(sx, np.multiply(g, (1.0 - sig) * y + sig, out=g))
+            d = 1.0 - sig
+            d *= y
+            d += sig
+            g *= d
+            _accum(sx, g)
 
     return _record(Tensor(y), (x,), bwd)
 
@@ -529,13 +567,17 @@ def cross_entropy_masked(logits: Tensor, targets, mask) -> Tensor:
     """Mean negative log-likelihood over mask=1 positions.
 
     ``logits`` is [..., vocab]; ``targets`` and ``mask`` match its leading dims.
-    Positions with mask 0 contribute nothing to loss or gradient.
+    Positions with mask 0 contribute nothing to loss or gradient. A target
+    outside [0, vocab) is a DataError, masked or not.
     """
     tgt = np.asarray(targets, dtype=np.int64)
     m = np.asarray(mask, dtype=logits.data.dtype)
     if tgt.shape != logits.shape[:-1] or m.shape != logits.shape[:-1]:
         raise ShapeError(
             f"cross_entropy_masked: logits {logits.shape}, targets {tgt.shape}, mask {m.shape}")
+    bad = tgt[(tgt < 0) | (tgt >= logits.shape[-1])]
+    if bad.size:
+        raise DataError(f"target {bad[0]} is outside the vocabulary of {logits.shape[-1]} ids")
     denom = m.sum()
     if denom == 0:
         raise UsageError("cross_entropy_masked: mask selects no positions")

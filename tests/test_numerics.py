@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fot import numerics as N
-from fot.errors import ShapeError, UsageError
+from fot.errors import DataError, ShapeError, UsageError
 
 
 def t64(arr, grad=True):
@@ -146,6 +146,16 @@ def test_cross_entropy_examples():
         N.cross_entropy_masked(t64(uni), [[5, 9, 0]], [[0, 0, 0]])
 
 
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_cross_entropy_rejects_a_target_outside_the_vocabulary(bad):
+    """A target of -1 used to wrap to the last id, and one >= vocab died in an
+    IndexError; both are DataErrors, whether or not the mask selects them."""
+    logits = t64(np.zeros((1, 3, 5)))
+    for mask in ([[1, 1, 1]], [[1, 1, 0]]):
+        with pytest.raises(DataError, match=f"target {bad} is outside the vocabulary of 5 ids"):
+            N.cross_entropy_masked(logits, [[0, 4, bad]], mask)
+
+
 def test_cross_entropy_vs_f64_oracle():
     rng = np.random.default_rng(5)
     logits = rng.standard_normal((2, 5, 7))
@@ -220,21 +230,54 @@ def test_fd_matmul_batched_broadcast():
 
 @pytest.mark.parametrize("layout", ["contiguous", "strided"])
 def test_fd_weight_grad_is_one_gemm_over_all_rows(layout):
-    """A 2-D b's grad is one GEMM over a's rows flattened to [-1, K]; it equals
-    the batched [2, 3, 5, 3] product summed over the batch at round-off."""
+    """linear's weight grad is one GEMM over x's rows flattened to [-1, K]; it
+    equals the batched [2, 3, 5, 3] product summed over the batch at round-off."""
     rng = np.random.default_rng(16)
     a_arr = rng.standard_normal((2, 3, 4, 5))
     if layout == "strided":
         a_arr = np.swapaxes(rng.standard_normal((2, 3, 5, 4)), -1, -2)
-    a, b = t64(a_arr), t64(rng.standard_normal((5, 3)))
+    a, b, bias = t64(a_arr), t64(rng.standard_normal((5, 3))), t64(rng.standard_normal(3))
     w = rng.standard_normal((2, 3, 4, 3))
-    _check(lambda: N.sum_all(N.mul(N.matmul(a, b), N.Tensor(w))), [b])
+    _check(lambda: N.sum_all(N.mul(N.linear(a, b, bias), N.Tensor(w))), [b])
     with N.Tape() as tape:
-        out = N.matmul(a, b)
-    N.zero_grads((a, b))
+        out = N.linear(a, b, bias)
+    N.zero_grads((a, b, bias))
     N.backward_from(tape, [(out, w)])
     batched = np.matmul(np.swapaxes(a.data, -1, -2), w).sum(axis=(0, 1))
     np.testing.assert_allclose(b.grad, batched, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("x_shape", [(4, 5), (2, 4, 5)], ids=["2d", "3d"])
+def test_fd_linear(x_shape):
+    rng = np.random.default_rng(17)
+    x, w, b = t64(rng.standard_normal(x_shape)), t64(rng.standard_normal((5, 3))), t64(rng.standard_normal(3))
+    probe = N.Tensor(rng.standard_normal(x_shape[:-1] + (3,)))
+    _check(lambda: N.sum_all(N.mul(N.linear(x, w, b), probe)), [x, w, b])
+    np.testing.assert_allclose(N.linear(x, w, b).data, x.data @ w.data + b.data, rtol=1e-14, atol=1e-14)
+
+
+def test_linear_shape_errors():
+    x, w = t64(np.ones((2, 3, 4))), t64(np.ones((4, 5)))
+    with pytest.raises(ShapeError):
+        N.linear(x, t64(np.ones((3, 5))), t64(np.ones(5)))  # inner dims 4 vs 3
+    for bias in (np.ones(4), np.ones((1, 5)), np.ones(())):
+        with pytest.raises(ShapeError):
+            N.linear(x, w, t64(bias))
+
+
+def test_linear_keeps_only_its_input_rows_and_weight():
+    """linear records one node, whose closure holds x (as rows) and w, not
+    its output."""
+    rng = np.random.default_rng(19)
+    x, w, b = t64(rng.standard_normal((2, 3, 4))), t64(rng.standard_normal((4, 5))), t64(np.ones(5))
+    with N.Tape() as tape:
+        y = N.linear(x, w, b)
+    assert len(tape) == 1
+    kept = [c.cell_contents for c in tape._nodes[0].backward.__closure__
+            if isinstance(c.cell_contents, np.ndarray)]
+    assert len(kept) == 2 and any(k is w.data for k in kept)
+    assert any(k.shape == (6, 4) and np.shares_memory(k, x.data) for k in kept)
+    assert not any(np.shares_memory(k, y.data) for k in kept)
 
 
 def test_fd_elementwise_and_shape_ops():
@@ -533,6 +576,36 @@ def test_softmax_backward_allocates_no_score_sized_temporary():
     want -= (g * y.data).sum(axis=-1, keepdims=True)
     want *= y.data
     np.testing.assert_array_equal(x.grad, want)
+
+
+def test_silu_and_rms_norm_make_no_full_size_temporaries():
+    """silu's forward allocates σ and y and nothing else input-sized, and its
+    backward one temporary beside the grad it is handed; rms_norm's forward
+    holds its output or the x·x it averages, never both, and its backward
+    one temporary, with u = g·gain in the handed grad."""
+    rng = np.random.default_rng(20)
+    x = N.Tensor(rng.standard_normal((4, 256, 256)).astype(np.float32), requires_grad=True)
+    gain = N.Tensor(rng.standard_normal(256).astype(np.float32), requires_grad=True)
+    size = x.data.nbytes
+    for op, fwd_arrays in ((N.silu, 2), (lambda t: N.rms_norm(t, gain), 1)):
+        x.grad = gain.grad = None
+        tracemalloc.start()
+        try:
+            with N.Tape() as tape:
+                y = op(x)
+            fwd_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        g = rng.standard_normal(x.shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            N.backward_from(tape, [(y, g)])  # the seed's copy becomes x's grad
+            bwd_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fwd_peak < (fwd_arrays + 0.25) * size, fwd_peak / size
+        assert bwd_peak < 2.25 * size, bwd_peak / size
+        assert x.grad.shape == x.shape
 
 
 def test_tape_is_single_use():

@@ -313,6 +313,18 @@ def test_config_validation_errors():
     cfg.min_lr = cfg.max_lr * 10
     with pytest.raises(ConfigError):
         cfg.validate()
+    # NaN passes every comparison: a NaN max_lr trained to a NaN loss, a NaN
+    # grad_clip silently turned clipping off
+    for key, value in (("max_lr", float("nan")), ("max_lr", float("inf")), ("min_lr", float("nan")),
+                       ("grad_clip", float("nan")), ("grad_clip", float("inf")),
+                       ("grad_clip", -1.0), ("warmup_steps", -1)):
+        cfg = get_preset("desk")
+        setattr(cfg, key, value)
+        with pytest.raises(ConfigError):
+            cfg.validate()
+    cfg = get_preset("desk")
+    cfg.grad_clip = 0.0  # no clipping
+    cfg.validate()
     with pytest.raises(ConfigError):
         get_preset("nope")
 
@@ -464,7 +476,8 @@ def test_cli_train_rejects_a_model_it_cannot_build(overrides, message, tmp_path)
     ("train", "--override", "model.memory_layers=2,x", "--out", "{tmp}"),
     ("sweep", "--grid", "d=1,2;steps", "--out", "{tmp}"),
     ("eval", "--checkpoint", "{ck}", "--suite", "ppl", "--axis", "d=x", "--out", "{tmp}/m.csv"),
-], ids=["segments", "d_choices", "memory_layers", "sweep_grid", "eval_axis"])
+    ("train", "--override", "grad_clip=nan", "--out", "{tmp}"),
+], ids=["segments", "d_choices", "memory_layers", "sweep_grid", "eval_axis", "nan_grad_clip"])
 def test_cli_bad_config_value_is_config_error(argv, tmp_path):
     cfg = ModelConfig(n_layers=1, d_model=16, n_heads=2, head_dim=8, ff_dim=32,
                       vocab_size=64, memory_layers=(0,), local_ctx_len=16)
