@@ -23,14 +23,6 @@ N.backward(tape, loss)
 print("loss =", loss.item())
 print("dloss/da =\n", a.grad)
 
-print("\n== stop_gradient blocks flow ==")
-N.zero_grads([a, b])
-with N.Tape() as tape:
-    frozen = N.stop_gradient(a)
-    loss = N.sum_all(N.mul(frozen, frozen))
-N.backward(tape, loss)
-print("a.grad is", a.grad, "(gradient blocked)")
-
 print("\n== finite-difference verification (f64) ==")
 rng = np.random.default_rng(0)
 x = Tensor(rng.standard_normal((3, 5)), requires_grad=True)

@@ -1,4 +1,4 @@
-"""The exact top-k memory index: appends, search, document resets.
+"""The exact top-k memory index: appends, search, dump round-trip.
 
 Run:  python3 demos/02_memory_index.py
 """
@@ -39,11 +39,6 @@ print("first 4 queries match the brute-force oracle exactly")
 
 print("\nscores are plain inner products, descending:")
 print(" ", np.round(res.scores[0, 0, :6], 3))
-
-print("\nreset_doc(0) removes only that document:")
-before = idx.size()
-idx.reset_doc(0)
-print(f"  size {before} -> {idx.size()}")
 
 print("\nround-trip through the FOTM dump format:")
 with tempfile.TemporaryDirectory() as tmp:

@@ -1,13 +1,10 @@
-"""Byte-level perplexity against memory caps, plus kNN / focus scores.
+"""Byte-level perplexity against memory caps, per document and across documents.
 
 Run:  python3 demos/06_perplexity_and_scores.py
 """
 
-import numpy as np
-
-from fot.analysis import focus_score, knn_score, perplexity_eval
+from fot.analysis import perplexity_eval
 from fot.config import get_preset
-from fot.memstore import MemoryIndex
 from fot.model import Transformer
 from fot.tasks import encode_bytes, gen_text_corpus
 
@@ -25,16 +22,3 @@ for cap in (0, 64, 256):
 
 res_multi = perplexity_eval(model, docs, "multi_doc", k=16)
 print(f"multi-doc (no resets): ppl {res_multi.ppl:.2f} over {res_multi.n_tokens} tokens")
-
-print("\nkNN score: softmax share over retrieved entries only")
-rng = np.random.default_rng(0)
-q = rng.standard_normal(8)
-keys = rng.standard_normal((4, 8))
-print("  4 random entries:", np.round(knn_score(q, keys), 3))
-
-print("\nfocus score: one entry against its +-32 positional neighbors")
-idx = MemoryIndex([0], 1, 8)
-block = rng.standard_normal((1, 80, 8)).astype(np.float32)
-idx.append_block(0, block, block, doc_id=0, positions=np.arange(80))
-s = focus_score(idx, 0, 0, doc_id=0, position=40, query=block[0, 40] * 4)
-print(f"  entry at position 40, query aligned with its key: {s:.3f}")

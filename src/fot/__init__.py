@@ -7,7 +7,7 @@ Library layout:
 - ``model``     decoder-only transformer with memory attention layers
 - ``pipeline``  crossbatch batching: slots, previous contexts, plans
 - ``tasks``     dictionary lookup, passkey retrieval, byte-level corpora
-- ``analysis``  distraction metric, kNN/focus scores, perplexity, accuracy
+- ``analysis``  distraction metric, perplexity, accuracy
 - ``training``  optimizers, schedules, the training loop
 - ``cli``       train / eval / sweep / gen-data / inspect entry points
 """

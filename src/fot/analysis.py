@@ -98,32 +98,6 @@ def distraction_eval(model: Transformer, doc_iter, d: int, *,
 
 
 # ---------------------------------------------------------------------------
-# kNN score / focus score
-# ---------------------------------------------------------------------------
-
-def knn_score(query: np.ndarray, retrieved_keys: np.ndarray, tau: float = 1.0) -> np.ndarray:
-    """Softmax fractions of attention mass over the retrieved entries only."""
-    keys = np.atleast_2d(np.asarray(retrieved_keys, dtype=np.float64))
-    if keys.shape[0] == 0:
-        raise UsageError("knn_score needs at least one retrieved entry")
-    logits = keys @ np.asarray(query, dtype=np.float64) / tau
-    e = np.exp(logits - logits.max())
-    return e / e.sum()
-
-
-def focus_score(memory: MemoryIndex, layer: int, head: int, doc_id: int,
-                position: int, query: np.ndarray, *, neighborhood: int = 32,
-                tau: float = 1.0) -> float:
-    """The entry's softmax share against its +-neighborhood positional
-    neighbors in the same document."""
-    if position < 0:
-        raise UsageError("entry has no stored position")
-    keys, _positions, center = memory.neighborhood(layer, head, doc_id, position,
-                                                   neighborhood)
-    return float(knn_score(query, keys, tau)[center])
-
-
-# ---------------------------------------------------------------------------
 # perplexity
 # ---------------------------------------------------------------------------
 
@@ -266,28 +240,6 @@ def dict_eval_accuracy(model: Transformer, total_len: int, *, n_docs: int = 8, k
     return AccuracyResult(sum(row[-1] for row in rows) / len(rows), len(rows), rows)
 
 
-def dump_predictions(path, result: AccuracyResult) -> None:
-    """Text dump of each query's prediction, for ``recount_accuracy``. The
-    pair is a test oracle: it recounts accuracy outside the eval loop."""
-    with open(path, "w", encoding="ascii") as f:
-        for doc, qi, pred, true, ok in result.rows:
-            f.write(f"{doc} {qi} {','.join(map(str, pred))} "
-                    f"{','.join(map(str, true))} {int(ok)}\n")
-
-
-def recount_accuracy(path) -> float:
-    """Independent recount over a dumped prediction file."""
-    n, good = 0, 0
-    with open(path, encoding="ascii") as f:
-        for line in f:
-            _doc, _qi, pred, true, _ok = line.split()
-            n += 1
-            good += pred == true
-    if n == 0:
-        raise DataError(f"{path}: no predictions")
-    return good / n
-
-
 def greedy_continuation(model: Transformer, prompt: np.ndarray, n_tokens: int,
                         *, k: int = 32) -> np.ndarray:
     """Greedy argmax continuation, streaming the prompt through memory.
@@ -380,27 +332,3 @@ def read_metrics_csv(path) -> list[EvalResult]:
                                   int(row["seed"]), row["config_hash"]))
     return out
 
-
-# ---------------------------------------------------------------------------
-# raw attention weights
-# ---------------------------------------------------------------------------
-
-def r_from_weights(weights) -> float:
-    """Recompute the mean positive attention mass from raw extras softmax
-    weights, bucketing them per context here rather than through the model's
-    ``_bucket_record``. A test oracle: ``weights`` lists (layer, probs
-    [b, H, T, E*T], window context ids [b, E]) per memory layer; context 1
-    is the positive."""
-    records = []
-    for layer, probs, win_ctx in weights:
-        b, h, t, e = probs.shape
-        n_win = win_ctx.shape[1]
-        per_window = probs.reshape(b, h, t, n_win, -1).sum(axis=-1)
-        per_context = np.zeros((b, h, t, win_ctx.max()), dtype=np.float64)
-        for j in range(b):
-            for w in range(n_win):
-                ci = win_ctx[j, w]
-                if ci > 0:
-                    per_context[j, :, :, ci - 1] += per_window[j, :, :, w]
-        records.append(AttentionRecord(layer, np.zeros((b, h, t)), per_context))
-    return positive_attention_mass(records).r

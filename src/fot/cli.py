@@ -149,6 +149,8 @@ def cmd_sweep(args) -> int:
         if "=" not in part:
             raise ConfigError(f"grid part {part!r} is not key=v1,v2,...")
         key, vals = part.split("=", 1)
+        if key.strip() in grid:
+            raise ConfigError(f"grid key {key.strip()!r} appears twice")
         grid[key.strip()] = vals.split(",")
     keys = sorted(grid)
     cells = list(itertools.product(*(grid[k] for k in keys)))

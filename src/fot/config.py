@@ -71,8 +71,13 @@ class TrainConfig:
             raise ConfigError(f"need finite 0 < min_lr <= max_lr, got {self.min_lr}, {self.max_lr}")
         if not (math.isfinite(self.grad_clip) and self.grad_clip >= 0):
             raise ConfigError(f"grad_clip must be finite and >= 0 (0: no clipping), got {self.grad_clip}")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1 and 0 < self.adam_eps < math.inf):
+            raise ConfigError(f"need beta1 and beta2 in [0, 1) and a finite adam_eps > 0, got "
+                              f"{self.beta1}, {self.beta2}, {self.adam_eps}")
         if self.b_s < 1 or self.w < 1 or self.steps < 1:
             raise ConfigError("b_s, w, steps must be positive")
+        if self.checkpoint_every < 0:
+            raise ConfigError(f"checkpoint_every must be >= 0 (0: final only), got {self.checkpoint_every}")
         self.schedule().validate(self.b_s, self.w)
 
     def schedule(self) -> DSchedule:

@@ -3,8 +3,9 @@
 Each memory layer has one store, and all its heads hold the same tokens: keys
 and values are float32 [H, n, head_dim], each token's doc id and position [n].
 Search is a full scan per head: one matmul for the scores, then exact top-k
-selection with ties broken by lower column, which is the older entry (appends
-go to the end and ``reset_doc`` keeps order). No approximation anywhere.
+selection with ties broken by lower column, which is the older entry: the
+index only appends and clears, so column order is insertion order. No
+approximation anywhere.
 
 Selection bounds each row before it sorts. The n columns of a row are split
 into m = n // g groups of g = max(1, min(16, n // 2k)) columns (group j holds
@@ -78,14 +79,6 @@ class _LayerStore:
         self.doc_ids[sl], self.positions[sl] = doc_ids, positions
         self.size += t
 
-    def filter_keep(self, mask: np.ndarray) -> None:
-        n = int(mask.sum())
-        for name in ("keys", "values"):
-            getattr(self, name)[:, :n] = getattr(self, name)[:, : self.size][:, mask]
-        for name in ("doc_ids", "positions"):
-            getattr(self, name)[:n] = getattr(self, name)[: self.size][mask]
-        self.size = n
-
 
 class MemoryIndex:
     """Exact top-k (key, value) store for the memory attention layers."""
@@ -96,9 +89,9 @@ class MemoryIndex:
         self.head_dim = head_dim
         self._stores = {layer: _LayerStore(n_heads, head_dim) for layer in self.memory_layers}
 
-    def _store(self, layer: int, head: int = 0) -> _LayerStore:
-        if layer not in self._stores or not 0 <= head < self.n_heads:
-            raise ShapeError(f"(layer {layer}, head {head}) is not in this index")
+    def _store(self, layer: int) -> _LayerStore:
+        if layer not in self._stores:
+            raise ShapeError(f"layer {layer} is not in this index")
         return self._stores[layer]
 
     # -- writes ------------------------------------------------------------
@@ -117,13 +110,6 @@ class MemoryIndex:
         if pos.shape != (t,):
             raise ShapeError(f"positions {pos.shape} vs window length {t}")
         s.put(keys, values, doc_id, pos)
-        return self.size()
-
-    def reset_doc(self, doc_id: int) -> int:
-        for s in self._stores.values():
-            mask = s.doc_ids[: s.size] != doc_id
-            if not mask.all():
-                s.filter_keep(mask)
         return self.size()
 
     def clear(self) -> int:
@@ -182,26 +168,6 @@ class MemoryIndex:
                               ("doc_ids", s.doc_ids), ("positions", s.positions)):
                 np.take(src[:n], top, axis=0, out=getattr(res, name)[h], mode="clip")
         return res
-
-    def neighborhood(self, layer: int, head: int, doc_id: int, position: int,
-                     radius: int) -> tuple[np.ndarray, np.ndarray, int]:
-        """Keys of the entry at (doc, position) plus its +-radius positional
-        neighbors within the same document, ordered by position.
-
-        Returns (keys [m, head_dim], positions [m], index of the center entry).
-        """
-        s = self._store(layer, head)
-        sel = (s.doc_ids[: s.size] == doc_id) & \
-              (np.abs(s.positions[: s.size] - position) <= radius)
-        idx = np.flatnonzero(sel)
-        if idx.size == 0:
-            raise ShapeError(f"no entries near doc {doc_id} position {position}")
-        order = np.argsort(s.positions[idx], kind="stable")
-        idx = idx[order]
-        center = np.flatnonzero(s.positions[idx] == position)
-        if center.size == 0:
-            raise ShapeError(f"entry at doc {doc_id} position {position} not stored")
-        return s.keys[head, idx], s.positions[idx], int(center[0])
 
     # -- persistence ---------------------------------------------------------
 

@@ -174,14 +174,6 @@ class AttentionRecord:
     def mass_negative(self) -> np.ndarray:
         return self.per_context[..., 1:].sum(axis=-1)
 
-    def bucket_total(self) -> np.ndarray:
-        total = self.mass_local.copy()
-        if self.per_context is not None:
-            total = total + self.per_context.sum(axis=-1)
-        if self.mass_memory is not None:
-            total = total + self.mass_memory
-        return total
-
 
 @dataclass
 class TrainForward:

@@ -392,11 +392,6 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     return _record(out, (x,), bwd)
 
 
-def stop_gradient(x: Tensor) -> Tensor:
-    """Forward identity; blocks all gradient flow through this edge."""
-    return Tensor(x.data.copy(), requires_grad=False)
-
-
 def softmax_last_axis(x: Tensor) -> Tensor:
     z = x.data - x.data.max(axis=-1, keepdims=True)
     np.exp(z, out=z)
@@ -615,9 +610,9 @@ def finite_diff_check(fn: Callable[[], Tensor], params: Sequence[Tensor], eps: f
 
     ``fn`` must be a deterministic scalar-valued closure over ``params``. The
     numeric probe re-runs ``fn`` without a tape, so it stays independent of
-    the analytic path. Only meaningful on fully differentiable paths: a
-    stop_gradient inside ``fn`` makes analytic and numeric grads legitimately
-    disagree.
+    the analytic path. Only meaningful on fully differentiable paths: an edge
+    that ``fn`` detaches from the tape (a constant built from a parameter's
+    data) makes analytic and numeric grads legitimately disagree.
     """
     zero_grads(params)
     with Tape() as tape:

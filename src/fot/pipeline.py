@@ -52,22 +52,22 @@ class DSchedule:
     def validate(self, b_s: int, w: int) -> None:
         """Every d the schedule can yield must lie in [0, b_s]: one positive
         context plus d - 1 negatives from the other b_s - 1 slots. Segments
-        must cover the batch in whole slots, within w positives and b_s - 1
-        negatives each."""
+        must cover the batch in whole slots, with 0 to w positives and 0 to
+        b_s - 1 negatives each."""
         if self.kind == "segments":
-            total = sum(f for f, _, _ in self.segments)
-            if abs(total - 1.0) > 1e-9:
-                raise ConfigError(f"segment fractions sum to {total}, not 1")
+            fracs = [f for f, _, _ in self.segments]
+            if min(fracs, default=0.0) < 0 or not abs(sum(fracs) - 1.0) <= 1e-9:
+                raise ConfigError(f"segment fractions {fracs} are not shares >= 0 that sum to 1")
             slots = 0
             for frac, n_pos, n_neg in self.segments:
                 n = frac * b_s
                 if abs(n - round(n)) > 1e-9:
                     raise ConfigError(f"segment fraction {frac} does not resolve to whole slots of {b_s}")
                 slots += round(n)
-                if n_pos > w:
-                    raise ConfigError(f"segment wants {n_pos} positives but w={w}")
-                if n_neg > b_s - 1:
-                    raise ConfigError(f"segment wants {n_neg} negatives but b_S={b_s}")
+                if not 0 <= n_pos <= w:
+                    raise ConfigError(f"segment wants {n_pos} positives, outside [0, w = {w}]")
+                if not 0 <= n_neg <= b_s - 1:
+                    raise ConfigError(f"segment wants {n_neg} negatives, outside [0, b_S - 1 = {b_s - 1}]")
             if slots != b_s:
                 raise ConfigError("segments do not cover the batch")
             return

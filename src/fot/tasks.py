@@ -136,34 +136,6 @@ def gen_dict_lookup(cfg: DictTaskConfig, total_len: int | None = None,
     return DictDoc(tokens, mask, definitions, queries)
 
 
-def parse_dict_doc(tokens: np.ndarray):
-    """Independent oracle: re-parse an emitted document into (definitions,
-    queries) by scanning for record markers. Used to cross-check the
-    generator, so it shares no code with it beyond the token ids."""
-    key_len, val_len = 4, 4
-    rec = 2 + key_len + val_len
-    defs: dict[tuple[int, ...], tuple[int, ...]] = {}
-    queries: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    i = 0
-    n = len(tokens)
-    while i + rec <= n:
-        t = tokens[i]
-        if t in (KEY_TOKEN, QUERY_TOKEN):
-            key = tuple(int(x) for x in tokens[i + 1:i + 1 + key_len])
-            assert tokens[i + 1 + key_len] == VALUE_TOKEN
-            val = tuple(int(x) for x in tokens[i + 2 + key_len:i + 2 + key_len + val_len])
-            if t == KEY_TOKEN:
-                assert key not in defs, "key defined twice"
-                defs[key] = val
-            else:
-                queries.append((key, val))
-            i += rec
-        else:
-            assert t == PAD_TOKEN, f"unexpected token {t} at {i}"
-            i += 1
-    return defs, queries
-
-
 def dict_training_stream(cfg: DictTaskConfig, seed: int):
     """Infinite iterator of (tokens, loss_mask) documents for the pipeline."""
     rng = np.random.default_rng([seed, cfg.seed])

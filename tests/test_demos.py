@@ -16,7 +16,7 @@ DEMOS = {
     "02_memory_index": "reloaded index returns identical results",
     "04_distraction_metric": "per-context share at d=8",
     "05_context_extrapolation": "(the local-only baseline path",
-    "06_perplexity_and_scores": "query aligned with its key",
+    "06_perplexity_and_scores": "multi-doc (no resets): ppl",
 }
 
 

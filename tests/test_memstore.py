@@ -162,27 +162,10 @@ def test_reset_doc_and_clear():
     idx.append_block(*block(np.tile(np.arange(8), (3, 1)), doc=7))
     idx.append_block(*block(np.tile(np.arange(8) + 1, (2, 1)), doc=8))
     assert idx.stats()["per_doc"] == {7: 6, 8: 4}
-    assert idx.reset_doc(99) == 10  # unknown doc is a no-op
-    assert idx.reset_doc(7) == 4
     res = idx.topk(2, np.ones((2, 1, 8), np.float32), 10)
-    assert res.k == 2 and (res.doc_ids == 8).all()
+    assert res.k == 5
+    np.testing.assert_array_equal(res.doc_ids, np.broadcast_to([8, 8, 7, 7, 7], (2, 1, 5)))
     assert idx.clear() == 0 and idx.topk(2, np.ones((2, 1, 8), np.float32), 10).k == 0
-
-
-def test_reset_doc_preserves_unrelated_topk():
-    rng = np.random.default_rng(3)
-    idx = MemoryIndex([0], 1, 8)
-    keys_a = rng.standard_normal((20, 8)).astype(np.float32) - 5.0  # poor matches
-    keys_b = rng.standard_normal((20, 8)).astype(np.float32) + 5.0
-    idx.append_block(0, keys_a[None], keys_a[None], doc_id=0, positions=np.arange(20))
-    idx.append_block(0, keys_b[None], keys_b[None], doc_id=1, positions=np.arange(20))
-    q = np.ones((1, 4, 8), dtype=np.float32)
-    before = idx.topk(0, q, 5)
-    assert (before.doc_ids == 1).all()
-    idx.reset_doc(0)
-    after = idx.topk(0, q, 5)
-    np.testing.assert_array_equal(before.positions, after.positions)
-    np.testing.assert_array_equal(before.scores, after.scores)
 
 
 def test_stats_counts_sum_to_size():
@@ -222,19 +205,6 @@ def test_geometry_mismatch_rejected():
     assert idx.size() == 4
 
 
-def test_neighborhood_window():
-    idx = MemoryIndex([0], 2, 4)
-    keys = np.arange(80, dtype=np.float32).reshape(2, 10, 4)
-    idx.append_block(0, keys, keys, doc_id=3, positions=np.arange(10) * 2)
-    ks, pos, center = idx.neighborhood(0, 1, doc_id=3, position=8, radius=5)
-    np.testing.assert_array_equal(pos, [4, 6, 8, 10, 12])
-    np.testing.assert_array_equal(ks, keys[1, 2:7])
-    assert center == 2
-    for layer, head in ((1, 0), (0, -1), (0, 2)):
-        with pytest.raises(ShapeError):
-            idx.neighborhood(layer, head, doc_id=3, position=8, radius=5)
-
-
 def test_dump_load_roundtrip(tmp_path):
     rng = np.random.default_rng(4)
     idx = MemoryIndex([2, 3], n_heads=2, head_dim=8)  # layer 3 stays empty
@@ -242,7 +212,6 @@ def test_dump_load_roundtrip(tmp_path):
         keys = rng.standard_normal((2, 6, 8)).astype(np.float32)
         idx.append_block(2, keys, rng.standard_normal((2, 6, 8)), doc_id=doc,
                          positions=np.arange(6) + 10 * doc)
-    idx.reset_doc(1)
     path = tmp_path / "mem.fotm"
     idx.dump(path)
     back = MemoryIndex.load(path)

@@ -235,8 +235,7 @@ def test_record_buckets_sum_to_one_untrained():
     plan = exposure_plan(4, d=2)
     fwd = model.forward_train(batch, plan)
     rec = fwd.records[0]
-    total = rec.bucket_total()
-    np.testing.assert_allclose(total, 1.0, atol=1e-5)
+    np.testing.assert_allclose(rec.mass_local + rec.per_context.sum(-1), 1.0, atol=1e-5)
     assert (rec.per_context >= 0).all() and (rec.mass_local >= 0).all()
     assert rec.mass_positive().shape == rec.mass_local.shape
     # exactly one positive context (column 0) and one negative
@@ -252,7 +251,8 @@ def test_record_buckets_sum_to_one_gated():
     model.params["layers.1.gate_bias"].data[...] = 0.7
     batch = make_batch(rng, cfg, b=3)
     fwd = model.forward_train(batch, exposure_plan(3, 3))
-    np.testing.assert_allclose(fwd.records[0].bucket_total(), 1.0, atol=1e-5)
+    rec = fwd.records[0]
+    np.testing.assert_allclose(rec.mass_local + rec.per_context.sum(-1), 1.0, atol=1e-5)
 
 
 # ---------------------------------------------------------------------------

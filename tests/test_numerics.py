@@ -60,16 +60,6 @@ def test_add_and_concat():
         N.add(t64(np.ones((2, 3))), t64(np.ones((4, 5))))
 
 
-def test_stop_gradient_blocks_flow():
-    x = t64([1.0, 2.0, 3.0])
-    with N.Tape() as tape:
-        y = N.stop_gradient(x)
-        loss = N.sum_all(N.mul(y, y))
-    np.testing.assert_array_equal(y.data, x.data)
-    N.backward(tape, loss)
-    assert x.grad is None
-
-
 def test_softmax_uniform_and_masking_limit():
     for c in (0.5, 2.0, 30.0):
         y = N.softmax_last_axis(t64([c, c, c])).data
@@ -410,11 +400,16 @@ def test_fd_linear_function_roundoff_level():
 
 
 def test_fd_documents_stop_gradient_mismatch():
-    # On a path through stop_gradient the numeric grad is nonzero while the
+    # On a path detached from the tape the numeric grad is nonzero while the
     # analytic grad is zero; the checker reports that mismatch rather than
     # hiding it.
     x = t64(np.array([0.5, -0.3]))
-    err = N.finite_diff_check(lambda: N.sum_all(N.mul(N.stop_gradient(x), N.stop_gradient(x))), [x])
+
+    def fn():
+        frozen = N.Tensor(x.data.copy())
+        return N.sum_all(N.mul(frozen, frozen))
+
+    err = N.finite_diff_check(fn, [x])
     assert err > 0.9
 
 

@@ -1,6 +1,7 @@
 """Crossbatch pipeline: slots, units, plans, schedules."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -157,6 +158,20 @@ def test_segment_fractions_must_resolve():
     seg = DSchedule("segments", segments=((0.3, 0, 0), (0.7, 1, 0)))
     with pytest.raises(ConfigError):
         CrossbatchPipeline(doc_stream([np.arange(8)]), 8, 4, seg, w=1)
+
+
+@pytest.mark.parametrize("segments,message", [
+    (((1.5, 1, 1), (-0.5, 1, 1)), "are not shares >= 0"),
+    (((float("nan"), 1, 1),), "are not shares >= 0"),
+    (((1.0, -2, -3),), "-2 positives, outside [0, w = 1]"),
+    (((1.0, 1, -1),), "-1 negatives, outside [0, b_S - 1 = 3]"),
+], ids=["negative_fraction", "nan_fraction", "negative_positives", "negative_negatives"])
+def test_segments_reject_negative_values(segments, message):
+    """Negative values used to validate and then train on another plan:
+    1:-2:-3 gave no windows at all. A NaN fraction passed the sum check."""
+    seg = DSchedule("segments", segments=segments)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        simple_pipeline([np.arange(8)], b_s=4, schedule=seg)
 
 
 @pytest.mark.parametrize("sched,key", [

@@ -11,8 +11,36 @@ from fot import tasks
 from fot.errors import ConfigError, DataError
 from fot.tasks import (
     DictTaskConfig, PasskeyTaskConfig, dict_training_stream, find_passkey, gen_dict_lookup,
-    gen_passkey, gen_text_corpus, load_corpus, parse_dict_doc, save_corpus,
+    gen_passkey, gen_text_corpus, load_corpus, save_corpus,
 )
+
+
+def parse_dict_doc(tokens: np.ndarray):
+    """Oracle: re-parse an emitted document into (definitions, queries) by
+    scanning for record markers. It cross-checks the generator, so it shares
+    no code with it beyond the token ids."""
+    key_len, val_len = 4, 4
+    rec = 2 + key_len + val_len
+    defs: dict[tuple[int, ...], tuple[int, ...]] = {}
+    queries: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    i = 0
+    n = len(tokens)
+    while i + rec <= n:
+        t = tokens[i]
+        if t in (tasks.KEY_TOKEN, tasks.QUERY_TOKEN):
+            key = tuple(int(x) for x in tokens[i + 1:i + 1 + key_len])
+            assert tokens[i + 1 + key_len] == tasks.VALUE_TOKEN
+            val = tuple(int(x) for x in tokens[i + 2 + key_len:i + 2 + key_len + val_len])
+            if t == tasks.KEY_TOKEN:
+                assert key not in defs, "key defined twice"
+                defs[key] = val
+            else:
+                queries.append((key, val))
+            i += rec
+        else:
+            assert t == tasks.PAD_TOKEN, f"unexpected token {t} at {i}"
+            i += 1
+    return defs, queries
 
 
 def test_dict_record_format():

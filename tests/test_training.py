@@ -295,6 +295,14 @@ def test_setting_names_only_fields(source, text, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_sweep_rejects_a_repeated_grid_key(tmp_path):
+    """A dict keyed by grid key used to keep only the last d=... part."""
+    code, _, err = run_cli("sweep", "--preset", "desk", "--grid", "d=1;d=2",
+                           "--out", str(tmp_path / "sweep"))
+    assert code == 2 and err.startswith("config error: ") and "'d' appears twice" in err
+    assert not (tmp_path / "sweep").exists()
+
+
 def test_sweep_records_a_method_cell_as_config_error(tmp_path):
     out = tmp_path / "sweep"
     code, _, err = run_cli("sweep", "--preset", "desk", "--grid", "schedule=1;d=1,2",
@@ -317,7 +325,13 @@ def test_config_validation_errors():
     # grad_clip silently turned clipping off
     for key, value in (("max_lr", float("nan")), ("max_lr", float("inf")), ("min_lr", float("nan")),
                        ("grad_clip", float("nan")), ("grad_clip", float("inf")),
-                       ("grad_clip", -1.0), ("warmup_steps", -1)):
+                       ("grad_clip", -1.0), ("warmup_steps", -1),
+                       # Adam divides by 1 - beta**t and by sqrt(v) + eps: beta 1
+                       # gave NaN weights, and a negative checkpoint_every
+                       # checkpointed every |n| steps
+                       ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("beta2", float("nan")),
+                       ("adam_eps", 0.0), ("adam_eps", -1e-9), ("adam_eps", float("inf")),
+                       ("adam_eps", float("nan")), ("checkpoint_every", -1)):
         cfg = get_preset("desk")
         setattr(cfg, key, value)
         with pytest.raises(ConfigError):
@@ -456,13 +470,16 @@ def test_cli_train_rejects_a_d_above_b_s(override, key, tmp_path):
     (["model.ff_dim=0"], "n_layers, local_ctx_len, vocab_size and ff_dim must be at least 1"),
     (["model.rotary_base=0"], "rotary_base must be finite and positive"),
     (["model.rotary_base=nan"], "rotary_base must be finite and positive"),
+    (["beta2=1.0"], "need beta1 and beta2 in [0, 1)"),
 ], ids=["memory_layer_repeated", "zero_head_dim", "zero_heads", "zero_layers", "zero_vocab",
-        "zero_ff_dim", "zero_rotary_base", "nan_rotary_base"])
+        "zero_ff_dim", "zero_rotary_base", "nan_rotary_base", "beta2_one"])
 def test_cli_train_rejects_a_model_it_cannot_build(overrides, message, tmp_path):
     """A repeated memory layer used to fail an assertion in init_params and a
     zero width to divide by zero; a zero rotary base trained to a NaN loss
-    (exit 4), a zero vocabulary failed on its first token (exit 3) and
-    ff_dim=0 wrote a checkpoint. All are config errors before the run starts."""
+    (exit 4), a zero vocabulary failed on its first token (exit 3),
+    ff_dim=0 wrote a checkpoint, and beta2 = 1 zeroed Adam's bias
+    correction, so the run ended "done" with NaN weights. All are config
+    errors before the run starts."""
     argv = [a for o in overrides for a in ("--override", o)]
     code, _, err = run_cli("train", "--preset", "dict-small", *argv, "--out", str(tmp_path / "run"))
     assert code == 2 and err.startswith("config error: ") and "Traceback" not in err
