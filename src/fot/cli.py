@@ -82,6 +82,8 @@ def cmd_eval(args) -> int:
         need = "0 or more (a memory cap in tokens)"
     if bad:
         raise ConfigError(f"{axis_name} must be {need}, got {bad[0]:g}")
+    if args.suite == "ppl" and args.token_budget <= 0:
+        raise ConfigError(f"--token-budget must be positive, got {args.token_budget}")
     chash = config_hash(TrainConfig(model=model.cfg))
     run_id = f"eval-{Path(ck_path).stem}"
     rows: list[analysis.EvalResult] = []
@@ -194,6 +196,8 @@ def _sweep_cell(job: tuple[str, list[str], str]) -> dict:
 
 
 def cmd_gen_data(args) -> int:
+    if args.n_docs <= 0:
+        raise ConfigError(f"--n-docs must be positive, got {args.n_docs}")
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     if args.task == "dict":

@@ -687,7 +687,7 @@ def plan_rows(plan: CrossbatchPlan, batch: TrainBatch, local_ctx_len: int,
 
 
 FULL_TAPE_SCORE_BYTES = 200 * 2**20
-CHUNK_SLOTS = 8        # slots per chunk, and previous windows per re-encoding
+CHUNK_SLOTS = 2        # slots per chunk; each chunk's tape sits beside the stored encoding's
 LONG_QUERY_BLOCK = 256  # queries per attention block of forward_long
 
 
@@ -717,22 +717,18 @@ def _slot_chunks(model: Transformer, batch: TrainBatch, plan: CrossbatchPlan,
     from one encoding of the previous windows: one chunk of every slot when
     the step's scores fit in ``FULL_TAPE_SCORE_BYTES``, else chunks of
     ``CHUNK_SLOTS``. With a loss ``denom`` each chunk backpropagates its
-    share on a tape. For the gradient to reach the encoding, one chunk
-    stores it on a tape of its own, which backward finishes after the
-    chunk's; several chunks sum the extras' grads into tape-free leaves and
-    ``_push_prev_grads`` recomputes the encoding. Otherwise the encoding is
-    leaves that need no grad: stop-gradient. Returns (loss, records)."""
+    share on a tape. For the gradient to reach the encoding, it is stored on
+    a tape of its own: each chunk's backward adds its grads into the encoded
+    keys and values, and backward finishes the encoding's tape after the
+    last chunk's. Otherwise the encoding is leaves that need no grad:
+    stop-gradient. Returns (loss, records)."""
     b, t = batch.cur_tokens.shape
     prev_tokens, row_of = plan_rows(plan, batch, model.cfg.local_ctx_len)
     score_bytes = model.dtype.itemsize * b * model.cfg.n_heads * t * t * (1 + plan.max_windows)
     width = b if score_bytes <= FULL_TAPE_SCORE_BYTES else CHUNK_SLOTS
-    to_prev = denom is not None and differentiable
-    store = to_prev and width >= b
+    store = denom is not None and differentiable  # gradients reach the encoding
     with N.Tape() if store else contextlib.nullcontext() as enc_tape:
         prev_kv = model.encode_windows(prev_tokens) if len(prev_tokens) else {}
-    if to_prev and not store:  # tape-free leaves, which collect the chunks' grads
-        for x in (x for kv in prev_kv.values() for x in kv):
-            x.requires_grad = True
 
     total_loss = 0.0
     chunks: list[list[AttentionRecord]] = []
@@ -743,8 +739,8 @@ def _slot_chunks(model: Transformer, batch: TrainBatch, plan: CrossbatchPlan,
         with N.Tape() if denom is not None else contextlib.nullcontext() as tape:
             extras = {} if gather is None else \
                 {li: gather.extras(k, v) for li, (k, v) in prev_kv.items()}
-            if width >= b:
-                prev_kv = None  # one chunk: its extras hold all it reads of the encoding
+            if hi == b:
+                prev_kv = None  # last chunk: its extras hold all it reads of the encoding
             logits, recs = model._current_rows(batch.cur_tokens[lo:hi], extras, gather,
                                                collect_records)
             extras = None  # backward reads what it needs of them through the tape
@@ -757,21 +753,7 @@ def _slot_chunks(model: Transformer, batch: TrainBatch, plan: CrossbatchPlan,
 
     if store:
         N.backward_from(enc_tape, [])
-    elif to_prev:
-        _push_prev_grads(model, prev_tokens, prev_kv)
     return total_loss, _merge_chunk_records(chunks)
-
-
-def _push_prev_grads(model: Transformer, prev_tokens: np.ndarray,
-                     leaves: dict[int, tuple[Tensor, Tensor]]) -> None:
-    """Backpropagate the grads the chunks left on each memory layer's (K, V)
-    leaves through re-encodings of ``CHUNK_SLOTS`` windows at a time."""
-    for lo in range(0, len(prev_tokens), CHUNK_SLOTS):
-        hi = lo + CHUNK_SLOTS
-        with N.Tape() as tape:
-            kv = model.encode_windows(prev_tokens[lo:hi])
-            N.backward_from(tape, [(x, leaf.grad[lo:hi]) for li, pair in kv.items()
-                                   for x, leaf in zip(pair, leaves[li]) if leaf.grad is not None])
 
 
 def _merge_chunk_records(chunks: list[list[AttentionRecord]]) -> list[AttentionRecord]:

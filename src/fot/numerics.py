@@ -139,10 +139,9 @@ def backward(tape: Tape, loss: Tensor) -> None:
 def backward_from(tape: Tape, seeds: Sequence[tuple[Tensor, np.ndarray]]) -> None:
     """Reverse-traverse the tape starting from explicit (tensor, grad) seeds.
 
-    The crossbatch step finishes both kinds of encode tape through it: the
-    one-chunk step's with no seeds, its keys/values already holding the grads
-    the chunk's backward left in their slots, and the chunked path's
-    re-encodings seeded with the grads the chunks summed into their leaves.
+    The crossbatch step finishes its encoding's tape through it with no
+    seeds: the encoded keys/values already hold the grads that the chunks'
+    backward passes added into their slots.
     Consumes the tape: each node's output grad is taken off its tensor and
     the node is released once its backward has run, so only leaf tensors
     keep grads, and a second call on the same tape raises UsageError.

@@ -392,47 +392,98 @@ def _spy_extras(monkeypatch) -> list:
 
 
 def test_chunked_extras_leaves_keep_their_grads(monkeypatch):
-    """Backward frees the grads of intermediate tensors only: every chunk
-    gathers its extras from the encoded previous windows on its own tape,
-    so after the chunks those leaves hold the summed grads that the step
-    pushes through the re-encodings."""
+    """Every chunk gathers its extras from the one stored encoding of the
+    previous windows on its own tape, and its backward adds its grads into
+    the encoded keys and values. After the chunks they hold those grads,
+    and finishing the encoding's tape consumes it and pushes them on into
+    the parameters below the memory layers."""
     rng = np.random.default_rng(19)
     cfg = tiny_cfg(n_layers=3, memory_layers=(1, 2))
     model = Transformer(cfg, seed=20, dtype=np.float64)
     _randomize_head(model, rng)
     batch = make_batch(rng, cfg, b=4)
-    pushed, push = [], model_mod._push_prev_grads
-    monkeypatch.setattr(model_mod, "_push_prev_grads",
-                        lambda m, tokens, leaves: push(m, tokens, pushed.append(leaves) or leaves))
+    encoded, finished = [], []
+    encode, finish = Transformer.encode_windows, N.backward_from
+
+    def spy_encode(m, tokens, *a):
+        encoded.append(encode(m, tokens, *a))
+        return encoded[-1]
+
+    def spy_finish(tape, seeds):
+        if seeds:  # a chunk's loss
+            return finish(tape, seeds)
+        kv = [x for pair in encoded[0].values() for x in pair]
+        assert len(kv) == 2 * 2  # memory layers x (k, v)
+        assert all(x.grad is not None and np.abs(x.grad).max() > 0 for x in kv)
+        before = {name: model.params[name].grad.copy() for name in ("embed", "layers.0.w1")}
+        finish(tape, seeds)
+        finished.append((tape, before))
+
+    monkeypatch.setattr(Transformer, "encode_windows", spy_encode)
+    monkeypatch.setattr(N, "backward_from", spy_finish)
     model.zero_grads()
     _force_chunks_of_two(monkeypatch)
     crossbatch_grad_step(model, batch, exposure_plan(4, 2))
-    (leaves,) = pushed
-    leaves = [t for pair in leaves.values() for t in pair]
-    assert len(leaves) == 2 * 2  # memory layers x (k, v)
-    assert all(t.grad is not None and np.abs(t.grad).max() > 0 for t in leaves)
+    ((tape, before),) = finished
+    assert tape._consumed and len(encoded) == 1
+    for name, grad in before.items():
+        assert np.abs(model.params[name].grad - grad).max() > 0, name
 
 
 @pytest.mark.parametrize("chunked", [False, True], ids=["one_chunk", "chunks_of_two"])
 def test_one_chunk_backpropagates_through_its_own_encoding(chunked, monkeypatch):
     """One chunk with a loss encodes the previous windows once, on a tape
-    that its backward finishes; chunks of two re-encode them to push the
-    grads their leaves collected."""
+    that its backward finishes; so do chunks of two, each adding its grads
+    into the one stored encoding."""
     rng = np.random.default_rng(21)
     cfg = tiny_cfg(n_layers=3, memory_layers=(1, 2))
     model = Transformer(cfg, seed=22, dtype=np.float64)
     batch = make_batch(rng, cfg, b=4)
-    encodes, pushes = [], []
-    encode, push = Transformer.encode_windows, model_mod._push_prev_grads
+    encodes, encode = [], Transformer.encode_windows
     monkeypatch.setattr(Transformer, "encode_windows",
                         lambda m, tokens, *a: encodes.append(len(tokens)) or encode(m, tokens, *a))
-    monkeypatch.setattr(model_mod, "_push_prev_grads",
-                        lambda *a: pushes.append(1) or push(*a))
     if chunked:
         _force_chunks_of_two(monkeypatch)
     crossbatch_grad_step(model, batch, exposure_plan(4, 2))
-    assert len(pushes) == int(chunked)
-    assert encodes == ([4, 2, 2] if chunked else [4])  # re-encoded two windows at a time
+    assert encodes == [4]
+
+
+def test_chunks_of_two_encode_once_below_one_chunks_peak(monkeypatch):
+    """At d = b, with scores far larger than the activations, chunks of two
+    encode the previous windows once, keep that encoding's tape beside each
+    chunk's, and still peak below the same step as one chunk, with the same
+    loss and grads."""
+    rng = np.random.default_rng(51)
+    cfg = tiny_cfg(local_ctx_len=32)
+    model = Transformer(cfg, seed=52, dtype=np.float64)
+    _randomize_head(model, rng)
+    batch = make_batch(rng, cfg, b=8)
+    plan = exposure_plan(8, 8)
+    encodes, encode = [], Transformer.encode_windows
+    monkeypatch.setattr(Transformer, "encode_windows",
+                        lambda m, tokens, *a: encodes.append(len(tokens)) or encode(m, tokens, *a))
+
+    def step():
+        model.zero_grads()
+        tracemalloc.start()
+        try:
+            loss, _ = crossbatch_grad_step(model, batch, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return loss, {name: p.grad for name, p in model.params.items()}, peak
+
+    loss_one, grads_one, peak_one = step()
+    _force_chunks_of_two(monkeypatch)
+    loss, grads, peak = step()
+    assert encodes == [8, 8]
+    assert peak < peak_one, (peak, peak_one)
+    assert abs(loss - loss_one) < 1e-10
+    for name, g in grads.items():
+        if grads_one[name] is None:  # the gate bias of a merged model
+            assert g is None, name
+            continue
+        np.testing.assert_allclose(g, grads_one[name], rtol=0, atol=1e-10, err_msg=name)
 
 
 @pytest.mark.parametrize("path,d,gathers", [("one_tape", 3, True), ("chunked", 3, True),
@@ -501,8 +552,8 @@ def test_shared_extras_match_per_slot_extras(path, monkeypatch):
 # sha256 prefixes of one float32 grad step's loss and parameter grads; they
 # hash float bytes, so they pin the numpy/BLAS build as well as the math.
 # "chunked_shared" runs a d = b plan, whose chunks share their extras.
-PINNED_GRAD_STEPS = {"one_tape": "aeee324efdee9ead", "chunked": "01eefbe708317bb1",
-                     "chunked_shared": "d184eedb637fe007"}
+PINNED_GRAD_STEPS = {"one_tape": "aeee324efdee9ead", "chunked": "6332c19fbb401151",
+                     "chunked_shared": "5db41b0fb8763439"}
 
 
 @pytest.mark.parametrize("path", sorted(PINNED_GRAD_STEPS))

@@ -547,6 +547,30 @@ def test_cli_eval_rejects_an_axis_value_it_cannot_use(suite, axis, message, tmp_
     assert not (tmp_path / "e.csv").exists()
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_cli_eval_ppl_rejects_a_token_budget_below_one(budget, tmp_path):
+    """A budget of no tokens once scored only the first document and
+    exited 0; it is refused before the checkpoint's first window."""
+    cfg = ModelConfig(n_layers=3, d_model=16, n_heads=2, head_dim=8, ff_dim=32,
+                      vocab_size=256, memory_layers=(1, 2), local_ctx_len=16)
+    ck = tmp_path / "m.fotc"
+    save_checkpoint(ck, cfg, Transformer(cfg, seed=0).params)
+    code, _, err = run_cli("eval", "--checkpoint", str(ck), "--suite", "ppl", "--axis",
+                           "memory=64", "--token-budget", budget, "--out", str(tmp_path / "e.csv"))
+    assert code == 2 and err == f"config error: --token-budget must be positive, got {budget}\n"
+    assert not (tmp_path / "e.csv").exists()
+
+
+@pytest.mark.parametrize("task", ["dict", "passkey", "text"])
+@pytest.mark.parametrize("n_docs", ["0", "-1"])
+def test_cli_gen_data_rejects_a_doc_count_below_one(task, n_docs, tmp_path):
+    """No documents once wrote an empty file and exited 0."""
+    out = tmp_path / "data" / "docs.txt"
+    code, _, err = run_cli("gen-data", "--task", task, "--n-docs", n_docs, "--out", str(out))
+    assert code == 2 and err == f"config error: --n-docs must be positive, got {n_docs}\n"
+    assert not out.parent.exists()
+
+
 def test_cli_gen_data_and_eval(tmp_path):
     code, _, _ = run_cli("gen-data", "--task", "text", "--out", str(tmp_path / "c.txt"),
                          "--n-docs", "4", "--doc-len", "300")
