@@ -82,6 +82,8 @@ def cmd_eval(args) -> int:
         need = "0 or more (a memory cap in tokens)"
     if bad:
         raise ConfigError(f"{axis_name} must be {need}, got {bad[0]:g}")
+    if args.n_docs <= 0:
+        raise ConfigError(f"--n-docs must be positive, got {args.n_docs}")
     if args.suite == "ppl" and args.token_budget <= 0:
         raise ConfigError(f"--token-budget must be positive, got {args.token_budget}")
     chash = config_hash(TrainConfig(model=model.cfg))
@@ -129,7 +131,7 @@ def _eval_docs(args, model):
         if not any(len(toks) > 1 for _, toks in docs):
             raise DataError(f"{args.corpus}: no document of {max(2, args.min_doc_len)}+ bytes to score")
         return docs
-    docs = tasks.gen_text_corpus(16, 4 * model.cfg.local_ctx_len, seed=args.seed)
+    docs = tasks.gen_text_corpus(args.n_docs, 4 * model.cfg.local_ctx_len, seed=args.seed)
     return [(i, tasks.encode_bytes(d)) for i, d in enumerate(docs)]
 
 
@@ -198,15 +200,16 @@ def _sweep_cell(job: tuple[str, list[str], str]) -> dict:
 def cmd_gen_data(args) -> int:
     if args.n_docs <= 0:
         raise ConfigError(f"--n-docs must be positive, got {args.n_docs}")
+    if args.task == "text" and args.doc_len <= 0:
+        raise ConfigError(f"--doc-len must be positive, got {args.doc_len}")
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
+    rng = np.random.default_rng(args.seed)
     if args.task == "dict":
-        rng = np.random.default_rng(args.seed)
         docs = [tasks.gen_dict_lookup(DictTaskConfig(), rng=rng).tokens
                 for _ in range(args.n_docs)]
         tasks.dump_token_file(docs, out)
     elif args.task == "passkey":
-        rng = np.random.default_rng(args.seed)
         prompts = [tasks.gen_passkey(PasskeyTaskConfig(prompt_len=args.prompt_len), rng)
                    for _ in range(args.n_docs)]
         tasks.dump_token_file([p.tokens for p in prompts], out)

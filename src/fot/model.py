@@ -312,9 +312,12 @@ def _plan_gather(plan: CrossbatchPlan, row_of: dict[tuple[int, int], int], slots
     return _Gather(idx.reshape(-1), pad_add, win_ctx)
 
 
-def _bucket_record(li: int, mass_local: np.ndarray, p_ext: np.ndarray, gather: _Gather,
-                   gate: float | None) -> AttentionRecord:
-    """Training record: extras weights summed per window, then per context."""
+def _bucket_record(li: int, mass_local: np.ndarray, p_ext: np.ndarray | None,
+                   gather: _Gather | None, gate: float | None) -> AttentionRecord:
+    """Training record: extras weights summed per window, then per context
+    (none when no slot has planned windows: ``p_ext`` is None)."""
+    if p_ext is None:
+        return AttentionRecord(li, mass_local, np.zeros(mass_local.shape + (0,), mass_local.dtype))
     b, h, t, _ = p_ext.shape
     e = gather.window_context.shape[1]
     per_window = p_ext.reshape(b, h, t, e, -1).sum(axis=-1)
@@ -566,14 +569,7 @@ class Transformer:
                       ) -> tuple[Tensor, list[AttentionRecord]]:
         """Process current windows; memory layers attend to planned extras."""
         logits, atts, _ = self._forward(tokens, lambda li, q: extras.get(li), None, collect_records)
-        records: list[AttentionRecord] = []
-        for li, mass_local, p_ext, gate in atts:
-            if p_ext is None:  # no planned contexts anywhere
-                records.append(AttentionRecord(
-                    li, mass_local, per_context=np.zeros(mass_local.shape + (0,), self.dtype)))
-                continue
-            records.append(_bucket_record(li, mass_local, p_ext, gather, gate))
-        return logits, records
+        return logits, [_bucket_record(li, m, p_ext, gather, g) for li, m, p_ext, g in atts]
 
     def forward_train(self, batch: TrainBatch, plan: CrossbatchPlan, *,
                       collect_records: bool = True) -> TrainForward:
@@ -686,8 +682,7 @@ def plan_rows(plan: CrossbatchPlan, batch: TrainBatch, local_ctx_len: int,
     return batch.prev_tokens[slots, wins], row_of
 
 
-FULL_TAPE_SCORE_BYTES = 200 * 2**20
-CHUNK_SLOTS = 2        # slots per chunk; each chunk's tape sits beside the stored encoding's
+FULL_TAPE_SCORE_BYTES = 8 * 2**20  # a chunk's score budget: as many slots as fit, at least one
 LONG_QUERY_BLOCK = 256  # queries per attention block of forward_long
 
 
@@ -714,18 +709,19 @@ def _slot_chunks(model: Transformer, batch: TrainBatch, plan: CrossbatchPlan,
                  denom: float | None, differentiable: bool, collect_records: bool,
                  ) -> tuple[float, list[AttentionRecord]]:
     """The crossbatch forward over chunks of slots, each gathering its extras
-    from one encoding of the previous windows: one chunk of every slot when
-    the step's scores fit in ``FULL_TAPE_SCORE_BYTES``, else chunks of
-    ``CHUNK_SLOTS``. With a loss ``denom`` each chunk backpropagates its
-    share on a tape. For the gradient to reach the encoding, it is stored on
-    a tape of its own: each chunk's backward adds its grads into the encoded
-    keys and values, and backward finishes the encoding's tape after the
-    last chunk's. Otherwise the encoding is leaves that need no grad:
-    stop-gradient. Returns (loss, records)."""
+    from one encoding of the previous windows. A chunk holds as many slots,
+    at least one, as keep its scores (H·T·(1 + E)·T floats a slot, E the
+    plan's most windows) within ``FULL_TAPE_SCORE_BYTES``. With a loss
+    ``denom`` each chunk backpropagates its share on a tape. For the
+    gradient to reach the encoding, it is stored on a tape of its own: each
+    chunk's backward adds its grads into the encoded keys and values, and
+    backward finishes the encoding's tape after the last chunk's. Otherwise
+    the encoding is leaves that need no grad: stop-gradient. Returns (loss,
+    records)."""
     b, t = batch.cur_tokens.shape
     prev_tokens, row_of = plan_rows(plan, batch, model.cfg.local_ctx_len)
-    score_bytes = model.dtype.itemsize * b * model.cfg.n_heads * t * t * (1 + plan.max_windows)
-    width = b if score_bytes <= FULL_TAPE_SCORE_BYTES else CHUNK_SLOTS
+    slot_bytes = model.dtype.itemsize * model.cfg.n_heads * t * t * (1 + plan.max_windows)
+    width = max(1, min(b, FULL_TAPE_SCORE_BYTES // slot_bytes))
     store = denom is not None and differentiable  # gradients reach the encoding
     with N.Tape() if store else contextlib.nullcontext() as enc_tape:
         prev_kv = model.encode_windows(prev_tokens) if len(prev_tokens) else {}

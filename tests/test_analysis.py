@@ -471,8 +471,10 @@ def test_untrained_exposure_r_near_uniform(monkeypatch):
             toks = encode_bytes(text)[:32]
             yield toks, np.ones(len(toks))
 
-    monkeypatch.setattr(model_mod, "FULL_TAPE_SCORE_BYTES", 0)
-    monkeypatch.setattr(model_mod, "CHUNK_SLOTS", 4)  # several chunks per exposure
+    # several chunks per exposure: a budget of four slots' scores, d windows a slot
+    t = cfg.local_ctx_len
+    slot_bytes = model.dtype.itemsize * cfg.n_heads * t * t * (1 + d)
+    monkeypatch.setattr(model_mod, "FULL_TAPE_SCORE_BYTES", 4 * slot_bytes)
     rep = A.distraction_eval(model, docs(), d, min_queries=500)
     assert 0.5 / d <= rep.r <= 3.0 / d
     assert rep.n_queries >= 500

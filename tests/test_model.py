@@ -295,7 +295,7 @@ def test_gradient_reaches_extras_only_when_differentiable(monkeypatch):
     for chunked in (False, True):
         with monkeypatch.context() as m:
             if chunked:
-                _force_chunks_of_two(m)
+                _force_chunks_of_two(m, model, plan)
             loss_diff, grads_diff = _step_of(model, batch, plan, differentiable=True)
             loss_stop, grads_stop = _step_of(model, batch, plan, differentiable=False)
 
@@ -314,10 +314,17 @@ def _without_windows(plan, slots):
     return plan
 
 
-def _force_chunks_of_two(monkeypatch):
-    """Run every crossbatch step in chunks of two slots."""
-    monkeypatch.setattr(model_mod, "FULL_TAPE_SCORE_BYTES", 0)
-    monkeypatch.setattr(model_mod, "CHUNK_SLOTS", 2)
+def _slot_score_bytes(model, plan) -> int:
+    """One slot's scores in a crossbatch step of ``plan``: H·T·(1 + E)·T
+    floats, E the plan's most windows a slot."""
+    t = model.cfg.local_ctx_len
+    return model.dtype.itemsize * model.cfg.n_heads * t * t * (1 + plan.max_windows)
+
+
+def _force_chunks_of_two(monkeypatch, model, plan):
+    """Run the crossbatch step of ``plan`` in chunks of two slots: a score
+    budget of two slots' scores."""
+    monkeypatch.setattr(model_mod, "FULL_TAPE_SCORE_BYTES", 2 * _slot_score_bytes(model, plan))
 
 
 CHUNK_CASES = pytest.mark.parametrize(
@@ -351,7 +358,7 @@ def test_chunked_grad_step_matches_full_tape(integration, empty_slots, d, lossle
     model.zero_grads()
     loss_full, grads_full = _loss_of(model, batch, plan)
     model.zero_grads()
-    _force_chunks_of_two(monkeypatch)
+    _force_chunks_of_two(monkeypatch, model, plan)
     loss_chunk, _ = crossbatch_grad_step(model, batch, plan)
     assert abs(loss_full - loss_chunk) < 1e-10
     for name, p in model.params.items():
@@ -368,7 +375,7 @@ def test_chunked_records_match_forward_train(integration, empty_slots, d, lossle
     loss, merge their chunks' records into exactly forward_train's."""
     model, batch, plan = _chunk_case(integration, empty_slots, d, lossless)
     want = model.forward_train(batch, plan).records
-    _force_chunks_of_two(monkeypatch)
+    _force_chunks_of_two(monkeypatch, model, plan)
     _, stepped = crossbatch_grad_step(model, batch, plan, collect_records=True)
     for got in (stepped, exposure_records(model, batch, plan)):
         assert [r.layer for r in got] == [r.layer for r in want]
@@ -422,8 +429,9 @@ def test_chunked_extras_leaves_keep_their_grads(monkeypatch):
     monkeypatch.setattr(Transformer, "encode_windows", spy_encode)
     monkeypatch.setattr(N, "backward_from", spy_finish)
     model.zero_grads()
-    _force_chunks_of_two(monkeypatch)
-    crossbatch_grad_step(model, batch, exposure_plan(4, 2))
+    plan = exposure_plan(4, 2)
+    _force_chunks_of_two(monkeypatch, model, plan)
+    crossbatch_grad_step(model, batch, plan)
     ((tape, before),) = finished
     assert tape._consumed and len(encoded) == 1
     for name, grad in before.items():
@@ -442,9 +450,10 @@ def test_one_chunk_backpropagates_through_its_own_encoding(chunked, monkeypatch)
     encodes, encode = [], Transformer.encode_windows
     monkeypatch.setattr(Transformer, "encode_windows",
                         lambda m, tokens, *a: encodes.append(len(tokens)) or encode(m, tokens, *a))
+    plan = exposure_plan(4, 2)
     if chunked:
-        _force_chunks_of_two(monkeypatch)
-    crossbatch_grad_step(model, batch, exposure_plan(4, 2))
+        _force_chunks_of_two(monkeypatch, model, plan)
+    crossbatch_grad_step(model, batch, plan)
     assert encodes == [4]
 
 
@@ -474,13 +483,49 @@ def test_chunks_of_two_encode_once_below_one_chunks_peak(monkeypatch):
         return loss, {name: p.grad for name, p in model.params.items()}, peak
 
     loss_one, grads_one, peak_one = step()
-    _force_chunks_of_two(monkeypatch)
+    _force_chunks_of_two(monkeypatch, model, plan)
     loss, grads, peak = step()
     assert encodes == [8, 8]
     assert peak < peak_one, (peak, peak_one)
     assert abs(loss - loss_one) < 1e-10
     for name, g in grads.items():
         if grads_one[name] is None:  # the gate bias of a merged model
+            assert g is None, name
+            continue
+        np.testing.assert_allclose(g, grads_one[name], rtol=0, atol=1e-10, err_msg=name)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 4, 6])
+def test_chunk_width_is_the_score_budget_in_slots(k, monkeypatch):
+    """A budget of k slots' scores runs a six-slot step in ceil(6 / k)
+    chunks of k slots, and a budget of none in one slot a chunk. Every width
+    encodes the previous windows once and gives the one-chunk step's loss
+    and grads."""
+    rng = np.random.default_rng(61)
+    cfg = tiny_cfg(n_layers=3, memory_layers=(1, 2))
+    model = Transformer(cfg, seed=62, dtype=np.float64)
+    _randomize_head(model, rng)
+    batch = make_batch(rng, cfg, b=6)
+    plan = exposure_plan(6, 3)
+    encodes, encode = [], Transformer.encode_windows
+    rows, current_rows = [], Transformer._current_rows
+    monkeypatch.setattr(Transformer, "encode_windows",
+                        lambda m, tokens, *a: encodes.append(len(tokens)) or encode(m, tokens, *a))
+    monkeypatch.setattr(Transformer, "_current_rows", lambda m, tokens, *a: rows.append(
+        len(tokens)) or current_rows(m, tokens, *a))
+
+    loss_one, grads_one = _step_of(model, batch, plan, differentiable=True)
+    assert rows == [6] and encodes == [6]
+    rows.clear()
+    encodes.clear()
+    monkeypatch.setattr(model_mod, "FULL_TAPE_SCORE_BYTES", k * _slot_score_bytes(model, plan))
+    loss, grads = _step_of(model, batch, plan, differentiable=True)
+    width = max(k, 1)
+    assert rows == [min(width, 6 - lo) for lo in range(0, 6, width)]
+    assert encodes == [6]
+    assert abs(loss - loss_one) < 1e-10
+    for name, g in grads.items():
+        if grads_one[name] is None:  # the gate biases of a merged model
             assert g is None, name
             continue
         np.testing.assert_allclose(g, grads_one[name], rtol=0, atol=1e-10, err_msg=name)
@@ -501,9 +546,10 @@ def test_extras_are_gathered_with_take_rows_unless_shared(path, d, gathers, monk
     batch = make_batch(rng, cfg, b=6)
     calls, take = [], N.take_rows
     monkeypatch.setattr(N, "take_rows", lambda x, idx: calls.append(len(idx)) or take(x, idx))
+    plan = exposure_plan(6, d)
     if path == "chunked":
-        _force_chunks_of_two(monkeypatch)
-    crossbatch_grad_step(model, batch, exposure_plan(6, d))
+        _force_chunks_of_two(monkeypatch, model, plan)
+    crossbatch_grad_step(model, batch, plan)
     assert bool(calls) == gathers, calls
 
 
@@ -532,7 +578,7 @@ def test_shared_extras_match_per_slot_extras(path, monkeypatch):
     assert {ext.k.shape for ext in built} == {(b + 1, h, b * t, dh)}
     built.clear()
     if path == "chunked":
-        _force_chunks_of_two(monkeypatch)
+        _force_chunks_of_two(monkeypatch, model, plan)
     model.zero_grads()
     loss, got = crossbatch_grad_step(model, batch, plan, collect_records=True)
     assert {ext.k.shape for ext in built} == {(1, h, b * t, dh)}
@@ -568,11 +614,11 @@ def test_grad_step_is_pinned(path, monkeypatch):
     model = Transformer(cfg, seed=32)
     _randomize_head(model, rng)
     batch = make_batch(rng, cfg, b=6, w=2)
+    plan = exposure_plan(6, 6 if path == "chunked_shared" else 3)
     if path != "one_tape":
-        _force_chunks_of_two(monkeypatch)
+        _force_chunks_of_two(monkeypatch, model, plan)
     model.zero_grads()
-    d = 6 if path == "chunked_shared" else 3
-    loss, _ = crossbatch_grad_step(model, batch, exposure_plan(6, d))
+    loss, _ = crossbatch_grad_step(model, batch, plan)
     h = hashlib.sha256(np.float64(loss).tobytes())
     for name in sorted(model.params):
         g = model.params[name].grad
@@ -880,10 +926,10 @@ def test_forward_train_rejects_bad_plan(monkeypatch):
     bad = [(batch, empty_plan(3)), (short, exposure_plan(2, 1)), (missing, exposure_plan(2, 1))]
     runs = (model.forward_train, lambda b_, plan: crossbatch_grad_step(model, b_, plan),
             lambda b_, plan: exposure_records(model, b_, plan))
-    for chunk_slots in (None, 1):  # one chunk of both slots, then a chunk per slot
-        if chunk_slots:
-            monkeypatch.setattr(model_mod, "FULL_TAPE_SCORE_BYTES", 0)
-            monkeypatch.setattr(model_mod, "CHUNK_SLOTS", chunk_slots)
+    for chunked in (False, True):  # one chunk of both slots, then a chunk per slot
+        if chunked:
+            monkeypatch.setattr(model_mod, "FULL_TAPE_SCORE_BYTES",
+                                _slot_score_bytes(model, exposure_plan(2, 1)))
         for run in runs:
             for b_, plan in bad:
                 with pytest.raises(UsageError):

@@ -571,6 +571,49 @@ def test_cli_gen_data_rejects_a_doc_count_below_one(task, n_docs, tmp_path):
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("doc_len", ["0", "-1"])
+def test_cli_gen_data_rejects_a_text_doc_length_below_one(doc_len, tmp_path):
+    """Empty text documents once made a file of separators and exited 0."""
+    out = tmp_path / "data" / "docs.txt"
+    code, _, err = run_cli("gen-data", "--task", "text", "--n-docs", "2", "--doc-len", doc_len,
+                           "--out", str(out))
+    assert code == 2 and err == f"config error: --doc-len must be positive, got {doc_len}\n"
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("suite,axis", [("dict", "memory=16"), ("passkey", "len=96"),
+                                        ("ppl", "memory=64"), ("distraction", "d=2")])
+@pytest.mark.parametrize("n_docs", ["0", "-1"])
+def test_cli_eval_rejects_a_doc_count_below_one(suite, axis, n_docs, byte_checkpoint, tmp_path):
+    """--n-docs 0 once still scored 16 generated documents on the ppl suite."""
+    code, _, err = run_cli("eval", "--checkpoint", str(byte_checkpoint), "--suite", suite,
+                           "--axis", axis, "--n-docs", n_docs, "--out", str(tmp_path / "e.csv"))
+    assert code == 2 and err == f"config error: --n-docs must be positive, got {n_docs}\n"
+    assert not (tmp_path / "e.csv").exists()
+
+
+@pytest.mark.parametrize("n_docs", [None, "1", "3"])
+def test_cli_eval_ppl_scores_n_docs_generated_documents(n_docs, byte_checkpoint, tmp_path,
+                                                        monkeypatch):
+    """Without --corpus the ppl suite scores --n-docs generated documents of
+    four windows each (8 by default), not a fixed 16."""
+    from fot import analysis
+    scored, evaluate = [], analysis.perplexity_eval
+    monkeypatch.setattr(analysis, "perplexity_eval",
+                        lambda model, docs, *a, **kw: scored.append(docs) or evaluate(
+                            model, docs, *a, **kw))
+    extra = [] if n_docs is None else ["--n-docs", n_docs]
+    code, _, err = run_cli("eval", "--checkpoint", str(byte_checkpoint), "--suite", "ppl",
+                           "--axis", "memory=64", "--token-budget", "64", *extra, "--seed", "5",
+                           "--out", str(tmp_path / "e.csv"))
+    assert code == 0, err
+    want = tasks.gen_text_corpus(int(n_docs or 8), 4 * 16, seed=5)
+    ((docs,),) = [scored]
+    assert [i for i, _ in docs] == list(range(len(want)))
+    for (_, toks), text in zip(docs, want, strict=True):
+        np.testing.assert_array_equal(toks, tasks.encode_bytes(text))
+
+
 def test_cli_gen_data_and_eval(tmp_path):
     code, _, _ = run_cli("gen-data", "--task", "text", "--out", str(tmp_path / "c.txt"),
                          "--n-docs", "4", "--doc-len", "300")
