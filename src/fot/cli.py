@@ -82,6 +82,8 @@ def cmd_eval(args) -> int:
         need = "0 or more (a memory cap in tokens)"
     if bad:
         raise ConfigError(f"{axis_name} must be {need}, got {bad[0]:g}")
+    if args.n_docs is None:
+        args.n_docs = 512 if args.suite == "distraction" else 8
     if args.n_docs <= 0:
         raise ConfigError(f"--n-docs must be positive, got {args.n_docs}")
     if args.suite == "ppl" and args.token_budget <= 0:
@@ -140,7 +142,7 @@ def _distraction_docs(args, model):
     if args.corpus:
         stream = tasks.load_corpus(args.corpus, args.min_doc_len)
     else:
-        texts = tasks.gen_text_corpus(512, 3 * t, seed=args.seed)
+        texts = tasks.gen_text_corpus(args.n_docs, 3 * t, seed=args.seed)
         stream = tasks.CorpusStream([tasks.encode_bytes(x)[: 2 * t] for x in texts],
                                     list(range(len(texts))))
     return tasks.corpus_training_stream(stream)
@@ -270,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True, help="metrics CSV path")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--k", type=int, default=32)
-    sp.add_argument("--n-docs", type=int, default=8)
+    sp.add_argument("--n-docs", type=int, default=None,
+                    help="documents to generate without --corpus (512 for distraction, else 8)")
     sp.add_argument("--mode", default="single_doc", choices=["single_doc", "multi_doc"])
     sp.add_argument("--no-memory", action="store_true",
                     help="dict suite: local-only long-context baseline path")

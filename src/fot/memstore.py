@@ -13,7 +13,11 @@ columns j, m+j, ..., (g-1)m+j), so m >= k, and the bound is the k-th largest
 of the m group maxima. Those k groups hold k distinct scores at or above the
 bound, so the k-th largest score is at or above it too: every hit, and every
 score tied with the last hit, passes the bound. Only the passing candidates
-are sorted, by (row, score descending, column).
+are sorted, by one stable argsort of an integer key: the row in its high 32
+bits and the score's order-preserving bits, complemented, in its low 32, so
+ties keep the lower column. A read scores as many heads at once as keep their
+[heads * queries, n] float32 scores within 1 MiB, and selects and gathers for
+the whole block.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .errors import DataError, FormatError, NumericError, ShapeError, UsageError
 MAGIC = b"FOTM"
 FORMAT_VERSION = 3
 _GROUP = 16  # most columns per group in the top-k bound
+_BLOCK_BYTES = 1 << 20  # scores of the heads one top-k read scans together
 
 
 @dataclass
@@ -155,18 +160,29 @@ class MemoryIndex:
         res = TopkResult(indices=np.empty(hqk, np.int64), scores=np.empty(hqk, np.float32),
                          keys=np.empty(hqk + dh, np.float32), values=np.empty(hqk + dh, np.float32),
                          doc_ids=np.empty(hqk, np.int64), positions=np.empty(hqk, np.int64), k=kk)
-        if kk == 0:
+        if not res.indices.size:
             return res
-        for h in range(h_count):
-            scores = queries[h] @ s.keys[h, :n].T  # [Q, n]
-            top = _exact_topk_rows(scores, kk)
-            res.indices[h] = top
-            res.scores[h] = np.take_along_axis(scores, top, axis=1)
+        heads = max(1, min(h_count, _BLOCK_BYTES // (4 * q_count * n)))
+        cap = s.keys.shape[1]
+        for h0 in range(0, h_count, heads):
+            hs = slice(h0, h0 + heads)
+            block = np.matmul(queries[hs], s.keys[hs, :n].transpose(0, 2, 1))  # [h, Q, n]
+            rows = block.shape[0] * q_count
+            top = _exact_topk_rows(block.reshape(rows, n), kk)  # [h*Q, k]
+            res.indices[hs] = top.reshape(-1, q_count, kk)
+            # row r of the block is head r // Q: its scores start at r * n in
+            # the flattened block, its stored rows at (r // Q) * cap in the
+            # flattened key and value buffers
+            r = np.arange(rows)[:, None]
+            at = top + r // q_count * cap
             # gather straight into the result, so each page is written once;
-            # mode="clip" skips take's buffered copy (every index is < n)
-            for name, src in (("keys", s.keys[h]), ("values", s.values[h]),
-                              ("doc_ids", s.doc_ids), ("positions", s.positions)):
-                np.take(src[:n], top, axis=0, out=getattr(res, name)[h], mode="clip")
+            # mode="clip" skips take's buffered copy (every index is in range)
+            for name, src, idx in (("scores", block.reshape(-1), top + r * n),
+                                   ("keys", s.keys[hs].reshape(-1, self.head_dim), at),
+                                   ("values", s.values[hs].reshape(-1, self.head_dim), at),
+                                   ("doc_ids", s.doc_ids, top), ("positions", s.positions, top)):
+                out = getattr(res, name)[hs]
+                np.take(src, idx, axis=0, out=out.reshape(idx.shape + out.shape[3:]), mode="clip")
         return res
 
     # -- persistence ---------------------------------------------------------
@@ -233,9 +249,10 @@ class MemoryIndex:
         return idx
 
 def _exact_topk_rows(scores: np.ndarray, k: int) -> np.ndarray:
-    """Row-wise exact top-k indices of ``scores`` [Q, n] for 1 <= k <= n,
-    descending, ties by lower column index. Assumes index order equals
-    insertion order. A NaN score has no rank and raises NumericError."""
+    """Row-wise exact top-k indices of float32 ``scores`` [Q, n] for
+    1 <= k <= n, descending, ties by lower column index (-0 ties +0). Assumes
+    index order equals insertion order. A NaN score has no rank and raises
+    NumericError."""
     q, n = scores.shape
     g = max(1, min(_GROUP, n // (2 * k)))
     m = n // g  # >= k groups; >= 2k where n allows, which keeps the bound tight
@@ -245,9 +262,14 @@ def _exact_topk_rows(scores: np.ndarray, k: int) -> np.ndarray:
     lb = np.partition(gmax, m - k, axis=1)[:, m - k, None]
     flat = np.flatnonzero(scores >= lb)
     row, col = divmod(flat, n)
-    # flat lists each row's columns ascending and lexsort is stable, so equal
+    # adding +0 turns -0 into +0. A negative float's bits sort descending as
+    # they are; a positive's, with every bit but the sign flipped, sort
+    # descending below every negative's
+    bits = (scores.take(flat) + np.float32(0)).view(np.uint32)
+    low = np.where(bits >> 31, bits, bits ^ np.uint32(0x7FFFFFFF))
+    # flat lists each row's columns ascending and the sort is stable, so equal
     # scores keep the lower column first
-    order = np.lexsort((-scores.take(flat), row))
+    order = np.argsort(row.astype(np.uint64) << 32 | low, kind="stable")
     return col[order[np.searchsorted(row, np.arange(q))[:, None] + np.arange(k)]]
 
 

@@ -451,17 +451,39 @@ def l2_normalize_last_axis(x: Tensor, eps: float = 1e-6) -> Tensor:
     return _record(out, (x,), bwd)
 
 
-def _rotary_tables(positions: np.ndarray, head_dim: int, dtype, base: float) -> tuple[np.ndarray, np.ndarray]:
-    half = head_dim // 2
-    freqs = base ** (-np.arange(half, dtype=np.float64) * 2.0 / head_dim)
-    ang = positions.astype(np.float64)[:, None] * freqs[None, :]
-    return np.cos(ang).astype(dtype), np.sin(ang).astype(dtype)
+_ROTATIONS: dict[tuple, np.ndarray] = {}  # (head_dim, dtype, base) -> [positions, head_dim // 2]
+
+
+def _rotations(head_dim: int, dtype, base: float, size: int) -> np.ndarray:
+    """e^{i*pos*theta_j} at positions 0..size-1 at least, with theta_j =
+    base^(-2j/head_dim), in the complex dtype of ``dtype``. A table is built
+    in full before it is published, at twice its last size when it grows."""
+    key = (head_dim, np.dtype(dtype), base)
+    table = _ROTATIONS.get(key)
+    if table is None or len(table) < size:
+        size = max(size, 0 if table is None else 2 * len(table))
+        freqs = base ** (-np.arange(head_dim // 2, dtype=np.float64) * 2.0 / head_dim)
+        ang = np.arange(size, dtype=np.float64)[:, None] * freqs
+        table = (np.cos(ang) + 1j * np.sin(ang)).astype(np.result_type(dtype, np.complex64))
+        _ROTATIONS[key] = table
+    return table
+
+
+def _pairs(a: np.ndarray) -> np.ndarray:
+    """The pairs (a_2j, a_2j+1) of the last axis as complex numbers a_2j + i*a_2j+1."""
+    if a.strides[-1] != a.itemsize:
+        a = np.ascontiguousarray(a)
+    return a.view(np.result_type(a.dtype, np.complex64))
 
 
 def rotary_encode(x: Tensor, positions, base: float = 10000.0) -> Tensor:
-    """Rotate adjacent coordinate pairs of the last axis by position * theta_i.
-
-    ``positions`` is one integer per sequence slot, matched against axis -2.
+    """Rotate each adjacent pair (x_2j, x_2j+1) of the last axis by the angle
+    pos * theta_j, theta_j = base^(-2j/head_dim): read as the complex number
+    x_2j + i*x_2j+1, the pair is multiplied by e^{i*pos*theta_j} (RoFormer,
+    Su et al., arXiv 2104.09864), and the backward multiplies by its
+    conjugate. ``positions`` holds one non-negative integer per sequence
+    slot, matched against axis -2; the rotations are rows of a table per
+    (head_dim, dtype, base) that grows to the largest position asked for.
     """
     head_dim = x.shape[-1]
     if head_dim % 2:
@@ -469,22 +491,15 @@ def rotary_encode(x: Tensor, positions, base: float = 10000.0) -> Tensor:
     pos = np.asarray(positions)
     if pos.ndim != 1 or x.data.ndim < 2 or pos.shape[0] != x.shape[-2]:
         raise ShapeError(f"rotary_encode positions {pos.shape} vs x {x.shape}")
-    cos, sin = _rotary_tables(pos, head_dim, x.data.dtype, base)
-    xe = x.data[..., 0::2]
-    xo = x.data[..., 1::2]
-    out_arr = np.empty_like(x.data)
-    out_arr[..., 0::2] = xe * cos - xo * sin
-    out_arr[..., 1::2] = xe * sin + xo * cos
-    out, sx, x_shape, x_dtype = Tensor(out_arr), x.slot, x.shape, x.dtype
+    if pos.dtype.kind not in "iu" or pos.min(initial=0) < 0:
+        raise UsageError(f"rotary_encode needs non-negative integer positions, "
+                         f"got {pos.dtype} down to {pos.min(initial=0)}")
+    rot = _rotations(head_dim, x.dtype, base, int(pos.max(initial=0)) + 1)[pos]
+    out, sx, x_dtype = Tensor((_pairs(x.data) * rot).view(x.dtype)), x.slot, x.dtype
 
     def bwd(g: np.ndarray) -> None:
         if sx.requires_grad:
-            ge = g[..., 0::2]
-            go = g[..., 1::2]
-            buf = np.empty(x_shape, x_dtype)
-            buf[..., 0::2] = ge * cos + go * sin
-            buf[..., 1::2] = -ge * sin + go * cos
-            _accum(sx, buf)
+            _accum(sx, (_pairs(g) * rot.conj()).view(x_dtype))
 
     return _record(out, (x,), bwd)
 

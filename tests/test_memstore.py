@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fot import memstore as M
 from fot.errors import DataError, FormatError, NumericError, ShapeError, UsageError
 from fot.memstore import MAGIC, MemoryIndex, brute_force_topk
 
@@ -106,6 +107,57 @@ def test_topk_equals_brute_force_property(case):
     np.testing.assert_array_equal(res.indices[0], oracle_idx)
     np.testing.assert_array_equal(res.scores[0], oracle_scores)
     np.testing.assert_array_equal(res.keys[0], keys[oracle_idx])
+
+
+def test_exact_topk_rows_tie_contract():
+    """The sort key holds a score's order-preserving bits: -0 must tie +0,
+    +-inf must rank at the ends, and equal scores, in one group or in
+    different ones, go to the lower column."""
+    z, inf = 0.0, np.inf
+    rows = np.array([
+        [-z, z, 1, inf, -inf, 1, -z, z, -1, -inf, inf, -1, z, -z, 2, 2],
+        [z, -z, -z, z, -inf, -inf, -inf, -inf, z, -z, 3, 3, -3, -3, inf, -inf],
+        [7, -z, 7, z, 7, -z, 7, z, -inf, 7, -inf, 7, inf, inf, inf, inf],
+        [-inf] * 15 + [-z],
+    ], dtype=np.float32)
+    assert np.signbit(rows).any() and (rows == 0).any()
+    for k in (1, 2, 3, 5, 8, 16):
+        want = np.argsort(-rows, axis=1, kind="stable")[:, :k]
+        np.testing.assert_array_equal(M._exact_topk_rows(rows, k), want, err_msg=f"k={k}")
+
+
+@pytest.mark.parametrize("q_count,n,heads", [(1, 300, 3), (1, 90_000, 2), (64, 1_000, 3),
+                                             (64, 3_000, 1)])
+def test_topk_blocks_of_heads_equal_brute_force_per_head(q_count, n, heads, monkeypatch):
+    """Three heads scored in blocks of at most 1 MiB of float32 scores: all
+    three in one block, or ``heads`` per block past it. Every field of every
+    head must equal that head's brute-force top-k and the stored rows it names."""
+    h_count, dim, k = 3, 4, 8
+    rng = np.random.default_rng(q_count + n)
+    # integer keys and queries: exact inner products, so ties are real
+    keys = rng.integers(-2, 3, (h_count, n, dim)).astype(np.float32)
+    values = rng.standard_normal((h_count, n, dim)).astype(np.float32)
+    queries = rng.integers(-2, 3, (h_count, q_count, dim)).astype(np.float32)
+    parts = np.array_split(np.arange(n), 3)  # the store grows past its first capacity
+    doc_ids = np.concatenate([np.full(len(p), 7 + i) for i, p in enumerate(parts)])
+    positions = 1000 + np.arange(n)
+    idx = MemoryIndex([0], n_heads=h_count, head_dim=dim)
+    for i, p in enumerate(parts):
+        idx.append_block(0, keys[:, p], values[:, p], doc_id=7 + i, positions=positions[p])
+    rows_seen, select = [], M._exact_topk_rows
+    monkeypatch.setattr(M, "_exact_topk_rows",
+                        lambda s, kk: rows_seen.append(s.shape[0]) or select(s, kk))
+    res = idx.topk(0, queries, k)
+    assert rows_seen == [heads * q_count] * (h_count // heads) + \
+        ([h_count % heads * q_count] if h_count % heads else [])
+    for h in range(h_count):
+        want, scores = brute_force_topk(keys[h], queries[h], k)
+        np.testing.assert_array_equal(res.indices[h], want)
+        np.testing.assert_array_equal(res.scores[h], scores)
+        np.testing.assert_array_equal(res.keys[h], keys[h][want])
+        np.testing.assert_array_equal(res.values[h], values[h][want])
+        np.testing.assert_array_equal(res.doc_ids[h], doc_ids[want])
+        np.testing.assert_array_equal(res.positions[h], positions[want])
 
 
 @pytest.mark.parametrize("n", [10, 3000])  # all columns in the tail / in groups

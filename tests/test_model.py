@@ -598,8 +598,8 @@ def test_shared_extras_match_per_slot_extras(path, monkeypatch):
 # sha256 prefixes of one float32 grad step's loss and parameter grads; they
 # hash float bytes, so they pin the numpy/BLAS build as well as the math.
 # "chunked_shared" runs a d = b plan, whose chunks share their extras.
-PINNED_GRAD_STEPS = {"one_tape": "aeee324efdee9ead", "chunked": "6332c19fbb401151",
-                     "chunked_shared": "5db41b0fb8763439"}
+PINNED_GRAD_STEPS = {"one_tape": "d485eac7e3dd0663", "chunked": "f3be1d73937ff090",
+                     "chunked_shared": "31c67b34bb20108c"}
 
 
 @pytest.mark.parametrize("path", sorted(PINNED_GRAD_STEPS))
@@ -607,8 +607,9 @@ def test_grad_step_is_pinned(path, monkeypatch):
     """Same math in the same order: a change to how the tape stores its
     arrays must not move a bit of the loss or of any gradient. The hashes pin
     SiLU's derivative taken as σ + y·(1 − σ) from its output y, and each 2-D
-    weight's grad as one GEMM over all of its input's rows; RMSNorm's gain
-    grad and a shared key set's per-slot sum do not move them."""
+    weight's grad as one GEMM over all of its input's rows, and rotary as
+    one complex multiply per coordinate pair; RMSNorm's gain grad and a
+    shared key set's per-slot sum do not move them."""
     rng = np.random.default_rng(31)
     cfg = tiny_cfg(n_layers=3, memory_layers=(1, 2))
     model = Transformer(cfg, seed=32)

@@ -118,6 +118,34 @@ def test_rotary_relative_shift_invariance():
     assert abs(dot_at(12, 12) - dot_at(0, 0)) < 1e-9
 
 
+@pytest.mark.parametrize("positions", [np.array([3, -1]), np.array([0.0, 1.0])],
+                         ids=["negative", "float"])
+def test_rotary_rejects_positions_that_index_no_row(positions):
+    """Positions index a table of rotations, and numpy would wrap -1 to its
+    last row."""
+    with pytest.raises(UsageError, match="non-negative integer positions"):
+        N.rotary_encode(t64(np.ones((2, 4))), positions)
+
+
+def test_rotary_table_grows_to_a_far_position():
+    """After positions 0..15, position 4,000 must grow the table, and each pair
+    (x_2j, x_2j+1) rotates by pos * base^(-2j/head_dim) as in float64."""
+    rng = np.random.default_rng(6)
+    head_dim, base = 10, 321.0
+    key = (head_dim, np.dtype(np.float64), base)
+    N._ROTATIONS.pop(key, None)
+    x = rng.standard_normal((3, 16, head_dim))
+    N.rotary_encode(t64(x), np.arange(16), base)
+    assert len(N._ROTATIONS[key]) == 16
+    pos = np.array([4000, 7, 3999])
+    out = N.rotary_encode(t64(x[:, :3]), pos, base).data
+    assert len(N._ROTATIONS[key]) >= 4001
+    ang = pos[:, None] * base ** (-np.arange(head_dim // 2) * 2.0 / head_dim)
+    xe, xo = x[:, :3, 0::2], x[:, :3, 1::2]
+    np.testing.assert_allclose(out[..., 0::2], xe * np.cos(ang) - xo * np.sin(ang), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out[..., 1::2], xe * np.sin(ang) + xo * np.cos(ang), rtol=0, atol=1e-12)
+
+
 def test_rotary_odd_head_dim_rejected():
     with pytest.raises(ShapeError):
         N.rotary_encode(t64(np.ones((2, 3))), np.arange(2))

@@ -614,6 +614,27 @@ def test_cli_eval_ppl_scores_n_docs_generated_documents(n_docs, byte_checkpoint,
         np.testing.assert_array_equal(toks, tasks.encode_bytes(text))
 
 
+def test_cli_eval_distraction_generates_n_docs_documents(byte_checkpoint, tmp_path):
+    """Three generated documents give d=4 no step with a previous window in
+    every slot; the suite once ignored --n-docs and always generated 512."""
+    code, _, err = run_cli("eval", "--checkpoint", str(byte_checkpoint), "--suite", "distraction",
+                           "--axis", "d=4", "--n-docs", "3", "--out", str(tmp_path / "e.csv"))
+    assert code == 3 and err.startswith("data error: no step of the documents gave all 4 slots"), err
+    assert not (tmp_path / "e.csv").exists()
+
+
+def test_cli_eval_distraction_generates_512_documents_by_default(byte_checkpoint, tmp_path,
+                                                                  monkeypatch):
+    """Without --n-docs the suite still asks for 512 documents, which README's
+    `--axis d=4,8,64` example needs (three are generated here to keep it short)."""
+    asked, generate = [], tasks.gen_text_corpus
+    monkeypatch.setattr(tasks, "gen_text_corpus",
+                        lambda n, *a, **kw: asked.append(n) or generate(3, *a, **kw))
+    code, _, err = run_cli("eval", "--checkpoint", str(byte_checkpoint), "--suite", "distraction",
+                           "--axis", "d=4", "--out", str(tmp_path / "e.csv"))
+    assert code == 3 and asked == [512], err
+
+
 def test_cli_gen_data_and_eval(tmp_path):
     code, _, _ = run_cli("gen-data", "--task", "text", "--out", str(tmp_path / "c.txt"),
                          "--n-docs", "4", "--doc-len", "300")
