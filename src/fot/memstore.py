@@ -182,7 +182,7 @@ class MemoryIndex:
                                    ("values", s.values[hs].reshape(-1, self.head_dim), at),
                                    ("doc_ids", s.doc_ids, top), ("positions", s.positions, top)):
                 out = getattr(res, name)[hs]
-                np.take(src, idx, axis=0, out=out.reshape(idx.shape + out.shape[3:]), mode="clip")
+                src.take(idx, axis=0, out=out.reshape(idx.shape + out.shape[3:]), mode="clip")
         return res
 
     # -- persistence ---------------------------------------------------------
@@ -256,11 +256,11 @@ def _exact_topk_rows(scores: np.ndarray, k: int) -> np.ndarray:
     q, n = scores.shape
     g = max(1, min(_GROUP, n // (2 * k)))
     m = n // g  # >= k groups; >= 2k where n allows, which keeps the bound tight
-    gmax = scores[:, :g * m].reshape(q, g, m).max(axis=1)
+    gmax = np.maximum.reduce(scores[:, :g * m].reshape(q, g, m), axis=1)
     if np.isnan(gmax).any() or np.isnan(scores[:, g * m:]).any():
         raise NumericError("NaN top-k score: a query or a stored key is NaN")
-    lb = np.partition(gmax, m - k, axis=1)[:, m - k, None]
-    flat = np.flatnonzero(scores >= lb)
+    gmax.partition(m - k, axis=1)
+    flat = (scores >= gmax[:, m - k, None]).ravel().nonzero()[0]
     row, col = divmod(flat, n)
     # adding +0 turns -0 into +0. A negative float's bits sort descending as
     # they are; a positive's, with every bit but the sign flipped, sort
@@ -269,8 +269,8 @@ def _exact_topk_rows(scores: np.ndarray, k: int) -> np.ndarray:
     low = np.where(bits >> 31, bits, bits ^ np.uint32(0x7FFFFFFF))
     # flat lists each row's columns ascending and the sort is stable, so equal
     # scores keep the lower column first
-    order = np.argsort(row.astype(np.uint64) << 32 | low, kind="stable")
-    return col[order[np.searchsorted(row, np.arange(q))[:, None] + np.arange(k)]]
+    order = (row.astype(np.uint64) << 32 | low).argsort(kind="stable")
+    return col[order[row.searchsorted(np.arange(q))[:, None] + np.arange(k)]]
 
 
 def brute_force_topk(keys: np.ndarray, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -354,18 +354,19 @@ def _read_extras(p: Tensor, v_ext: Tensor) -> Tensor:
 
 def merged_softmax_attention(q: Tensor, local_kv: tuple[Tensor, Tensor],
                              extra_kv: tuple[Tensor, Tensor] | None,
-                             causal_add: np.ndarray,
+                             causal_add: np.ndarray | None,
                              extra_add: np.ndarray | None = None,
                              ) -> tuple[Tensor, np.ndarray, np.ndarray | None]:
     """One softmax over [local causal keys | extra keys].
 
     q is pre-scaled ([B, H, T, Dh]). Extra keys and values are either shared
     by every query ([B, H, E, Dh], or [1, H, E, Dh] broadcast over the batch)
-    or one set per query ([B, H, T, k, Dh]); ``extra_add`` is an additive mask
-    on their logits. Returns (values_out, local_probs, extra_probs); the
-    probabilities are plain arrays, views of the softmax weights for records
-    only. Temperature and qk-normalization are the caller's business so the
-    kernel stays shared between training and inference shapes.
+    or one set per query ([B, H, T, k, Dh]); ``causal_add`` and ``extra_add``
+    are additive masks on the local and extra logits (None: none). Returns
+    (values_out, local_probs, extra_probs); the probabilities are plain
+    arrays, views of the softmax weights for records only. Temperature and
+    qk-normalization are the caller's business so the kernel stays shared
+    between training and inference shapes.
     """
     k_loc, v_loc = local_kv
     if extra_kv is None:
@@ -414,13 +415,6 @@ class Transformer:
     def zero_grads(self) -> None:
         N.zero_grads(self.parameters())
 
-    def _scaled_q(self, q: Tensor, li: int) -> Tensor:
-        inv_tau = N.exp(N.scale(self.params[f"layers.{li}.log_tau"], -1.0))
-        qs = N.mul(q, N.reshape(inv_tau, (1, self.cfg.n_heads, 1, 1)))
-        if not self.cfg.qk_normalize:
-            qs = N.scale(qs, self.cfg.head_dim ** -0.5)
-        return qs
-
     def _project_heads(self, h: Tensor, li: int, which: str) -> Tensor:
         cfg = self.cfg
         rows, t = h.shape[0], h.shape[1]
@@ -456,20 +450,18 @@ class Transformer:
         return self.cfg.mem_positional_mode == "as_first"
 
     def _local_kv(self, li: int, k: Tensor, v: Tensor, cache: InferCache | None,
-                  ) -> tuple[Tensor, Tensor, np.ndarray]:
-        """Local keys and values of every row so far, and the new rows' causal
-        mask over them: [new, cached + new] when ``cache`` holds earlier rows."""
-        n0 = 0 if cache is None else len(cache)
-        causal = N.causal_mask(n0 + k.shape[2], self.dtype, n0)[None, None]
+                  ) -> tuple[Tensor, Tensor]:
+        """Local keys and values of every row so far: the cached rows, if any,
+        then the new ones."""
         if cache is None:
-            return k, v, causal
+            return k, v
         return (Tensor(cache._put(cache.keys, li, k.data)),
-                Tensor(cache._put(cache.values, li, v.data)), causal)
+                Tensor(cache._put(cache.values, li, v.data)))
 
     # -- the layer loop ---------------------------------------------------------
 
     def _attend(self, li: int, qs: Tensor, local_kv: tuple[Tensor, Tensor],
-                causal: np.ndarray, ext: _Extras | None, collect: bool):
+                causal: np.ndarray | None, ext: _Extras | None, collect: bool):
         """Attention of layer li over its local rows and ``ext`` (None: local only).
 
         Returns the heads' output and, when ``collect``, the record masses:
@@ -499,23 +491,27 @@ class Transformer:
         g = float(1.0 / (1.0 + np.exp(-gate_bias.data)))
         return out, ((p_loc * (1 - g * keep)).sum(-1), p_ext.data * (g * keep), g)
 
-    def _layer(self, x: Tensor, li: int, positions: np.ndarray, cache: InferCache | None = None,
-               extras_of=None, collect: bool = False):
-        """One decoder layer over the rows x at window ``positions``.
+    def _layer(self, x: Tensor, li: int, positions: np.ndarray, causal: np.ndarray | None,
+               cache: InferCache | None = None, extras_of=None, collect: bool = False):
+        """One decoder layer over the rows x at window ``positions``, their
+        local logits masked by ``causal`` (None: no mask).
 
         With ``cache`` the rows extend the cached ones. ``extras_of(li, q)``
         gives the extras for the rotated queries q (memory layers only).
         Returns the new x, the layer's pre-rotary (K, V) and, when
         ``collect``, the record masses of ``_attend``.
         """
+        cfg = self.cfg
         q, k, v = self._attn_inputs(x, li)
         kv = (k, v)
         if self._layer_rotary(li):
-            q = N.rotary_encode(q, positions, self.cfg.rotary_base)
-            k = N.rotary_encode(k, positions, self.cfg.rotary_base)
-        k, v, causal = self._local_kv(li, k, v, cache)
+            q = N.rotary_encode(q, positions, cfg.rotary_base)
+            k = N.rotary_encode(k, positions, cfg.rotary_base)
+        k, v = self._local_kv(li, k, v, cache)
         ext = None if extras_of is None else extras_of(li, q)
-        out, att = self._attend(li, self._scaled_q(q, li), (k, v), causal, ext, collect)
+        qs = N.temperature_scale(q, self.params[f"layers.{li}.log_tau"],
+                                 1.0 if cfg.qk_normalize else cfg.head_dim ** -0.5)
+        out, att = self._attend(li, qs, (k, v), causal, ext, collect)
         return self._ff_block(self._attn_out(out, x, li), li), kv, att
 
     def _forward(self, tokens: np.ndarray, extras_of, cache: InferCache | None, collect: bool,
@@ -527,19 +523,22 @@ class Transformer:
         residual stream there), when ``collect`` (layer, local mass, extras
         weights, gate) per memory layer, and the memory layers' (K, V)."""
         mem = self.cfg.memory_layers
-        n0 = 0 if cache is None else len(cache)
-        positions = np.arange(n0, n0 + tokens.shape[1])
+        n0, t = 0 if cache is None else len(cache), tokens.shape[1]
+        positions = np.arange(n0, n0 + t)
+        # the new rows' mask over [cached + new] columns, shared by every
+        # layer; a single row sees every column, so it needs none
+        causal = None if t == 1 else N.causal_mask(n0 + t, self.dtype, n0)[None, None]
         x = N.embedding(self.params["embed"], tokens)
         atts, kvs = [], {}
         for li in range(self.cfg.n_layers if stop is None else stop):
-            x, kv, att = self._layer(x, li, positions, cache, extras_of if li in mem else None,
-                                     collect and li in mem)
+            x, kv, att = self._layer(x, li, positions, causal, cache,
+                                     extras_of if li in mem else None, collect and li in mem)
             if li in mem:
                 kvs[li] = kv
             if att is not None:
                 atts.append((li, *att))
         if cache is not None:
-            cache.n += tokens.shape[1]
+            cache.n += t
         return (self._logits(x) if stop is None else x), atts, kvs
 
     # -- previous-context encoding --------------------------------------------

@@ -7,8 +7,8 @@ as plain numpy forward computations, which is how all inference paths run.
 The tape holds grad slots, not tensors: a tape node holds the ``GradSlot``
 of its op's output, and its backward closure the input slots plus only the
 arrays that backward reads (matmul its operands, linear its input rows and
-weight, softmax its output, add none). A forward array lives while the
-caller or such a closure holds it.
+weight, softmax and temperature_scale their outputs, add none). A forward
+array lives while the caller or such a closure holds it.
 
 Backward consumes its tape: each node's output grad is handed to its
 backward closure as a buffer the closure owns, and the node then drops its
@@ -19,10 +19,15 @@ their grads.
 
 Reduction order is whatever numpy/BLAS uses, which is fixed per process and
 input shape, so forward passes are bit-deterministic across reruns.
+
+A one-row decode step runs the same primitives on arrays so small that each
+call's fixed cost counts, so reductions call the ufunc's ``reduce``: the
+same bits as ``mean``/``max``/``sum`` without their Python layers.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -191,9 +196,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g: np.ndarray) -> None:
         if sa.requires_grad:
-            _accum(sa, _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape))
+            _accum(sa, _unbroadcast(np.matmul(g, bd.swapaxes(-1, -2)), ad.shape))
         if sb.requires_grad:
-            _accum(sb, _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape))
+            _accum(sb, _unbroadcast(np.matmul(ad.swapaxes(-1, -2), g), bd.shape))
 
     return _record(out, (a, b), bwd)
 
@@ -203,12 +208,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     of x's rows flattened to [-1, K], with the bias added into its output.
     Backward reads x's rows and w only: the input grad and the weight grad
     are one GEMM each, the bias grad the sum over the leading axes."""
-    if w.data.ndim != 2 or x.shape[-1:] != w.shape[:1] or b.shape != w.shape[1:]:
+    xd, wd, bd = x.data, w.data, b.data
+    if wd.ndim != 2 or xd.shape[-1:] != wd.shape[:1] or bd.shape != wd.shape[1:]:
         raise ShapeError(f"linear: {x.shape} x {w.shape} + {b.shape}")
-    x_shape, (k, n) = x.data.shape, w.data.shape
-    x2, wd, sx, sw, sb = x.data.reshape(-1, k), w.data, x.slot, w.slot, b.slot
+    x_shape, (k, n) = xd.shape, wd.shape
+    x2, sx, sw, sb = xd.reshape(-1, k), x.slot, w.slot, b.slot
     y = x2 @ wd
-    y += b.data
+    y += bd
 
     def bwd(g: np.ndarray) -> None:
         if sb.requires_grad:
@@ -228,26 +234,31 @@ def attention_logits(q: Tensor, keys: Sequence[Tensor],
     side in one [..., T, Σnᵢ] buffer, with no transposed key copy. The keys'
     leading dims broadcast against q's; backward reads q and the keys only, so
     the buffer goes when its caller drops it."""
-    if len(adds) != len(keys) or any(k.shape[-1] != q.shape[-1] for k in keys):
-        raise ShapeError(f"attention_logits: q {q.shape}, keys {[k.shape for k in keys]}")
-    lead = np.broadcast_shapes(q.shape[:-2], *(k.shape[:-2] for k in keys))
-    ends = np.cumsum([k.shape[-2] for k in keys]).tolist()
-    cols = [slice(hi - k.shape[-2], hi) for k, hi in zip(keys, ends)]
     qd, sq, kds, sks = q.data, q.slot, [k.data for k in keys], [k.slot for k in keys]
-    buf = np.empty(lead + (q.shape[-2], ends[-1]), dtype=qd.dtype)
+    q_shape = qd.shape
+    if len(adds) != len(keys) or any(kd.shape[-1] != q_shape[-1] for kd in kds):
+        raise ShapeError(f"attention_logits: q {q.shape}, keys {[k.shape for k in keys]}")
+    lead = q_shape[:-2]
+    if any(kd.shape[:-2] != lead for kd in kds):
+        lead = np.broadcast_shapes(lead, *(kd.shape[:-2] for kd in kds))
+    ends = list(accumulate(kd.shape[-2] for kd in kds))
+    cols = [slice(hi - kd.shape[-2], hi) for kd, hi in zip(kds, ends)]
+    buf = np.empty(lead + (q_shape[-2], ends[-1]), dtype=qd.dtype)
     for kd, add_i, c in zip(kds, adds, cols):
         part = buf[..., c]
-        np.matmul(qd, np.swapaxes(kd, -1, -2), out=part)
+        np.matmul(qd, kd.swapaxes(-1, -2), out=part)
         if add_i is not None:
             part += add_i
 
     def bwd(g: np.ndarray) -> None:
-        if sq.requires_grad:
-            dq = sum(np.matmul(g[..., c], kd) for kd, c in zip(kds, cols))
-            _accum(sq, _unbroadcast(dq, qd.shape))
+        if sq.requires_grad:  # the first product is the sum's buffer
+            dq = np.matmul(g[..., cols[0]], kds[0])
+            for kd, c in zip(kds[1:], cols[1:]):
+                dq += np.matmul(g[..., c], kd)
+            _accum(sq, _unbroadcast(dq, q_shape))
         for kd, sk, c in zip(kds, sks, cols):
             if sk.requires_grad:  # a set shared over axis 0 sums one GEMM per slot into one buffer
-                gt = np.swapaxes(g[..., c], -1, -2)
+                gt = g[..., c].swapaxes(-1, -2)
                 shared = kd.shape[:-2] == (1,) + gt.shape[1:-2] != gt.shape[:-2]
                 gk = sum(map(np.matmul, gt, qd))[None] if shared else np.matmul(gt, qd)
                 _accum(sk, _unbroadcast(gk, kd.shape))
@@ -300,6 +311,28 @@ def scale(x: Tensor, s: float) -> Tensor:
             _accum(sx, g * factor)
 
     return _record(out, (x,), bwd)
+
+
+def temperature_scale(x: Tensor, log_tau: Tensor, c: float = 1.0) -> Tensor:
+    """x [..., H, T, D] with head h multiplied by c·e^(−log τ_h), for log
+    temperatures ``log_tau`` [H]. Backward reads the scales and the output
+    only: log τ_h's grad is −Σ g·out over head h's entries."""
+    if log_tau.data.ndim != 1 or x.data.ndim < 3 or x.data.shape[-3] != log_tau.data.shape[0]:
+        raise ShapeError(f"temperature_scale: x {x.shape}, log_tau {log_tau.shape}")
+    s = np.exp(-log_tau.data)
+    s *= s.dtype.type(c)
+    s = s[:, None, None]
+    y, sx, st = x.data * s, x.slot, log_tau.slot
+
+    def bwd(g: np.ndarray) -> None:
+        if st.requires_grad:
+            gt = np.add.reduce(g * y, axis=tuple(i for i in range(y.ndim) if i != y.ndim - 3))
+            _accum(st, np.negative(gt, out=gt))
+        if sx.requires_grad:
+            g *= s
+            _accum(sx, g)
+
+    return _record(Tensor(y), (x, log_tau), bwd)
 
 
 def concat_axis(parts: Sequence[Tensor], axis: int) -> Tensor:
@@ -382,7 +415,7 @@ def reshape(x: Tensor, shape) -> Tensor:
 def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     out = Tensor(np.ascontiguousarray(x.data.transpose(axes)))
-    inv, sx = tuple(np.argsort(axes)), x.slot
+    inv, sx = tuple(sorted(range(len(axes)), key=axes.__getitem__)), x.slot
 
     def bwd(g: np.ndarray) -> None:
         if sx.requires_grad:
@@ -392,10 +425,10 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
 
 
 def softmax_last_axis(x: Tensor) -> Tensor:
-    z = x.data - x.data.max(axis=-1, keepdims=True)
+    z = x.data - np.maximum.reduce(x.data, axis=-1, keepdims=True)
     np.exp(z, out=z)
     y = z
-    y /= y.sum(axis=-1, keepdims=True)
+    y /= np.add.reduce(y, axis=-1, keepdims=True)
     out, sx = Tensor(y), x.slot
 
     def bwd(g: np.ndarray) -> None:
@@ -407,7 +440,7 @@ def softmax_last_axis(x: Tensor) -> Tensor:
             gy = np.empty((min(step, len(g2)), n), g.dtype)
             for lo in range(0, len(g2), step):
                 gb, yb = g2[lo:lo + step], y2[lo:lo + step]
-                gb -= np.multiply(gb, yb, out=gy[:len(gb)]).sum(axis=-1, keepdims=True)
+                gb -= np.add.reduce(np.multiply(gb, yb, out=gy[:len(gb)]), axis=-1, keepdims=True)
                 gb *= yb
             _accum(sx, g2.reshape(g.shape))
 
@@ -415,10 +448,13 @@ def softmax_last_axis(x: Tensor) -> Tensor:
 
 
 def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
-    if gain.shape != (x.shape[-1],):
-        raise ShapeError(f"rms_norm gain {gain.shape} vs last dim {x.shape[-1]}")
-    n, xd, gd, sx, sg = x.shape[-1], x.data, gain.data, x.slot, gain.slot
-    ms = (xd * xd).mean(axis=-1, keepdims=True) + xd.dtype.type(eps)
+    xd, gd, sx, sg = x.data, gain.data, x.slot, gain.slot
+    n = xd.shape[-1]
+    if gd.shape != (n,):
+        raise ShapeError(f"rms_norm gain {gain.shape} vs last dim {n}")
+    ms = np.add.reduce(xd * xd, axis=-1, keepdims=True)
+    ms /= n
+    ms += xd.dtype.type(eps)
     inv = ms ** -0.5
     y = xd * inv
     y *= gd
@@ -440,7 +476,9 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
 
 def l2_normalize_last_axis(x: Tensor, eps: float = 1e-6) -> Tensor:
     xd, sx = x.data, x.slot
-    r = np.sqrt((xd * xd).sum(axis=-1, keepdims=True) + xd.dtype.type(eps))
+    r = np.add.reduce(xd * xd, axis=-1, keepdims=True)
+    r += xd.dtype.type(eps)
+    np.sqrt(r, out=r)
     out = Tensor(xd / r)
 
     def bwd(g: np.ndarray) -> None:
@@ -491,10 +529,10 @@ def rotary_encode(x: Tensor, positions, base: float = 10000.0) -> Tensor:
     pos = np.asarray(positions)
     if pos.ndim != 1 or x.data.ndim < 2 or pos.shape[0] != x.shape[-2]:
         raise ShapeError(f"rotary_encode positions {pos.shape} vs x {x.shape}")
-    if pos.dtype.kind not in "iu" or pos.min(initial=0) < 0:
+    if pos.dtype.kind not in "iu" or np.minimum.reduce(pos, initial=0) < 0:
         raise UsageError(f"rotary_encode needs non-negative integer positions, "
-                         f"got {pos.dtype} down to {pos.min(initial=0)}")
-    rot = _rotations(head_dim, x.dtype, base, int(pos.max(initial=0)) + 1)[pos]
+                         f"got {pos.dtype} down to {np.minimum.reduce(pos, initial=0)}")
+    rot = _rotations(head_dim, x.dtype, base, int(np.maximum.reduce(pos, initial=0)) + 1)[pos]
     out, sx, x_dtype = Tensor((_pairs(x.data) * rot).view(x.dtype)), x.slot, x.dtype
 
     def bwd(g: np.ndarray) -> None:
@@ -548,17 +586,6 @@ def silu(x: Tensor) -> Tensor:
             _accum(sx, g)
 
     return _record(Tensor(y), (x,), bwd)
-
-
-def exp(x: Tensor) -> Tensor:
-    y = np.exp(x.data)
-    out, sx = Tensor(y), x.slot
-
-    def bwd(g: np.ndarray) -> None:
-        if sx.requires_grad:
-            _accum(sx, g * y)
-
-    return _record(out, (x,), bwd)
 
 
 def sum_all(x: Tensor) -> Tensor:

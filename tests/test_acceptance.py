@@ -180,6 +180,7 @@ def test_criterion_1_gradient_fidelity():
         logits = Tensor(rng.standard_normal((2, 3, 5)), requires_grad=True)
         tgt = rng.integers(0, 5, size=(2, 3))
         mask = np.array([[1, 0, 1], [1, 1, 0]])
+        log_tau = Tensor(0.5 * rng.standard_normal(2), requires_grad=True)
         checks = [
             (lambda: N.sum_all(N.mul(N.matmul(x, w2), Tensor(np.ones((3, 3))))), [x]),
             (lambda: N.sum_all(N.mul(N.add(x, y), w)), [x, y]),
@@ -196,7 +197,7 @@ def test_criterion_1_gradient_fidelity():
             (lambda: N.sum_all(N.mul(N.embedding(table, ids), wt)), [table]),
             (lambda: N.sum_all(N.mul(N.sigmoid(x), w)), [x]),
             (lambda: N.sum_all(N.mul(N.silu(x), w)), [x]),
-            (lambda: N.sum_all(N.mul(N.exp(N.scale(x, 0.3)), w)), [x]),
+            (lambda: N.sum_all(N.mul(N.temperature_scale(xr, log_tau, 0.3), wr)), [xr, log_tau]),
             (lambda: N.cross_entropy_masked(logits, tgt, mask), [logits]),
             (lambda: N.sum_all(N.mul(x, w)), [x]),
         ]

@@ -212,6 +212,31 @@ def test_stale_cache_is_rejected():
     assert len(cache) == 3
 
 
+ONE_ROW_STEP_PRIMITIVES = 92
+
+
+def test_one_row_step_builds_no_mask_and_records_a_pinned_count(monkeypatch):
+    """Dispatch, guarded without timing. A one-row cached step builds no
+    causal mask: its row sees every cached row. A multi-row forward builds
+    one for all its layers. A one-row step records ONE_ROW_STEP_PRIMITIVES
+    primitives; it recorded 101 while the temperature was an exp, scale,
+    reshape and mul chain per layer."""
+    model, memory, toks = _model_with_memory()
+    cache = InferCache(memory, model.cfg.local_ctx_len)
+    model.forward_infer(toks[:3], memory, 4, cache=cache)
+    calls = dict.fromkeys(("causal_mask", "_record"), 0)
+    for name in calls:
+        def counted(*args, _fn=getattr(N, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(N, name, counted)
+    model.forward_infer(toks[3:4], memory, 4, cache=cache)
+    assert calls == {"causal_mask": 0, "_record": ONE_ROW_STEP_PRIMITIVES}
+    calls["causal_mask"] = 0
+    model.forward_infer(toks[4:8], memory, 4, cache=cache)
+    assert calls["causal_mask"] == 1
+
+
 @pytest.mark.parametrize("cached", [0, 3], ids=["no_cache", "after_cached_rows"])
 def test_forward_infer_rejects_an_empty_window(cached):
     model, memory, toks = _model_with_memory()
@@ -631,8 +656,10 @@ def test_grad_step_peak_memory_is_bounded():
     """A tape whose closures held whole tensors (every matmul and add output
     alive until backward) peaked at 7.7 MiB on this step, and the lean tape at
     4.4 MiB. With SiLU keeping σ and its output instead of its input, RMSNorm
-    keeping no normalized copy and each weight grad one GEMM, it peaks at
-    3.8 MiB. A closure that captures a tensor it does not read fails here."""
+    keeping no normalized copy and each weight grad one GEMM, it peaked at
+    3.7 MiB, and with the temperature one primitive that keeps its output
+    instead of q, at 3.6 MiB. A closure that captures a tensor it does not
+    read fails here."""
     rng = np.random.default_rng(33)
     cfg = tiny_cfg(n_layers=3, d_model=32, head_dim=16, ff_dim=64, memory_layers=(1, 2),
                    local_ctx_len=32)
