@@ -46,8 +46,8 @@ while step < STEPS:
     opt.step(inverse_sqrt_lr(step, cfg.max_lr, cfg.min_lr, cfg.warmup_steps))
     if step % 40 == 0:
         rec = records[0]
-        pos = rec.mass_positive().mean()
-        neg = rec.mass_negative().mean()
+        pos = rec.per_context[..., 0].mean()
+        neg = rec.per_context[..., 1:].sum(-1).mean()
         print(f"step {step:4d}  loss {loss:.4f}  attention mass: "
               f"local {rec.mass_local.mean():.3f}  positive {pos:.3f}  negative {neg:.3f}")
     step += 1

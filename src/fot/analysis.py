@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DataError, UsageError
 from .memstore import MemoryIndex
-from .model import AttentionRecord, InferCache, Transformer, _cat_padded, exposure_records, retriever
+from .model import AttentionRecord, InferCache, Transformer, exposure_records, retriever
 from .pipeline import CrossbatchPipeline, DSchedule
 from .tasks import DictTaskConfig, gen_dict_lookup
 
@@ -48,9 +48,11 @@ def positive_attention_mass(records: list[AttentionRecord]) -> DistractionReport
             raise UsageError("inference-mode records carry no per-context masses")
         if not rec.per_context[..., :1].any():
             raise UsageError("records contain no positive context")
-    # one row per query, contexts zero-padded to the widest record
+    # one row per query, contexts zero-padded to the widest record: records
+    # of different plans can differ in width
     rows = [rec.per_context.reshape(-1, rec.per_context.shape[-1]) for rec in records]
-    per_context = _cat_padded(rows)
+    c = max(r.shape[1] for r in rows)
+    per_context = np.concatenate([np.pad(r, [(0, 0), (0, c - r.shape[1])]) for r in rows])
     total = per_context.sum(axis=-1)
     ok = total > 0
     if not ok.any():

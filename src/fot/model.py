@@ -158,21 +158,17 @@ class AttentionRecord:
     """Per-memory-layer softmax mass, bucketed by key provenance.
 
     per_context holds the raw share each planned context received (already
-    multiplied by the gate weight in gated mode so buckets sum to 1). Column
-    c is context c + 1 of the plan, so column 0 is the slot's own document,
-    the positive, and it stays 0 for a slot without an own window.
+    multiplied by the gate weight in gated mode so buckets sum to 1). A
+    training record is as wide as its plan's context count, C, the highest
+    context id of any slot. Column c is context c + 1 of the plan, so column
+    0 is the slot's own document, the positive, and it stays 0 for a slot
+    without an own window; a slot's contexts beyond its own highest stay 0.
     """
     layer: int
     mass_local: np.ndarray                 # [b, H, T]
     per_context: np.ndarray | None = None  # [b, H, T, C] train-mode contexts
     mass_memory: np.ndarray | None = None  # [b, H, T] inference-mode bucket
     gate: float | None = None
-
-    def mass_positive(self) -> np.ndarray:
-        return self.per_context[..., :1].sum(axis=-1)
-
-    def mass_negative(self) -> np.ndarray:
-        return self.per_context[..., 1:].sum(axis=-1)
 
 
 @dataclass
@@ -272,6 +268,7 @@ class _Gather:
     rows: np.ndarray            # [E] shared, else [b*E] slot-major (0 = pad)
     pad_add: np.ndarray | None  # [b, 1, 1, E*T] additive (0 valid, MASK_VALUE pad); None if shared
     window_context: np.ndarray  # [b, E] context id per slot and gathered window (0 = pad, 1 = own)
+    n_contexts: int             # the plan's context count: every record's width
 
     def extras(self, k: Tensor, v: Tensor) -> _Extras:
         """Extras from the encoded [N, H, T, Dh] previous windows. The gather
@@ -288,42 +285,31 @@ class _Gather:
         return N.reshape(g, (n // e, h, e * t, dh))
 
 
-def _plan_gather(plan: CrossbatchPlan, row_of: dict[tuple[int, int], int], slots,
-                 t: int, dtype) -> _Gather | None:
-    """Gather metadata for ``slots``; None when none of them has a window."""
-    e_max = max((len(plan.per_slot[s]) for s in slots), default=0)
-    if e_max == 0:
+def _plan_gather(rows: np.ndarray, context: np.ndarray, n_contexts: int, t: int,
+                 dtype) -> _Gather | None:
+    """Gather metadata for the slots of a [b, E] slice of ``plan_rows``'
+    window table, cut to their most windows; None when none has a window."""
+    e = int(np.count_nonzero(context, axis=1).max())
+    if e == 0:
         return None
-    b = len(slots)
-    idx = np.zeros((b, e_max), dtype=np.int64)
-    pad_add = np.zeros((b, 1, 1, e_max * t), dtype=dtype)
-    win_ctx = np.zeros((b, e_max), dtype=np.int64)
-    for j, s in enumerate(slots):
-        windows = plan.per_slot[s]
-        for e, pw in enumerate(windows):
-            idx[j, e] = row_of[(pw.source_slot, pw.window_index)]
-            win_ctx[j, e] = pw.context_id
-        pad_add[j, :, :, len(windows) * t:] = N.MASK_VALUE
+    rows, context = rows[:, :e], context[:, :e]
     # every slot has the same windows, no padding: keep them once, in row order
-    order = np.argsort(idx, axis=1, kind="stable")
-    shared = np.take_along_axis(idx, order, axis=1)
-    if not pad_add.any() and (shared == shared[0]).all():
-        return _Gather(shared[0], None, np.take_along_axis(win_ctx, order, axis=1))
-    return _Gather(idx.reshape(-1), pad_add, win_ctx)
+    order = np.argsort(rows, axis=1, kind="stable")
+    shared = np.take_along_axis(rows, order, axis=1)
+    if context.all() and (shared == shared[0]).all():
+        return _Gather(shared[0], None, np.take_along_axis(context, order, axis=1), n_contexts)
+    pad_add = np.repeat(np.where(context > 0, 0, N.MASK_VALUE).astype(dtype), t, axis=1)
+    return _Gather(rows.reshape(-1), pad_add[:, None, None], context, n_contexts)
 
 
-def _bucket_record(li: int, mass_local: np.ndarray, p_ext: np.ndarray | None,
-                   gather: _Gather | None, gate: float | None) -> AttentionRecord:
-    """Training record: extras weights summed per window, then per context
-    (none when no slot has planned windows: ``p_ext`` is None)."""
-    if p_ext is None:
-        return AttentionRecord(li, mass_local, np.zeros(mass_local.shape + (0,), mass_local.dtype))
+def _bucket_record(li: int, mass_local: np.ndarray, p_ext: np.ndarray,
+                   gather: _Gather, gate: float | None) -> AttentionRecord:
+    """Training record: extras weights summed per window, then per context."""
     b, h, t, _ = p_ext.shape
     e = gather.window_context.shape[1]
     per_window = p_ext.reshape(b, h, t, e, -1).sum(axis=-1)
     # [b, E, C]: window -> its context; padding windows (id 0) match none
-    win_ctx = gather.window_context
-    of_context = win_ctx[:, :, None] == np.arange(1, win_ctx.max() + 1)
+    of_context = gather.window_context[:, :, None] == np.arange(1, gather.n_contexts + 1)
     per_context = np.einsum("bhte,bec->bhtc", per_window, of_context.astype(per_window.dtype))
     return AttentionRecord(li, mass_local, per_context, None, gate)
 
@@ -337,10 +323,9 @@ def _extra_logits(q: Tensor, k_ext: Tensor, extra_add: np.ndarray | None) -> Ten
     or [B, H, T, k] against one set per query ([B, H, T, k, Dh])."""
     if k_ext.data.ndim == 4:
         return N.attention_logits(q, [k_ext], [extra_add])
-    b, h, t, dh = q.shape
+    b, h, t, dh = q.shape  # retrieved extras carry no mask
     logits = N.attention_logits(N.reshape(q, (b, h, t, 1, dh)), [k_ext], [None])
-    logits = N.reshape(logits, (b, h, t, k_ext.shape[3]))
-    return logits if extra_add is None else N.add(logits, Tensor(extra_add))
+    return N.reshape(logits, (b, h, t, k_ext.shape[3]))
 
 
 def _read_extras(p: Tensor, v_ext: Tensor) -> Tensor:
@@ -564,10 +549,14 @@ class Transformer:
     # -- training forward ------------------------------------------------------
 
     def _current_rows(self, tokens: np.ndarray, extras: dict[int, _Extras],
-                      gather: _Gather | None, collect_records: bool,
+                      gather: _Gather | None, n_contexts: int, collect_records: bool,
                       ) -> tuple[Tensor, list[AttentionRecord]]:
-        """Process current windows; memory layers attend to planned extras."""
+        """Process current windows; memory layers attend to planned extras.
+        Records are ``n_contexts`` wide, all zero when no slot has a window."""
         logits, atts, _ = self._forward(tokens, lambda li, q: extras.get(li), None, collect_records)
+        if gather is None:
+            return logits, [AttentionRecord(li, m, np.zeros(m.shape + (n_contexts,), m.dtype))
+                            for li, m, _, _ in atts]
         return logits, [_bucket_record(li, m, p_ext, gather, g) for li, m, p_ext, g in atts]
 
     def forward_train(self, batch: TrainBatch, plan: CrossbatchPlan, *,
@@ -580,13 +569,16 @@ class Transformer:
         so on the caller's active tape, if there is one, the loss gradient
         flows into their keys and values; with none it runs evaluation-only.
         """
-        prev_tokens, row_of = plan_rows(plan, batch, self.cfg.local_ctx_len)
+        t = self.cfg.local_ctx_len
+        prev_tokens, rows, context = plan_rows(plan, batch, t)
+        n_contexts = int(context.max(initial=0))
         extras: dict[int, _Extras] = {}
-        gather = _plan_gather(plan, row_of, range(plan.b_s), self.cfg.local_ctx_len, self.dtype)
+        gather = _plan_gather(rows, context, n_contexts, t, self.dtype)
         if gather is not None:
             extras = {li: gather.extras(k, v)
                       for li, (k, v) in self.encode_windows(prev_tokens).items()}
-        logits, records = self._current_rows(batch.cur_tokens, extras, gather, collect_records)
+        logits, records = self._current_rows(batch.cur_tokens, extras, gather, n_contexts,
+                                             collect_records)
         return TrainForward(logits, records)
 
     # -- inference forward -----------------------------------------------------
@@ -655,30 +647,36 @@ class Transformer:
 # ---------------------------------------------------------------------------
 
 def plan_rows(plan: CrossbatchPlan, batch: TrainBatch, local_ctx_len: int,
-              ) -> tuple[np.ndarray, dict[tuple[int, int], int]]:
-    """The distinct previous windows a plan references: their tokens [N, T]
-    and the row of each (slot, window_index) among them.
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The plan as one window table: the tokens [N, T] of the distinct
+    previous windows it references, and per slot and planned window [b, E]
+    (E the plan's most windows a slot) that window's row among them and its
+    context id. A slot's entries past its own windows are row 0, context 0.
 
     Raises UsageError when the batch's windows are not ``local_ctx_len``
-    tokens long, the plan does not fit the batch or it references a window
-    the batch does not hold.
+    tokens long, the plan does not fit the batch, it references a window
+    the batch does not hold or gives a window a context id below 1.
     """
     b, t = batch.cur_tokens.shape
     if t != local_ctx_len:
         raise UsageError(f"window length {t} != local_ctx_len {local_ctx_len}")
     if plan.b_s != b:
         raise UsageError(f"plan covers {plan.b_s} slots, batch has {b}")
+    rows = np.zeros((b, plan.max_windows), dtype=np.int64)
+    context = np.zeros_like(rows)
     row_of: dict[tuple[int, int], int] = {}
-    for windows in plan.per_slot:
-        for pw in windows:
+    for s, windows in enumerate(plan.per_slot):
+        for e, pw in enumerate(windows):
+            if pw.context_id < 1:
+                raise UsageError(f"plan window {pw} has a context id below 1")
             key = (pw.source_slot, pw.window_index)
-            if key in row_of:
-                continue
-            if not batch.prev_valid[key]:
-                raise UsageError(f"plan references missing prev window {pw}")
-            row_of[key] = len(row_of)
+            if key not in row_of:
+                if not batch.prev_valid[key]:
+                    raise UsageError(f"plan references missing prev window {pw}")
+                row_of[key] = len(row_of)
+            rows[s, e], context[s, e] = row_of[key], pw.context_id
     slots, wins = [s for s, _ in row_of], [w for _, w in row_of]
-    return batch.prev_tokens[slots, wins], row_of
+    return batch.prev_tokens[slots, wins], rows, context
 
 
 FULL_TAPE_SCORE_BYTES = 8 * 2**20  # a chunk's score budget: as many slots as fit, at least one
@@ -718,7 +716,8 @@ def _slot_chunks(model: Transformer, batch: TrainBatch, plan: CrossbatchPlan,
     the encoding is leaves that need no grad: stop-gradient. Returns (loss,
     records)."""
     b, t = batch.cur_tokens.shape
-    prev_tokens, row_of = plan_rows(plan, batch, model.cfg.local_ctx_len)
+    prev_tokens, rows, context = plan_rows(plan, batch, model.cfg.local_ctx_len)
+    n_contexts = int(context.max(initial=0))
     slot_bytes = model.dtype.itemsize * model.cfg.n_heads * t * t * (1 + plan.max_windows)
     width = max(1, min(b, FULL_TAPE_SCORE_BYTES // slot_bytes))
     store = denom is not None and differentiable  # gradients reach the encoding
@@ -729,7 +728,7 @@ def _slot_chunks(model: Transformer, batch: TrainBatch, plan: CrossbatchPlan,
     chunks: list[list[AttentionRecord]] = []
     for lo in range(0, b, width):
         hi = min(lo + width, b)
-        gather = _plan_gather(plan, row_of, range(lo, hi), t, model.dtype)
+        gather = _plan_gather(rows[lo:hi], context[lo:hi], n_contexts, t, model.dtype)
         chunk_mask = batch.cur_mask[lo:hi]
         with N.Tape() if denom is not None else contextlib.nullcontext() as tape:
             extras = {} if gather is None else \
@@ -737,7 +736,7 @@ def _slot_chunks(model: Transformer, batch: TrainBatch, plan: CrossbatchPlan,
             if hi == b:
                 prev_kv = None  # last chunk: its extras hold all it reads of the encoding
             logits, recs = model._current_rows(batch.cur_tokens[lo:hi], extras, gather,
-                                               collect_records)
+                                               n_contexts, collect_records)
             extras = None  # backward reads what it needs of them through the tape
             if denom is not None and chunk_mask.sum() > 0:
                 ce = N.cross_entropy_masked(logits, batch.cur_targets[lo:hi], chunk_mask)
@@ -748,24 +747,13 @@ def _slot_chunks(model: Transformer, batch: TrainBatch, plan: CrossbatchPlan,
 
     if store:
         N.backward_from(enc_tape, [])
-    return total_loss, _merge_chunk_records(chunks)
+    # one record per memory layer; every chunk's are as wide as the plan's
+    # contexts, and a chunk without windows carries no gate
+    return total_loss, [AttentionRecord(
+        recs[0].layer, np.concatenate([r.mass_local for r in recs]),
+        np.concatenate([r.per_context for r in recs]),
+        gate=next((r.gate for r in recs if r.gate is not None), None)) for recs in zip(*chunks)]
 
-
-def _merge_chunk_records(chunks: list[list[AttentionRecord]]) -> list[AttentionRecord]:
-    """One record per memory layer from per-slot-chunk records."""
-    return [AttentionRecord(
-        layer=recs[0].layer,
-        mass_local=np.concatenate([r.mass_local for r in recs]),
-        per_context=_cat_padded([r.per_context for r in recs]),
-        gate=next((r.gate for r in recs if r.gate is not None), None),
-    ) for recs in zip(*chunks)]
-
-
-def _cat_padded(arrays: list[np.ndarray]) -> np.ndarray:
-    """Concatenate along axis 0, zero-padding the last axis to the widest."""
-    c = max(a.shape[-1] for a in arrays)
-    return np.concatenate([np.pad(a, [(0, 0)] * (a.ndim - 1) + [(0, c - a.shape[-1])])
-                           for a in arrays])
 
 # ---------------------------------------------------------------------------
 # checkpoints

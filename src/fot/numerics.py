@@ -257,10 +257,15 @@ def attention_logits(q: Tensor, keys: Sequence[Tensor],
                 dq += np.matmul(g[..., c], kd)
             _accum(sq, _unbroadcast(dq, q_shape))
         for kd, sk, c in zip(kds, sks, cols):
-            if sk.requires_grad:  # a set shared over axis 0 sums one GEMM per slot into one buffer
+            if sk.requires_grad:  # a set shared over axis 0 sums one GEMM per slot into the first
                 gt = g[..., c].swapaxes(-1, -2)
-                shared = kd.shape[:-2] == (1,) + gt.shape[1:-2] != gt.shape[:-2]
-                gk = sum(map(np.matmul, gt, qd))[None] if shared else np.matmul(gt, qd)
+                if kd.shape[:-2] == (1,) + gt.shape[1:-2] != gt.shape[:-2]:
+                    gk = np.matmul(gt[0], qd[0])
+                    for gi, qi in zip(gt[1:], qd[1:]):
+                        gk += np.matmul(gi, qi)
+                    gk = gk[None]
+                else:
+                    gk = np.matmul(gt, qd)
                 _accum(sk, _unbroadcast(gk, kd.shape))
 
     return _record(Tensor(buf), (q, *keys), bwd)

@@ -262,11 +262,8 @@ def test_record_buckets_sum_to_one_untrained():
     rec = fwd.records[0]
     np.testing.assert_allclose(rec.mass_local + rec.per_context.sum(-1), 1.0, atol=1e-5)
     assert (rec.per_context >= 0).all() and (rec.mass_local >= 0).all()
-    assert rec.mass_positive().shape == rec.mass_local.shape
     # exactly one positive context (column 0) and one negative
     assert rec.per_context.shape == rec.mass_local.shape + (2,)
-    np.testing.assert_array_equal(rec.mass_positive(), rec.per_context[..., 0])
-    np.testing.assert_array_equal(rec.mass_negative(), rec.per_context[..., 1])
 
 
 def test_record_buckets_sum_to_one_gated():
@@ -405,6 +402,35 @@ def test_chunked_records_match_forward_train(integration, empty_slots, d, lossle
     for got in (stepped, exposure_records(model, batch, plan)):
         assert [r.layer for r in got] == [r.layer for r in want]
         for g, w in zip(got, want):
+            for name in ("mass_local", "per_context"):
+                np.testing.assert_array_equal(getattr(g, name), getattr(w, name), err_msg=name)
+            assert g.gate == w.gate
+
+
+@pytest.mark.parametrize("integration", ["merged", "gated"])
+def test_uneven_chunks_give_records_at_the_plans_width(integration, monkeypatch):
+    """Chunks whose slots reach different context counts (slots 0 and 1
+    keep only their own window, slots 2 and 3 all three contexts) each
+    record every context of the plan, so their records concatenate into
+    exactly forward_train's."""
+    rng = np.random.default_rng(71)
+    cfg = tiny_cfg(n_layers=3, memory_layers=(1, 2), integration_mode=integration)
+    model = Transformer(cfg, seed=72, dtype=np.float64)
+    _randomize_head(model, rng)
+    batch = make_batch(rng, cfg, b=4)
+    plan = exposure_plan(4, 3)
+    for s in (0, 1):
+        own = [i for i, pw in enumerate(plan.per_slot[s]) if pw.context_id == 1]
+        plan.per_slot[s] = [plan.per_slot[s][i] for i in own]
+        plan.source_unit[s] = [plan.source_unit[s][i] for i in own]
+    assert plan.n_contexts == [1, 1, 3, 3]
+    want = model.forward_train(batch, plan).records
+    _force_chunks_of_two(monkeypatch, model, plan)
+    _, stepped = crossbatch_grad_step(model, batch, plan, collect_records=True)
+    for got in (stepped, exposure_records(model, batch, plan)):
+        assert [r.layer for r in got] == [r.layer for r in want]
+        for g, w in zip(got, want):
+            assert w.per_context.shape[-1] == 3
             for name in ("mass_local", "per_context"):
                 np.testing.assert_array_equal(getattr(g, name), getattr(w, name), err_msg=name)
             assert g.gate == w.gate
@@ -951,7 +977,11 @@ def test_forward_train_rejects_bad_plan(monkeypatch):
     short = make_batch(rng, tiny_cfg(local_ctx_len=4), b=2)  # 4-token windows, 8-token model
     missing = make_batch(rng, cfg, b=2)
     missing.prev_valid[:] = False
-    bad = [(batch, empty_plan(3)), (short, exposure_plan(2, 1)), (missing, exposure_plan(2, 1))]
+    unnumbered = exposure_plan(2, 1)  # context 0 is the window table's padding
+    unnumbered.per_slot[1] = [PlanWindow(pw.source_slot, pw.window_index, 0)
+                              for pw in unnumbered.per_slot[1]]
+    bad = [(batch, empty_plan(3)), (short, exposure_plan(2, 1)), (missing, exposure_plan(2, 1)),
+           (batch, unnumbered)]
     runs = (model.forward_train, lambda b_, plan: crossbatch_grad_step(model, b_, plan),
             lambda b_, plan: exposure_records(model, b_, plan))
     for chunked in (False, True):  # one chunk of both slots, then a chunk per slot
